@@ -183,7 +183,7 @@ fn bench_cycle_plan(c: &mut Criterion) {
 fn bench_fast_forward(c: &mut Criterion) {
     let mut group = c.benchmark_group("fast_forward");
     for n in [10usize, 100, 1000] {
-        // Same shape as the engine's due heap: (due instant, id, slot)
+        // Same shape as the engine's departure heap: (instant, id, slot)
         // min-heap via `Reverse`. The horizon only ever *peeks*.
         let heap: BinaryHeap<Reverse<(Instant, u64, usize)>> = (0..n)
             .map(|i| Reverse((Instant::from_secs(10.0 + i as f64 * 0.37), i as u64, i)))

@@ -7,13 +7,16 @@
 //! asserts the window allocated **nothing** (static scheme) or within a
 //! tiny amortised bound (dynamic scheme, whose audit log may grow).
 //!
+//! Allocations are counted per thread, so the two tests can run on
+//! parallel harness threads without counting each other's set-up.
+//!
 //! Meaningful only in release mode: debug builds run the engine's
 //! shadow-scan `debug_assert!`s, which are allowed to allocate. The test
 //! is a no-op under `debug_assertions` so plain `cargo test` stays
 //! green; CI runs it with `cargo test --release`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use vod_core::SchemeKind;
 use vod_sched::SchedulingMethod;
@@ -23,11 +26,20 @@ use vod_workload::Arrival;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const` and drop-free, so touching it from inside the allocator
+    // never allocates (no lazy init, no destructor registration).
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with`: the slot is gone while a thread tears down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -36,7 +48,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -44,8 +56,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// Drives `streams` arrivals into a fresh engine, warms it for
@@ -104,7 +117,7 @@ fn dynamic_steady_state_cycles_stay_within_the_amortised_budget() {
     // The dynamic scheme's estimator memo and table cache make its
     // steady-state cycle allocation-free too; the only permitted heap
     // traffic is amortised growth of long-lived containers (audit log,
-    // due heap) — a handful of reallocs across thousands of cycles.
+    // departure heap) — a handful of reallocs across thousands of cycles.
     let (allocs, cycles) = measure(SchemeKind::Dynamic, 20, 120.0, 60.0);
     assert!(
         cycles > 100,

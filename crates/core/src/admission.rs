@@ -19,6 +19,7 @@
 //! allocation, and departure.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use vod_obs::{Event, EventKind, Obs};
@@ -78,6 +79,31 @@ impl AdmissionConstraint {
     }
 }
 
+/// Hasher for the record table's [`RequestId`] keys: the ids are plain
+/// integers the server or simulator mints itself, never keys chosen
+/// outside the program, so SipHash's collision-flooding defence buys
+/// nothing. One odd multiply mixes an id, and a rotate moves the
+/// well-mixed high product bits down to the low bits the table indexes
+/// by. Deterministic, unlike `RandomState`.
+#[derive(Clone, Copy, Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
 #[derive(Clone, Copy, Debug)]
 struct Record {
     /// `(n_i, k_i)` from the stream's most recent buffer allocation;
@@ -97,7 +123,7 @@ pub struct AdmissionController {
     params: SystemParams,
     table: Arc<SizeTable>,
     log: ArrivalLog,
-    records: HashMap<RequestId, Record>,
+    records: HashMap<RequestId, Record, BuildHasherDefault<IdHasher>>,
     /// Multiset of `n_i + k_i` over records with an allocation.
     bound_agg: MinMultiset,
     /// Multiset of `k_i` over records with an allocation.
@@ -139,7 +165,7 @@ impl AdmissionController {
             params,
             table,
             log: ArrivalLog::new(t_log),
-            records: HashMap::new(),
+            records: HashMap::default(),
             bound_agg: MinMultiset::new(),
             k_agg: MinMultiset::new(),
             deferrals: 0,
@@ -235,15 +261,13 @@ impl AdmissionController {
         now: Instant,
         period: Seconds,
     ) -> Result<Allocation, VodError> {
-        if !self.records.contains_key(&id) {
-            return Err(VodError::UnknownRequest(id));
-        }
-        let (k_c, k_log) = self.estimate_k(now, period);
         let n_c = self.records.len();
-        let record = self
-            .records
-            .get_mut(&id)
-            .expect("checked contains_key above");
+        let k_cap = self.k_cap();
+        let Some(record) = self.records.get_mut(&id) else {
+            return Err(VodError::UnknownRequest(id));
+        };
+        let (k_c, k_log) =
+            Self::clamp_k(&mut self.log, &self.params, &self.obs, k_cap, now, period);
         if let Some((n_old, k_old)) = record.last_allocation.replace((n_c, k_c)) {
             self.bound_agg.remove(n_old + k_old);
             self.k_agg.remove(k_old);
@@ -262,10 +286,15 @@ impl AdmissionController {
     /// memory-reservation admission checks. (Prunes the arrival log,
     /// hence `&mut`.)
     pub fn estimate_k(&mut self, now: Instant, period: Seconds) -> (usize, usize) {
-        let k_log = self.log.k_log(now, period);
+        let k_cap = self.k_cap();
+        Self::clamp_k(&mut self.log, &self.params, &self.obs, k_cap, now, period)
+    }
+
+    /// Assumption 2's cap: `k_c ≤ k_i + α` for every in-service stream,
+    /// so `min_i(k_i) + α` (`usize::MAX` when no allocation constrains).
+    /// The minimum over `k_i` is maintained incrementally (O(1) here).
+    fn k_cap(&mut self) -> usize {
         let alpha = self.params.alpha as usize;
-        // Assumption 2: k_c ≤ k_i + α for every in-service stream. The
-        // minimum over k_i is maintained incrementally (O(1) here).
         let k_cap = self.k_agg.min().map_or(usize::MAX, |k| k + alpha);
         debug_assert_eq!(
             k_cap,
@@ -277,15 +306,30 @@ impl AdmissionController {
                 .unwrap_or(usize::MAX),
             "incremental Assumption-2 clamp diverged from the record scan"
         );
-        let k_c = (k_log + alpha).min(k_cap).min(self.params.max_requests());
+        k_cap
+    }
+
+    /// Step 4 of Fig. 5 given the cap: `k_c = min(k_log + α, k_cap, N)`.
+    /// Takes the fields it reads rather than `self`, so `allocate` can
+    /// hold its one record lookup across the call.
+    fn clamp_k(
+        log: &mut ArrivalLog,
+        params: &SystemParams,
+        obs: &Obs,
+        k_cap: usize,
+        now: Instant,
+        period: Seconds,
+    ) -> (usize, usize) {
+        let k_log = log.k_log(now, period);
+        let alpha = params.alpha as usize;
+        let k_c = (k_log + alpha).min(k_cap).min(params.max_requests());
         if k_c < k_log + alpha {
-            self.obs
-                .emit_with(EventKind::EstimatorClamped, || Event::EstimatorClamped {
-                    at: now,
-                    k_log,
-                    k_clamped: k_c,
-                    cap: k_cap.min(self.params.max_requests()),
-                });
+            obs.emit_with(EventKind::EstimatorClamped, || Event::EstimatorClamped {
+                at: now,
+                k_log,
+                k_clamped: k_c,
+                cap: k_cap.min(params.max_requests()),
+            });
         }
         (k_c, k_log)
     }

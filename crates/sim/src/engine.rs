@@ -270,12 +270,6 @@ pub struct DiskEngine {
     /// Ordered by `(at, raw id)` exactly as before the slab refactor — the
     /// slot only rides along; raw ids are unique, so it never decides.
     departures: BinaryHeap<Reverse<(Instant, u64, SlotId)>>,
-    /// Lazy-deletion min-heap over stream due times. `service` pushes a
-    /// fresh entry after every stream-state change, so the newest entry
-    /// per stream recomputes bit-exactly; stale entries (departed stream,
-    /// superseded due) are discarded when they surface in
-    /// [`Self::earliest_due`].
-    due_heap: BinaryHeap<Reverse<(Instant, u64, SlotId)>>,
     /// Reused scratch for [`Self::sort_by_position`]: avoids a key-map
     /// allocation per cycle.
     sort_scratch: Vec<(f64, SlotId)>,
@@ -369,6 +363,13 @@ pub struct EvictedStream {
 /// traces derived under the same seed.
 const ENGINE_TRACE_SCOPE: u64 = 0x0063_7963_6c65; // "cycle"
 
+/// The largest consumption deficit, in bits, that is float dust rather
+/// than starvation. Levels are `f64` bit counts built from fills and
+/// `CR·Δt` drains, and fills are capped to land exactly at zero at
+/// departure, so a rounding residue of a few bits is expected; a real
+/// shortfall is at least a slot's worth of playback, kilobits or more.
+const UNDERFLOW_SLACK_BITS: f64 = 64.0;
+
 /// Outcome of one engine progress step (see [`DiskEngine::step_body`]).
 enum Step {
     /// Serviced a stream, planned a cycle, or advanced the clock.
@@ -442,7 +443,6 @@ impl DiskEngine {
             last_period: None,
             pending: VecDeque::new(),
             departures: BinaryHeap::new(),
-            due_heap: BinaryHeap::new(),
             sort_scratch: Vec::new(),
             dl_memo: None,
             period_memo: None,
@@ -728,27 +728,15 @@ impl DiskEngine {
                         return Step::Progressed;
                     }
                 }
-                // `due_min` feeds only the event payload, but the query
-                // is run unconditionally: its amortized pops are what
-                // keep the lazy-deletion due heap tight (one push per
-                // service, stale entries popped as they surface). Gating
-                // it behind the event kind turns the heap append-only
-                // between `note_due` compactions, and the compaction
-                // churn costs ~2x this cell throughput on sustained-load
-                // cells. Observation-only either way: the result feeds
-                // nothing but the event, so the run is bit-identical.
-                {
-                    let due_min = self.earliest_due();
-                    self.obs
-                        .emit_with(EventKind::CyclePlanned, || Event::CyclePlanned {
-                            at: self.t,
-                            start,
-                            planned: plan.start,
-                            n: self.streams.len(),
-                            due_min,
-                            insertion_budget: plan.insertion_budget,
-                        });
-                }
+                self.obs
+                    .emit_with(EventKind::CyclePlanned, || Event::CyclePlanned {
+                        at: self.t,
+                        start,
+                        planned: plan.start,
+                        n: self.streams.len(),
+                        due_min: plan.due_min,
+                        insertion_budget: plan.insertion_budget,
+                    });
                 self.t = start;
                 self.cycle_start = start;
                 self.cursor = 0;
@@ -1138,7 +1126,6 @@ impl DiskEngine {
         // Every heap entry is now stale; drop them instead of letting
         // lazy deletion sweep thousands of corpses one by one.
         self.departures.clear();
-        self.due_heap.clear();
         self.dl_memo = None;
         self.period_memo = None;
         out
@@ -1152,11 +1139,10 @@ impl DiskEngine {
         }
     }
 
-    /// Records a consumption deficit as an underflow, ignoring float dust
-    /// (fills are capped to land *exactly* at zero level at departure, so
-    /// sub-byte negatives are rounding, not starvation).
+    /// Records a consumption deficit larger than [`UNDERFLOW_SLACK_BITS`]
+    /// as an underflow.
     fn note_deficit(&mut self, id: RequestId, at: Instant, deficit: Bits) {
-        if deficit.as_f64() > 64.0 {
+        if deficit.as_f64() > UNDERFLOW_SLACK_BITS {
             self.stats.underflows += 1;
             self.m.underflows.inc();
             self.stats.underflow_deficit += deficit;
@@ -1599,19 +1585,9 @@ impl DiskEngine {
         if started {
             self.mem.on_materialize(old_time, t_data, upd.consumed);
         }
-        if upd.deficit.as_f64() > 64.0 {
-            self.obs
-                .emit_with(EventKind::Underflow, || Event::Underflow {
-                    at: t_data,
-                    id,
-                    n: n_active,
-                    deficit: upd.deficit,
-                });
-            self.stats.underflows += 1;
-            self.m.underflows.inc();
-            self.stats.underflow_deficit += upd.deficit;
-        }
+        self.note_deficit(id, t_data, upd.deficit);
 
+        let stream = &mut self.streams[slot];
         let mut read = (size - stream.level()).clamp_non_negative();
         let demand_cap = match stream.remaining_demand(t_data, cr) {
             Some(rem) => (rem - stream.level()).clamp_non_negative(),
@@ -1631,9 +1607,6 @@ impl DiskEngine {
             // refilled every cycle, as the paper's service model requires —
             // the usage-period budgets are equality-tight, so a deferred
             // top-up would push later refills past their dues.
-            // `advance_to` re-based (level, level_time), so the stream's
-            // due recomputes with different bits: re-arm the due heap.
-            self.note_due(slot);
             return;
         }
 
@@ -1744,49 +1717,6 @@ impl DiskEngine {
             self.obs.span_end(t_done, trace, sp, SpanStatus::Ok);
         }
         self.t = t_done;
-        self.note_due(slot);
-    }
-
-    /// Pushes the stream's current due time onto the lazy-deletion heap.
-    /// Called after every stream-state change that leaves the stream live
-    /// (both `service` exits), so the heap always holds an entry whose
-    /// stored due recomputes bit-exactly from the stream's current state.
-    ///
-    /// A push is skipped when the due is bit-identical to the one already
-    /// on the heap for this stream (`Stream::noted_due`): an equality-tight
-    /// refill often reproduces the previous due exactly, and the earlier
-    /// entry still recomputes bit-exactly, so it still answers queries.
-    /// Duplicates never change the heap minimum — they only bloat the heap
-    /// until the compaction below churns every cycle. Because stale
-    /// entries are only ever dropped when their stored due *disagrees*
-    /// with the stream, the retained entry stays live until the due
-    /// changes — at which point the changed due is pushed here.
-    fn note_due(&mut self, slot: SlotId) {
-        let cr = self.cfg.params.cr();
-        if let Some(s) = self.streams.get_mut(slot) {
-            let due = s.due_at(cr);
-            if due != s.noted_due {
-                s.noted_due = due;
-                if let Some(due) = due {
-                    self.due_heap.push(Reverse((due, s.id.raw(), slot)));
-                }
-            }
-        }
-        // Safety valve: the per-cycle `earliest_due` prune only pops
-        // stale entries that reach the top, so pathological push/due
-        // patterns could still grow the lazy-deletion heap. Compaction
-        // keeps exactly the entries a query would accept (those
-        // recomputing bit-exactly), so query results — and the run — are
-        // unchanged. With the per-cycle prune this almost never fires.
-        if self.due_heap.len() > 4 * (self.streams.len() + 16) {
-            let heap = std::mem::take(&mut self.due_heap);
-            let mut entries = heap.into_vec();
-            let streams = &self.streams;
-            entries.retain(|&Reverse((due, _, s))| {
-                streams.get(s).is_some_and(|st| st.due_at(cr) == Some(due))
-            });
-            self.due_heap = BinaryHeap::from(entries);
-        }
     }
 
     /// The next *interesting* time for an idle engine (no stream needs
@@ -1915,6 +1845,9 @@ struct CyclePlan {
     /// their dues, so `try_admissions` defers the excess to the next
     /// cycle.
     insertion_budget: usize,
+    /// The earliest instant any live stream's buffer drains to zero;
+    /// `None` when no stream has a due. Observation only.
+    due_min: Option<Instant>,
 }
 
 impl DiskEngine {
@@ -1923,7 +1856,7 @@ impl DiskEngine {
     /// worth of new requests bubbles into the cycle? `None` when nobody
     /// needs service.
     ///
-    /// The latest provably safe start is `earliest_due − (n + h)·slot`,
+    /// The latest provably safe start is `due_min − (n + h)·slot`,
     /// where `h` is the admissible-insertion headroom and `slot` bounds
     /// every service in the cycle (next-generation buffer sizes — this is
     /// exactly the budget Theorem 1's sizing guarantees). The static
@@ -1979,6 +1912,9 @@ impl DiskEngine {
         let mut start: Option<Instant> = None;
         let mut fallback: Option<Instant> = None;
         let mut eligible: Option<Instant> = None;
+        // `order` holds every live stream right after `rebuild_order`, so
+        // this sweep sees every due there is.
+        let mut due_min: Option<Instant> = None;
         for (idx, &slot_id) in self.order.iter().enumerate() {
             let s = &self.streams[slot_id];
             if !s.viewing_started() {
@@ -1991,6 +1927,7 @@ impl DiskEngine {
                 continue;
             }
             let Some(due) = s.due_at(cr) else { continue };
+            due_min = Some(due_min.map_or(due, |m| m.min(due)));
             let latest = due - slot * (idx + 1 + h) as f64;
             start = Some(match start {
                 Some(c) => c.min(latest),
@@ -2019,6 +1956,7 @@ impl DiskEngine {
                 start: e,
                 fallback: e,
                 insertion_budget: usize::MAX,
+                due_min,
             });
         };
         let mut fb = fallback.expect("at least one due exists");
@@ -2030,6 +1968,7 @@ impl DiskEngine {
             start,
             fallback: fb,
             insertion_budget: h,
+            due_min,
         })
     }
 
@@ -2083,36 +2022,6 @@ impl DiskEngine {
 
     fn earliest_departure(&self) -> Option<Instant> {
         self.departures.peek().map(|Reverse((at, _, _))| *at)
-    }
-
-    /// The earliest time any stream's buffer drains to zero.
-    ///
-    /// Lazy-deletion query: the stream's state only changes in `service`
-    /// (which re-pushes on both exits) and `depart` (which removes it),
-    /// so a heap entry is current iff its stored due recomputes
-    /// bit-exactly from the stream it names. Anything else — a departed
-    /// stream's entry, or one superseded by a later fill — is popped
-    /// here; entries are pushed at most once per service, so the pops
-    /// amortize to O(log n) per service against the old O(n) full scan.
-    fn earliest_due(&mut self) -> Option<Instant> {
-        let cr = self.cfg.params.cr();
-        let result = loop {
-            let Some(&Reverse((due, _, slot))) = self.due_heap.peek() else {
-                break None;
-            };
-            match self.streams.get(slot) {
-                Some(s) if s.due_at(cr) == Some(due) => break Some(due),
-                _ => {
-                    self.due_heap.pop();
-                }
-            }
-        };
-        #[cfg(debug_assertions)]
-        {
-            let naive = self.streams.values().filter_map(|s| s.due_at(cr)).min();
-            debug_assert_eq!(result, naive, "due heap diverged from full scan");
-        }
-        result
     }
 
     fn process_due_departures(&mut self) {
@@ -2489,6 +2398,66 @@ mod tests {
         // Every retained event renders as a JSON object line.
         for line in snap.export_jsonl().lines() {
             assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
+        }
+    }
+
+    /// Captures the `due_min` of every `CyclePlanned` event.
+    #[derive(Default)]
+    struct DueMinSink(std::sync::Mutex<Vec<Option<Instant>>>);
+
+    impl vod_obs::Sink for DueMinSink {
+        fn enabled(&self, kind: EventKind) -> bool {
+            kind == EventKind::CyclePlanned
+        }
+
+        fn record(&self, event: &Event) {
+            if let Event::CyclePlanned { due_min, .. } = event {
+                self.0.lock().expect("unpoisoned").push(*due_min);
+            }
+        }
+    }
+
+    #[test]
+    fn cycle_planned_due_min_is_the_min_live_due() {
+        // The step that plans a cycle returns right after emitting
+        // `CyclePlanned` without touching a stream, so a full scan after
+        // that step sees the state the planner saw.
+        let trace: Vec<Arrival> = (0..60)
+            .map(|i| arrival(f64::from(i) * 0.35, 40.0 + f64::from(i % 7) * 11.0))
+            .collect();
+        let evict_at = Instant::from_secs(9.0);
+        for method in SchedulingMethod::paper_methods() {
+            let sink = std::sync::Arc::new(DueMinSink::default());
+            let cfg = EngineConfig::paper(method, SchemeKind::Dynamic);
+            let mut eng =
+                DiskEngine::with_observer(cfg, vod_obs::Obs::new(sink.clone())).expect("valid");
+            let cr = eng.cfg.params.cr();
+            let (mut ai, mut evicted) = (0, false);
+            let (mut checked, mut with_due, mut after_evict) = (0, 0, 0);
+            loop {
+                eng.process_due_departures();
+                if !evicted && eng.t >= evict_at {
+                    assert!(!eng.evict_all().is_empty(), "{method}: evicted nothing");
+                    evicted = true;
+                }
+                while ai < trace.len() && trace[ai].at <= eng.t {
+                    eng.ingest(&trace[ai]);
+                    ai += 1;
+                }
+                let step = eng.step_body(trace.get(ai).map(|a| a.at));
+                let scan = eng.streams.values().filter_map(|s| s.due_at(cr)).min();
+                for due_min in sink.0.lock().expect("unpoisoned").drain(..) {
+                    assert_eq!(due_min, scan, "{method} at {}", eng.t);
+                    checked += 1;
+                    with_due += usize::from(due_min.is_some());
+                    after_evict += usize::from(evicted);
+                }
+                if matches!(step, Step::Drained) {
+                    break;
+                }
+            }
+            assert!(evicted, "{method}: the run ended before the eviction");
+            assert!(with_due > 0 && after_evict > 0, "{method}: {checked} plans");
         }
     }
 

@@ -44,12 +44,6 @@ pub struct Stream {
     /// [`SEQ_FIRST_SERVICE`], advances once per disk read).
     /// Observability only.
     pub span_seq: u64,
-    /// The due instant the engine last pushed onto its lazy-deletion
-    /// heap for this stream (`None` = nothing live pushed). Simulator
-    /// bookkeeping so an unchanged due is not re-pushed — duplicates
-    /// never alter the heap minimum, they only bloat it. Never read by
-    /// any scheduling decision.
-    pub noted_due: Option<Instant>,
 }
 
 /// What a lazy level update observed.
@@ -79,7 +73,6 @@ impl Stream {
             last_alloc: Bits::ZERO,
             trace: TraceId::NONE,
             span_seq: SEQ_FIRST_SERVICE,
-            noted_due: None,
         }
     }
 

@@ -1,15 +1,15 @@
 //! Property tests for the engine's incremental hot-path structures.
 //!
-//! The engine maintains three incrementally-updated views of its stream
-//! set: the generational slab, the lazy-deletion due heap behind
-//! `earliest_due`, and the scratch-based position sort. In debug builds
-//! the due heap is cross-checked against a full scan on **every** query
-//! (`debug_assert_eq!` inside the engine), and the admission
-//! controller's min-aggregates against its record table — so driving
-//! arbitrary traces through a debug engine *is* the incremental ≡ naive
-//! equivalence test. On top of that, runs must stay bit-deterministic:
-//! replaying a trace reproduces every stat to the bit, which would catch
-//! any order-dependence smuggled in by the slab or the heaps.
+//! The engine maintains incrementally-updated views of its stream set:
+//! the generational slab, the lazy-deletion departure heap, and the
+//! scratch-based position sort. In debug builds the admission
+//! controller's min-aggregates are cross-checked against its record
+//! table on **every** query (`debug_assert_eq!` inside the controller),
+//! so driving arbitrary traces through a debug engine *is* the
+//! incremental ≡ naive equivalence test for them. On top of that, runs
+//! must stay bit-deterministic: replaying a trace reproduces every stat
+//! to the bit, which would catch any order-dependence smuggled in by the
+//! slab or the heap.
 
 use proptest::prelude::*;
 use vod_core::SchemeKind;
@@ -59,8 +59,8 @@ proptest! {
 
     /// Arbitrary traces drain fully and replay bit-identically under the
     /// dynamic scheme for every scheduling method. Each run also executes
-    /// the engine's internal due-heap ≡ full-scan and incremental ≡
-    /// record-scan debug assertions once per cycle.
+    /// the admission controller's incremental ≡ record-scan debug
+    /// assertions at every arrival and allocation.
     #[test]
     fn dynamic_runs_are_deterministic_and_heap_consistent(
         trace in trace_strategy(),
