@@ -1097,4 +1097,36 @@ mod tests {
             );
         }
     }
+
+    /// Golden per-node estimator audits of the zone-crash cell (rack0
+    /// down, Migrate, re-replication, cold rejoin), recorded before the
+    /// audit was scored as a stream. Parked migrants and overflowed
+    /// arrivals are retried with their original, older instants, so the
+    /// streaming scorer's floor must hold back for them to match.
+    #[test]
+    fn zone_crash_cell_audits_match_the_golden_counts() {
+        let mode = ChaosBenchMode::Smoke;
+        let spec = ChaosCellSpec {
+            nodes: 4,
+            scenario: ChaosScenario::ZoneCrashReseed,
+            failover: FailoverPolicy::Migrate,
+        };
+        assert_eq!(spec.scenario.recovery(), RecoveryPolicy::Cold);
+        let traces = SharedTraces::generate(mode, &[spec]);
+        let cfg = cell_chaos_config(mode, spec);
+        let report =
+            run_chaos(&cfg, &traces.for_nodes(4).arrivals, 1, Obs::null()).expect("valid cell");
+        assert_eq!(report.summary.parked, 28);
+        assert_eq!(report.cluster.overflow_queued, 466);
+        let audits: Vec<(usize, usize)> = report
+            .cluster
+            .nodes
+            .iter()
+            .map(|n| (n.stats.audit.samples, n.stats.audit.violations))
+            .collect();
+        assert_eq!(
+            audits,
+            [(218_131, 0), (267_644, 282), (243_621, 0), (289_940, 256)]
+        );
+    }
 }

@@ -506,8 +506,8 @@ fn run_cluster_cell(
             redirected_out: n.redirected_out,
             peak_memory_mib: n.stats.peak_memory.as_mebibytes(),
             memory_saving_vs_static: n.memory_saving_vs_static(params),
-            audit_samples: n.audit.samples as u64,
-            audit_violations: n.audit.violations as u64,
+            audit_samples: n.stats.audit.samples as u64,
+            audit_violations: n.stats.audit.violations as u64,
         })
         .collect();
     let served: Vec<f64> = per_node
@@ -985,5 +985,29 @@ mod tests {
         let fast = run_cluster_bench_configured(ClusterBenchMode::Full, jobs, true, &obs, &|_| {});
         let slow = run_cluster_bench_configured(ClusterBenchMode::Full, jobs, false, &obs, &|_| {});
         assert_cluster_cells_bit_identical(&fast, &slow);
+    }
+
+    /// Golden per-node estimator audits of the saturated replicated-hot
+    /// smoke cell, recorded before the audit was scored as a stream. Its
+    /// overflow retries offer parked arrivals' older instants.
+    #[test]
+    fn replicated_hot_cell_audits_match_the_golden_counts() {
+        let mode = ClusterBenchMode::Smoke;
+        let spec = mode.cells()[1];
+        assert!(matches!(
+            spec.placement,
+            PlacementPolicy::ReplicatedHot { .. }
+        ));
+        let wl = cell_workload(mode, spec.nodes);
+        let report = Cluster::with_observer(cell_config(mode, spec, true), Obs::null())
+            .expect("valid cell")
+            .run(&wl.arrivals);
+        assert_eq!(report.overflow_queued, 87);
+        let audits: Vec<(usize, usize)> = report
+            .nodes
+            .iter()
+            .map(|n| (n.stats.audit.samples, n.stats.audit.violations))
+            .collect();
+        assert_eq!(audits, [(244_766, 0), (262_542, 5)]);
     }
 }

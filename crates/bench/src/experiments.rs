@@ -248,7 +248,10 @@ fn estimator_row(
     exp.engine.t_log = t_log;
     exp.engine.params.alpha = alpha;
     let res = run_observed(&exp, obs);
-    (res.audit.mean_estimated, res.audit.success_probability)
+    (
+        res.stats.audit.mean_estimated,
+        res.stats.audit.success_probability,
+    )
 }
 
 /// Fig. 7: mean estimated additional requests and successful-estimation
@@ -648,5 +651,26 @@ mod tests {
         // At 2 GB (index 1) dynamic must beat static clearly.
         let (st, dy) = pairs[1];
         assert!(dy > st * 1.3, "static {st}, dynamic {dy}");
+    }
+
+    /// Golden Fig. 7 audit (Round-Robin, `T_log` = 40 min, α = 1, quick
+    /// scale), recorded before the audit was scored as a stream: the
+    /// pooled outcome must match to the bit.
+    #[test]
+    fn fig7_quick_audit_matches_the_golden_outcome() {
+        let mut exp = experiment(
+            Scale::Quick,
+            SchedulingMethod::RoundRobin,
+            SchemeKind::Dynamic,
+            0.5,
+        );
+        exp.engine.t_log = Seconds::from_minutes(40.0);
+        exp.engine.params.alpha = 1;
+        let audit = run_observed(&exp, &Obs::null()).stats.audit;
+        assert_eq!(audit.samples, 984_331);
+        assert_eq!(audit.violations, 336);
+        assert_eq!(audit.mean_estimated.to_bits(), 0x4007_816f_59d4_aa6f);
+        assert_eq!(audit.mean_actual.to_bits(), 0x3fd5_32b4_e2c9_5ad7);
+        assert_eq!(audit.success_probability.to_bits(), 0x3fef_fd34_23de_dfac);
     }
 }

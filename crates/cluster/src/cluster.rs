@@ -33,7 +33,7 @@ use vod_obs::span::{
 };
 use vod_obs::timeseries::{cluster_series, Series, SeriesRecorder};
 use vod_obs::Obs;
-use vod_sim::{evaluate_audits, DiskEngine, EngineConfig, EvictedStream};
+use vod_sim::{DiskEngine, EngineConfig, EvictedStream};
 use vod_types::{ConfigError, Instant};
 use vod_workload::{Arrival, Zipf};
 
@@ -68,10 +68,6 @@ struct Node {
     dispatched: u64,
     redirected_in: u64,
     redirected_out: u64,
-    /// Arrival instants offered to this node (push order; sorted at
-    /// finish time — retries land out of order). Fuels per-node audit
-    /// scoring: the node's estimator only ever saw these arrivals.
-    offered_times: Vec<Instant>,
     /// Front-end series handles (load, redirections), when attached.
     series: Option<NodeFrontSeries>,
     /// Chaos flag: a crashed node is excluded from every routing
@@ -165,7 +161,6 @@ impl Cluster {
                 dispatched: 0,
                 redirected_in: 0,
                 redirected_out: 0,
-                offered_times: Vec::new(),
                 series: None,
                 down: false,
             });
@@ -234,7 +229,6 @@ impl Cluster {
     fn offer_to(&mut self, ni: usize, a: &Arrival, trace: TraceId) {
         let node = &mut self.nodes[ni];
         node.dispatched += 1;
-        node.offered_times.push(a.at);
         node.engine.offer_traced(a, trace);
         if let Some(s) = &node.series {
             let t = a.at.as_secs_f64();
@@ -305,9 +299,17 @@ impl Cluster {
     /// routing decision reads caught-up state. Crashed nodes advance too
     /// (their empty engines just move the clock), keeping the round
     /// order identical with and without faults.
+    ///
+    /// Also settles each node's arrival floor: later offers carry `at` or
+    /// a parked arrival's instant, and the overflow FIFO is in arrival
+    /// order, so its head is the oldest instant a retry or flush can
+    /// still offer. Every node gets the same floor, because
+    /// re-replication can add any node to an old entry's candidates.
     pub fn advance_nodes_to(&mut self, at: Instant) {
+        let floor = self.queue.front().map_or(at, |p| p.arrival.at.min(at));
         for node in &mut self.nodes {
             node.engine.advance_to(at);
+            node.engine.settle_arrivals_before(floor);
         }
     }
 
@@ -666,9 +668,9 @@ impl Cluster {
     }
 
     /// Offers one migrated stream to node `ni`, with the same per-node
-    /// accounting as a dispatched arrival (node dispatch count, offered
-    /// times, series). Does *not* advance the cluster-wide `dispatched`
-    /// counter — migrants are re-placements, not new front-end arrivals.
+    /// accounting as a dispatched arrival (node dispatch count, series).
+    /// Does *not* advance the cluster-wide `dispatched` counter —
+    /// migrants are re-placements, not new front-end arrivals.
     pub fn offer_migrant(&mut self, ni: usize, a: &Arrival, trace: TraceId) {
         self.offer_to(ni, a, trace);
     }
@@ -734,33 +736,24 @@ impl Cluster {
         let mut accounted = Vec::with_capacity(nodes.len());
         let mut engines = Vec::with_capacity(nodes.len());
         for n in nodes {
-            let mut times = n.offered_times;
-            // Overflow retries offer old arrivals at later instants, so
-            // push order is not time order; audit scoring needs sorted.
-            times.sort_unstable();
-            accounted.push((n.dispatched, n.redirected_in, n.redirected_out, times));
+            accounted.push((n.dispatched, n.redirected_in, n.redirected_out));
             engines.push(n.engine);
         }
         let stats = drain_engines(engines, jobs);
 
         let node_reports: Vec<NodeReport> = stats
             .into_iter()
-            .zip(&accounted)
+            .zip(accounted)
             .enumerate()
-            .map(|(i, (stats, (dispatched, rin, rout, times)))| {
-                // Score each node's estimator against the arrivals *it*
-                // saw — redirection means the cluster trace is not any
-                // single node's arrival stream.
-                let audit = evaluate_audits(&stats.audits, times);
-                NodeReport {
+            .map(
+                |(i, (stats, (dispatched, redirected_in, redirected_out)))| NodeReport {
                     node: i,
-                    dispatched: *dispatched,
-                    redirected_in: *rin,
-                    redirected_out: *rout,
-                    audit,
+                    dispatched,
+                    redirected_in,
+                    redirected_out,
                     stats,
-                }
-            })
+                },
+            )
             .collect();
         let report = ClusterReport {
             nodes: node_reports,

@@ -1,7 +1,7 @@
 //! Cluster run measurements: per-node stats plus front-end accounting.
 
 use vod_core::{memory, SystemParams};
-use vod_sim::{AuditOutcome, DiskRunStats};
+use vod_sim::DiskRunStats;
 use vod_types::Seconds;
 
 /// One node's share of a cluster run.
@@ -15,10 +15,9 @@ pub struct NodeReport {
     pub redirected_in: u64,
     /// Arrivals this node was primary for but had to hand off.
     pub redirected_out: u64,
-    /// The node estimator's audit, scored against the arrivals this
-    /// node actually saw (post-redirection).
-    pub audit: AuditOutcome,
-    /// The node engine's full run measurements.
+    /// The node engine's full run measurements. Its `audit` scores the
+    /// node's estimator against the arrivals this node actually saw
+    /// (post-redirection).
     pub stats: DiskRunStats,
 }
 
@@ -99,7 +98,10 @@ impl ClusterReport {
     /// whose `k` estimate fell short of the actual arrivals).
     #[must_use]
     pub fn audit_violations(&self) -> u64 {
-        self.nodes.iter().map(|n| n.audit.violations as u64).sum()
+        self.nodes
+            .iter()
+            .map(|n| n.stats.audit.violations as u64)
+            .sum()
     }
 
     /// Service cycles across the cluster.

@@ -1,15 +1,22 @@
 //! Scoring the `k` estimator against reality (Figs. 7 and 8).
 //!
-//! Every buffer allocation by an estimating scheme opens an
-//! [`AuditRecord`] — with the estimate `k_c`
-//! and the usage-period window it covers. After the run, the record is scored
-//! against the *actual* arrivals (admitted or not): the estimation was
-//! **successful** when `k_estimated ≥` the number of arrivals inside the
-//! window — the paper's definition in §3.1.
+//! Every buffer allocation by an estimating scheme opens an audit window
+//! `(at, at + window]` over the usage period the estimate `k_c` covers.
+//! The estimation was **successful** when `k_c ≥` the number of arrivals
+//! (admitted or not) inside the window — the paper's definition in §3.1.
+//!
+//! [`AuditScorer`] scores windows as a stream rather than keeping a log.
+//! It holds the arrival instants it was told about, sorted, and the open
+//! windows in allocation order. The caller declares an arrival *floor*
+//! ([`AuditScorer::settle_before`]): no later arrival carries an instant
+//! below it. Once the floor passes a window's end, no arrival still to
+//! come can land inside it, so the window is scored and dropped. Memory
+//! is O(open windows + arrivals since the oldest open window), not
+//! O(allocations).
 
-use vod_types::Instant;
+use std::collections::VecDeque;
 
-use crate::metrics::AuditRecord;
+use vod_types::{Instant, Seconds};
 
 /// Aggregated estimator quality over one run.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -29,67 +36,200 @@ pub struct AuditOutcome {
     pub violations: usize,
 }
 
-/// Scores audit records against the complete arrival-time list (which
-/// must be sorted ascending; every arrival counts, rejected ones too).
-#[must_use]
-pub fn evaluate_audits(audits: &[AuditRecord], arrival_times: &[Instant]) -> AuditOutcome {
-    debug_assert!(arrival_times.windows(2).all(|w| w[0] <= w[1]));
-    if audits.is_empty() {
-        return AuditOutcome::default();
-    }
-    let mut est_sum = 0.0;
-    let mut act_sum = 0.0;
-    let mut successes = 0usize;
-    for a in audits {
-        // Arrivals strictly after the allocation, up to the window's end.
-        let lo = arrival_times.partition_point(|&t| t <= a.at);
-        let end = a.at + a.window;
-        let hi = arrival_times.partition_point(|&t| t <= end);
-        let actual = hi - lo;
-        est_sum += a.k_estimated as f64;
-        act_sum += actual as f64;
-        if a.k_estimated >= actual {
-            successes += 1;
+impl AuditOutcome {
+    /// Pools several runs' outcomes, weighting each run's means by its
+    /// sample count (the multi-seed aggregate of Figs. 7 and 8).
+    #[must_use]
+    pub fn pooled<'a>(runs: impl IntoIterator<Item = &'a AuditOutcome>) -> AuditOutcome {
+        let (mut est, mut act, mut succ) = (0.0, 0.0, 0.0);
+        let (mut samples, mut violations) = (0usize, 0usize);
+        for run in runs {
+            est += run.mean_estimated * run.samples as f64;
+            act += run.mean_actual * run.samples as f64;
+            succ += run.success_probability * run.samples as f64;
+            samples += run.samples;
+            violations += run.violations;
+        }
+        if samples == 0 {
+            return AuditOutcome::default();
+        }
+        AuditOutcome {
+            samples,
+            mean_estimated: est / samples as f64,
+            mean_actual: act / samples as f64,
+            success_probability: succ / samples as f64,
+            violations,
         }
     }
-    let n = audits.len() as f64;
-    AuditOutcome {
-        samples: audits.len(),
-        mean_estimated: est_sum / n,
-        mean_actual: act_sum / n,
-        success_probability: successes as f64 / n,
-        violations: audits.len() - successes,
+}
+
+/// One allocation's window, open until the arrival floor passes `end`.
+#[derive(Clone, Copy, Debug)]
+struct Window {
+    at: Instant,
+    end: Instant,
+    k: usize,
+}
+
+/// Streaming scorer of audit windows against arrival instants.
+///
+/// Windows must open in non-decreasing `at` order (allocation order on a
+/// monotone clock). Arrivals may come in any order at or above the
+/// declared floor; an out-of-order one is inserted in place.
+#[derive(Clone, Debug, Default)]
+pub struct AuditScorer {
+    /// Arrival instants, ascending. Instants at or below the oldest open
+    /// window's start are dropped once no window can count them.
+    arrivals: VecDeque<Instant>,
+    /// Open windows in allocation order.
+    open: VecDeque<Window>,
+    /// No arrival still to come carries an instant below this (the
+    /// clock starts at zero).
+    floor: Instant,
+    samples: usize,
+    /// Integer totals: exact, and equal to the float sums of the same
+    /// terms while they stay below 2⁵³.
+    estimated: u64,
+    actual: u64,
+    successes: usize,
+}
+
+impl AuditScorer {
+    /// Records one arrival instant.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, panics if `at` lies below the declared floor: the
+    /// windows that should have counted it may already be scored.
+    pub fn note_arrival(&mut self, at: Instant) {
+        debug_assert!(
+            at >= self.floor,
+            "arrival at {at} offered below the declared floor {}",
+            self.floor
+        );
+        match self.arrivals.back() {
+            Some(&last) if at < last => {
+                let i = self.arrivals.partition_point(|&x| x <= at);
+                self.arrivals.insert(i, at);
+            }
+            _ => self.arrivals.push_back(at),
+        }
+    }
+
+    /// Opens the window `(at, at + window]` for an allocation that
+    /// estimated `k` further arrivals. A window already below the floor
+    /// is scored at once and never queued.
+    pub fn open(&mut self, at: Instant, window: Seconds, k: usize) {
+        debug_assert!(
+            self.open.back().map(|w| w.at) <= Some(at),
+            "audit windows must open in allocation order"
+        );
+        let end = at + window;
+        if end < self.floor {
+            if self.open.is_empty() {
+                self.prune_through(at);
+            }
+            // Only arrivals after `at` can count; on a monotone clock
+            // there are none or few, so walk in from the newest.
+            let actual = self
+                .arrivals
+                .iter()
+                .rev()
+                .take_while(|&&x| x > at)
+                .filter(|&&x| x <= end)
+                .count();
+            self.score(k, actual);
+        } else {
+            self.open.push_back(Window { at, end, k });
+        }
+    }
+
+    /// Declares that no later arrival carries an instant below `floor`,
+    /// and scores every window at the head of the queue that ends below
+    /// it. A floor below the current one is ignored.
+    pub fn settle_before(&mut self, floor: Instant) {
+        if floor <= self.floor {
+            return;
+        }
+        self.floor = floor;
+        while let Some(&w) = self.open.front() {
+            if w.end >= floor {
+                break;
+            }
+            self.open.pop_front();
+            // Windows close in start order, so arrivals up to this start
+            // count for no open or future window.
+            self.prune_through(w.at);
+            let actual = self.arrivals.iter().take_while(|&&x| x <= w.end).count();
+            self.score(w.k, actual);
+        }
+    }
+
+    /// Windows still waiting for the floor to pass their end.
+    #[must_use]
+    pub fn open_windows(&self) -> usize {
+        self.open.len()
+    }
+
+    /// Scores every window still open — no further arrivals come — and
+    /// returns the run's outcome.
+    #[must_use]
+    pub fn finish(mut self) -> AuditOutcome {
+        self.settle_before(Instant::from_secs(f64::INFINITY));
+        if self.samples == 0 {
+            return AuditOutcome::default();
+        }
+        let n = self.samples as f64;
+        AuditOutcome {
+            samples: self.samples,
+            mean_estimated: self.estimated as f64 / n,
+            mean_actual: self.actual as f64 / n,
+            success_probability: self.successes as f64 / n,
+            violations: self.samples - self.successes,
+        }
+    }
+
+    /// Drops arrivals at or before `at`.
+    fn prune_through(&mut self, at: Instant) {
+        while self.arrivals.front().is_some_and(|&x| x <= at) {
+            self.arrivals.pop_front();
+        }
+    }
+
+    fn score(&mut self, k: usize, actual: usize) {
+        self.samples += 1;
+        self.estimated += k as u64;
+        self.actual += actual as u64;
+        self.successes += usize::from(k >= actual);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vod_types::Seconds;
 
-    fn rec(at: f64, window: f64, k: usize) -> AuditRecord {
-        AuditRecord {
-            at: Instant::from_secs(at),
-            window: Seconds::from_secs(window),
-            k_estimated: k,
+    /// Feeds every arrival, then every `(at, window, k)` window, with no
+    /// floor declared, and scores at the end.
+    fn score(windows: &[(f64, f64, usize)], arrivals: &[f64]) -> AuditOutcome {
+        let mut s = AuditScorer::default();
+        for &t in arrivals {
+            s.note_arrival(Instant::from_secs(t));
         }
-    }
-
-    fn times(ts: &[f64]) -> Vec<Instant> {
-        ts.iter().map(|&t| Instant::from_secs(t)).collect()
+        for &(at, window, k) in windows {
+            s.open(Instant::from_secs(at), Seconds::from_secs(window), k);
+        }
+        s.finish()
     }
 
     #[test]
     fn empty_audits_give_defaults() {
-        let out = evaluate_audits(&[], &times(&[1.0, 2.0]));
-        assert_eq!(out, AuditOutcome::default());
+        assert_eq!(score(&[], &[1.0, 2.0]), AuditOutcome::default());
     }
 
     #[test]
     fn counts_arrivals_inside_window() {
         // Window (10, 20]: arrivals at 12, 15, 20 count; 10 and 21 do not.
-        let arrivals = times(&[5.0, 10.0, 12.0, 15.0, 20.0, 21.0]);
-        let out = evaluate_audits(&[rec(10.0, 10.0, 3)], &arrivals);
+        let out = score(&[(10.0, 10.0, 3)], &[5.0, 10.0, 12.0, 15.0, 20.0, 21.0]);
         assert_eq!(out.samples, 1);
         assert!((out.mean_actual - 3.0).abs() < 1e-12);
         assert!((out.success_probability - 1.0).abs() < 1e-12);
@@ -97,8 +237,7 @@ mod tests {
 
     #[test]
     fn underestimates_are_failures() {
-        let arrivals = times(&[11.0, 12.0, 13.0]);
-        let out = evaluate_audits(&[rec(10.0, 5.0, 2)], &arrivals);
+        let out = score(&[(10.0, 5.0, 2)], &[11.0, 12.0, 13.0]);
         assert_eq!(out.success_probability, 0.0);
         assert!((out.mean_estimated - 2.0).abs() < 1e-12);
         assert!((out.mean_actual - 3.0).abs() < 1e-12);
@@ -107,12 +246,11 @@ mod tests {
 
     #[test]
     fn mixed_outcomes_average() {
-        let arrivals = times(&[11.0, 12.0, 31.0]);
-        let audits = [
-            rec(10.0, 5.0, 2), // actual 2: success
-            rec(30.0, 5.0, 0), // actual 1: failure
+        let windows = [
+            (10.0, 5.0, 2), // actual 2: success
+            (30.0, 5.0, 0), // actual 1: failure
         ];
-        let out = evaluate_audits(&audits, &arrivals);
+        let out = score(&windows, &[11.0, 12.0, 31.0]);
         assert!((out.success_probability - 0.5).abs() < 1e-12);
         assert!((out.mean_estimated - 1.0).abs() < 1e-12);
         assert!((out.mean_actual - 1.5).abs() < 1e-12);
@@ -124,8 +262,7 @@ mod tests {
         // The window is (at, at + window]: the arrival that *triggered*
         // the allocation (t == at) must not count against its own
         // estimate — only strictly-later arrivals do.
-        let arrivals = times(&[10.0]);
-        let out = evaluate_audits(&[rec(10.0, 5.0, 0)], &arrivals);
+        let out = score(&[(10.0, 5.0, 0)], &[10.0]);
         assert_eq!(out.mean_actual, 0.0);
         assert_eq!(out.success_probability, 1.0);
     }
@@ -133,21 +270,75 @@ mod tests {
     #[test]
     fn arrival_exactly_at_window_end_is_included() {
         // The window end is inclusive: t == at + window still counts.
-        let arrivals = times(&[15.0]);
-        let out = evaluate_audits(&[rec(10.0, 5.0, 0)], &arrivals);
+        let out = score(&[(10.0, 5.0, 0)], &[15.0]);
         assert!((out.mean_actual - 1.0).abs() < 1e-12);
         assert_eq!(out.success_probability, 0.0);
         // Just past the end does not.
-        let late = times(&[15.000001]);
-        let out = evaluate_audits(&[rec(10.0, 5.0, 0)], &late);
+        let out = score(&[(10.0, 5.0, 0)], &[15.000001]);
         assert_eq!(out.mean_actual, 0.0);
         assert_eq!(out.success_probability, 1.0);
     }
 
     #[test]
     fn no_arrivals_means_every_estimate_succeeds() {
-        let out = evaluate_audits(&[rec(0.0, 100.0, 0), rec(5.0, 100.0, 3)], &[]);
+        let out = score(&[(0.0, 100.0, 0), (5.0, 100.0, 3)], &[]);
         assert_eq!(out.success_probability, 1.0);
         assert_eq!(out.mean_actual, 0.0);
+    }
+
+    #[test]
+    fn a_passing_floor_closes_windows_and_late_arrivals_still_count() {
+        let mut s = AuditScorer::default();
+        s.note_arrival(Instant::from_secs(1.0));
+        s.open(Instant::from_secs(1.0), Seconds::from_secs(4.0), 0); // (1, 5]
+        s.open(Instant::from_secs(2.0), Seconds::from_secs(1.0), 1); // (2, 3]
+        s.settle_before(Instant::from_secs(3.0));
+        assert_eq!(s.open_windows(), 2, "the floor has not passed (1, 5]");
+        // A retry offers an old instant, at the floor but below the
+        // newest arrival: it lands inside both windows.
+        s.note_arrival(Instant::from_secs(6.0));
+        s.note_arrival(Instant::from_secs(3.0));
+        s.settle_before(Instant::from_secs(7.0));
+        assert_eq!(s.open_windows(), 0);
+        // A window wholly below the floor scores without queueing.
+        s.open(Instant::from_secs(6.0), Seconds::from_secs(0.5), 0);
+        assert_eq!(s.open_windows(), 0);
+        let out = s.finish();
+        assert_eq!(out.samples, 3);
+        assert_eq!(out.violations, 1, "(1, 5] saw one arrival against k = 0");
+        assert_eq!(out.mean_actual, 2.0 / 3.0);
+    }
+
+    #[test]
+    fn a_lower_floor_is_ignored() {
+        let mut s = AuditScorer::default();
+        s.settle_before(Instant::from_secs(5.0));
+        s.settle_before(Instant::from_secs(2.0));
+        s.note_arrival(Instant::from_secs(5.0));
+        assert_eq!(s.finish(), AuditOutcome::default());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "below the declared floor")]
+    fn an_arrival_below_the_floor_is_caught() {
+        let mut s = AuditScorer::default();
+        s.open(Instant::from_secs(1.0), Seconds::from_secs(1.0), 0);
+        s.settle_before(Instant::from_secs(3.0));
+        // (1, 2] is already scored; this arrival would have counted.
+        s.note_arrival(Instant::from_secs(1.5));
+    }
+
+    #[test]
+    fn pooling_weights_means_by_samples() {
+        let a = score(&[(0.0, 1.0, 2)], &[0.5]);
+        let b = score(&[(0.0, 1.0, 0), (0.0, 1.0, 0), (0.0, 1.0, 0)], &[0.5]);
+        let p = AuditOutcome::pooled([&a, &b]);
+        assert_eq!(p.samples, 4);
+        assert_eq!(p.violations, 3);
+        assert_eq!(p.mean_estimated, 0.5);
+        assert_eq!(p.mean_actual, 1.0);
+        assert_eq!(p.success_probability, 0.25);
+        assert_eq!(AuditOutcome::pooled([]), AuditOutcome::default());
     }
 }

@@ -38,7 +38,8 @@ use vod_sched::{AdmissionTiming, SchedulingMethod};
 use vod_types::{Bits, ConfigError, Instant, RequestId, Seconds, VideoId};
 use vod_workload::Arrival;
 
-use crate::metrics::{AuditRecord, DiskRunStats, IlSample};
+use crate::audit::AuditScorer;
+use crate::metrics::{DiskRunStats, IlSample};
 use crate::slab::{Slab, SlotId};
 use crate::stream::Stream;
 
@@ -282,6 +283,9 @@ pub struct DiskEngine {
     period_memo: Option<(usize, usize, Seconds)>,
     mem: MemTracker,
     conc_events: Vec<(Instant, i32)>,
+    /// Scores each allocation's `k` estimate against the arrivals that
+    /// land in its usage window (estimating schemes only).
+    audit: AuditScorer,
     stats: DiskRunStats,
     last_k: usize,
     /// Physical drive model; present only under sampled latency.
@@ -448,6 +452,7 @@ impl DiskEngine {
             period_memo: None,
             mem: MemTracker::default(),
             conc_events: Vec::new(),
+            audit: AuditScorer::default(),
             stats: DiskRunStats::default(),
             last_k: 0,
             sampled_disk,
@@ -549,6 +554,14 @@ impl DiskEngine {
             "arrival trace must be time-sorted"
         );
         let mut ai = 0usize;
+        // The trace is sorted, so the next unread arrival is the floor of
+        // every instant still to come; past the last one nothing comes.
+        let floor = |ai: usize| {
+            arrivals
+                .get(ai)
+                .map_or(Instant::from_secs(f64::INFINITY), |a| a.at)
+        };
+        self.settle_arrivals_before(floor(0));
 
         loop {
             // Retire departures and ingest arrivals up to the current
@@ -559,6 +572,7 @@ impl DiskEngine {
             while ai < arrivals.len() && arrivals[ai].at <= self.t {
                 self.ingest(&arrivals[ai]);
                 ai += 1;
+                self.settle_arrivals_before(floor(ai));
             }
             match self.step_body(arrivals.get(ai).map(|a| a.at)) {
                 Step::Progressed => {}
@@ -1017,11 +1031,29 @@ impl DiskEngine {
         }
     }
 
+    /// Declares that no later offer carries an arrival instant below `t`
+    /// (pass `Instant::from_secs(f64::INFINITY)` when no offers follow).
+    /// Audit windows ending before `t` can then be scored and dropped;
+    /// without a floor they stay open until [`Self::finish`]. Any
+    /// arrival order at or above the floor scores exactly — a cluster's
+    /// overflow retries offer old instants, so a cluster declares the
+    /// oldest instant it may still retry. A floor below an earlier one is
+    /// ignored.
+    ///
+    /// Offering an instant below the floor afterwards is a caller bug
+    /// that would mis-score the audit; under an estimating scheme, debug
+    /// builds panic on it.
+    pub fn settle_arrivals_before(&mut self, t: Instant) {
+        self.audit.settle_before(t);
+    }
+
     /// Drains the engine — no further arrivals will be offered — and
     /// returns the run measurements, exactly as [`Self::run`] does after
     /// its trace is exhausted.
     #[must_use]
     pub fn finish(mut self) -> DiskRunStats {
+        // The drain's allocations score as they open.
+        self.settle_arrivals_before(Instant::from_secs(f64::INFINITY));
         loop {
             self.process_due_departures();
             match self.step_body(None) {
@@ -1181,11 +1213,15 @@ impl DiskEngine {
             self.obs
                 .span_annotate(a.at, trace, root, "video", AnnoValue::U64(a.video.raw()));
         }
-        // Every arrival feeds the estimator, admitted or not.
+        // Every arrival feeds the estimator and its audit, admitted or
+        // not.
         match &mut self.scheme {
             SchemeState::Dynamic(ctl) => ctl.note_arrival(a.at),
             SchemeState::Naive(log) => log.record(a.at),
             SchemeState::Static => {}
+        }
+        if !matches!(self.scheme, SchemeState::Static) {
+            self.audit.note_arrival(a.at);
         }
         let n = self.streams.len() + self.pending.len();
         // Immediate rejection rules (the paper's admission control at N,
@@ -1666,11 +1702,7 @@ impl DiskEngine {
 
         if audit {
             let slot = dl + size / self.cfg.params.tr();
-            self.stats.audits.push(AuditRecord {
-                at: now,
-                window: slot * (n_c + k_c) as f64,
-                k_estimated: k_c,
-            });
+            self.audit.open(now, slot * (n_c + k_c) as f64, k_c);
         }
 
         self.obs
@@ -2086,6 +2118,7 @@ impl DiskEngine {
             series.push((t, n.max(0) as usize));
         }
         self.stats.concurrency = series;
+        self.stats.audit = self.audit.finish();
         self.stats.peak_memory = Bits::new(self.mem.peak);
         self.stats.finished_at = self.t;
         self.stats
@@ -2095,6 +2128,7 @@ impl DiskEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::audit::AuditOutcome;
     use vod_types::DiskId;
 
     fn arrival(at_secs: f64, viewing_secs: f64) -> Arrival {
@@ -2257,9 +2291,9 @@ mod tests {
             .map(|i| arrival(1.0 + f64::from(i) * 3.0, 60.0))
             .collect();
         let dynamic = run(SchemeKind::Dynamic, SchedulingMethod::RoundRobin, &trace);
-        assert!(!dynamic.audits.is_empty());
+        assert_eq!(dynamic.audit.samples as u64, dynamic.services);
         let static_ = run(SchemeKind::Static, SchedulingMethod::RoundRobin, &trace);
-        assert!(static_.audits.is_empty());
+        assert_eq!(static_.audit, AuditOutcome::default());
     }
 
     #[test]
@@ -2308,15 +2342,46 @@ mod tests {
                 let by_run = DiskEngine::new(cfg.clone())
                     .expect("paper config is valid")
                     .run(&trace);
-                let mut eng = DiskEngine::new(cfg).expect("paper config is valid");
+                let mut eng = DiskEngine::new(cfg.clone()).expect("paper config is valid");
                 for a in &trace {
                     eng.advance_to(a.at);
                     eng.offer(a);
                 }
                 let by_step = eng.finish();
                 assert_eq!(by_run, by_step, "{method}/{scheme:?}");
+                // Declaring floors as it goes scores the audit early but
+                // identically, and keeps few windows open.
+                let mut eng = DiskEngine::new(cfg).expect("paper config is valid");
+                let mut most_open = 0;
+                for (i, a) in trace.iter().enumerate() {
+                    eng.advance_to(a.at);
+                    most_open = most_open.max(eng.audit.open_windows());
+                    eng.offer(a);
+                    let next = trace
+                        .get(i + 1)
+                        .map_or(Instant::from_secs(f64::INFINITY), |b| b.at);
+                    eng.settle_arrivals_before(next);
+                }
+                assert_eq!(eng.audit.open_windows(), 0);
+                let with_floors = eng.finish();
+                assert_eq!(by_run, with_floors, "{method}/{scheme:?} with floors");
+                assert!(
+                    most_open < 100,
+                    "{method}/{scheme:?}: {most_open} windows open"
+                );
             }
         }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "below the declared floor")]
+    fn an_offer_below_the_declared_floor_is_caught() {
+        let cfg = EngineConfig::paper(SchedulingMethod::RoundRobin, SchemeKind::Dynamic);
+        let mut eng = DiskEngine::new(cfg).expect("paper config is valid");
+        eng.advance_to(Instant::from_secs(10.0));
+        eng.settle_arrivals_before(Instant::from_secs(10.0));
+        eng.offer(&arrival(9.0, 60.0));
     }
 
     #[test]
@@ -2373,7 +2438,7 @@ mod tests {
             .run(&trace);
         // Bit-identical measurements, field by field.
         assert_eq!(plain.il_samples, observed.il_samples);
-        assert_eq!(plain.audits, observed.audits);
+        assert_eq!(plain.audit, observed.audit);
         assert_eq!(plain.concurrency, observed.concurrency);
         assert_eq!(plain.admitted, observed.admitted);
         assert_eq!(plain.rejected, observed.rejected);
@@ -2500,7 +2565,7 @@ mod tests {
         // Bit-identical measurements, field by field (the acceptance
         // criterion: an attached registry must not perturb the run).
         assert_eq!(plain.il_samples, observed.il_samples);
-        assert_eq!(plain.audits, observed.audits);
+        assert_eq!(plain.audit, observed.audit);
         assert_eq!(plain.concurrency, observed.concurrency);
         assert_eq!(plain.admitted, observed.admitted);
         assert_eq!(plain.rejected, observed.rejected);

@@ -5,11 +5,12 @@
 //! * [`engine::DiskEngine`] — a **buffer-level, single-disk** simulator:
 //!   it runs the actual service loop (cycle planning, per-method service
 //!   order, BubbleUp insertion, admission control, buffer fills and
-//!   use-it-and-toss-it consumption through a real [`vod_buffer`] pool)
-//!   and measures initial latency, estimation success, memory occupancy,
-//!   deferrals, and — crucially — **buffer underflows**, the invariant the
-//!   predict-and-enforce strategy must never violate. Figures 6, 7, 8,
-//!   and 11 come from this engine.
+//!   use-it-and-toss-it consumption) and measures initial latency,
+//!   estimation success, memory occupancy, deferrals, and — crucially —
+//!   **buffer underflows**, the invariant the predict-and-enforce
+//!   strategy must never violate. Pool occupancy comes from the engine's
+//!   own running sum over buffer levels, not from a [`vod_buffer`] pool.
+//!   Figures 6, 7, 8, and 11 come from this engine.
 //! * [`capacity::CapacitySim`] — an **admission-level, multi-disk**
 //!   simulator for the capacity experiments (Fig. 14, Table 5): requests
 //!   arrive per the Zipf disk-load model and are admitted against a
@@ -46,7 +47,7 @@ pub mod runner;
 pub mod slab;
 pub mod stream;
 
-pub use audit::{evaluate_audits, AuditOutcome};
+pub use audit::{AuditOutcome, AuditScorer};
 pub use capacity::{CapacityConfig, CapacityResult, CapacitySim};
 pub use engine::{DiskEngine, EngineConfig, EvictedStream};
 pub use metrics::{DiskRunStats, IlSample};

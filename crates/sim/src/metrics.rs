@@ -2,6 +2,8 @@
 
 use vod_types::{Bits, Instant, Seconds};
 
+use crate::audit::AuditOutcome;
+
 /// One admitted request's measured initial latency.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct IlSample {
@@ -15,25 +17,14 @@ pub struct IlSample {
     pub latency: Seconds,
 }
 
-/// One estimation-audit record: opened at a buffer allocation, scored
-/// later against the actual arrivals (Fig. 7/8).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct AuditRecord {
-    /// Allocation time.
-    pub at: Instant,
-    /// The usage period the estimate covers.
-    pub window: Seconds,
-    /// `k_c` — the estimate used for sizing.
-    pub k_estimated: usize,
-}
-
 /// Everything one buffer-level run measures.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct DiskRunStats {
     /// Per-admitted-request latency samples.
     pub il_samples: Vec<IlSample>,
-    /// Estimation audit records (empty for non-estimating schemes).
-    pub audits: Vec<AuditRecord>,
+    /// The estimator audit: every allocation's `k_c` scored against the
+    /// arrivals in its usage window (default for non-estimating schemes).
+    pub audit: AuditOutcome,
     /// Concurrency over time: `(t, n)` at every change, in time order.
     pub concurrency: Vec<(Instant, usize)>,
     /// Requests admitted into service.
@@ -134,9 +125,11 @@ impl DiskRunStats {
     }
 
     /// Merges another run's samples into this one (multi-seed averaging).
+    /// `audit` is left alone: per-run audits pool over all runs at once
+    /// ([`AuditOutcome::pooled`]), which a pairwise merge cannot repeat
+    /// bit for bit.
     pub fn absorb(&mut self, other: DiskRunStats) {
         self.il_samples.extend(other.il_samples);
-        self.audits.extend(other.audits);
         self.admitted += other.admitted;
         self.rejected += other.rejected;
         self.deferrals += other.deferrals;

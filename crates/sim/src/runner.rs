@@ -8,10 +8,10 @@
 use vod_core::SchemeKind;
 use vod_obs::Obs;
 use vod_sched::SchedulingMethod;
-use vod_types::{Bits, ConfigError, Instant};
+use vod_types::{Bits, ConfigError};
 use vod_workload::{generate, WorkloadConfig};
 
-use crate::audit::{evaluate_audits, AuditOutcome};
+use crate::audit::AuditOutcome;
 use crate::engine::{DiskEngine, EngineConfig};
 use crate::metrics::DiskRunStats;
 
@@ -48,10 +48,9 @@ impl LatencyExperiment {
 /// Merged results of a latency experiment.
 #[derive(Clone, Debug)]
 pub struct LatencyResult {
-    /// All seeds' measurements merged (latency samples concatenated).
+    /// All seeds' measurements merged (latency samples concatenated, the
+    /// estimator audit pooled by sample count).
     pub stats: DiskRunStats,
-    /// Estimator audit aggregated across seeds.
-    pub audit: AuditOutcome,
     /// Number of seeds run.
     pub seeds: usize,
 }
@@ -138,7 +137,7 @@ pub fn run_latency_experiment_observed(
     // Engine::with_observer validates; build one up-front to fail fast.
     drop(DiskEngine::with_observer(exp.engine.clone(), Obs::null())?);
 
-    let results: Vec<(DiskRunStats, AuditOutcome, RunReport)> = std::thread::scope(|scope| {
+    let results: Vec<(DiskRunStats, RunReport)> = std::thread::scope(|scope| {
         let handles: Vec<_> = exp
             .seeds
             .iter()
@@ -165,12 +164,10 @@ pub fn run_latency_experiment_observed(
                     // shared sink sees collision-free trace ids.
                     engine.set_trace_scope(trace_scope);
                     let stats = engine.run(&workload.arrivals);
-                    let times: Vec<Instant> = workload.arrivals.iter().map(|a| a.at).collect();
-                    let audit = evaluate_audits(&stats.audits, &times);
-                    audit_counter.add(audit.violations as u64);
+                    audit_counter.add(stats.audit.violations as u64);
                     let report =
                         RunReport::from_stats(seed, started.elapsed().as_secs_f64(), &stats);
-                    (stats, audit, report)
+                    (stats, report)
                 })
             })
             .collect();
@@ -181,38 +178,17 @@ pub fn run_latency_experiment_observed(
     });
 
     let seeds = results.len();
+    let audit = AuditOutcome::pooled(results.iter().map(|(stats, _)| &stats.audit));
     let mut merged = DiskRunStats::default();
     let mut reports = Vec::with_capacity(seeds);
-    let mut est = 0.0;
-    let mut act = 0.0;
-    let mut succ = 0.0;
-    let mut samples = 0usize;
-    let mut violations = 0usize;
-    for (stats, audit, report) in results {
-        // Weight per-seed audit means by their sample counts.
-        est += audit.mean_estimated * audit.samples as f64;
-        act += audit.mean_actual * audit.samples as f64;
-        succ += audit.success_probability * audit.samples as f64;
-        samples += audit.samples;
-        violations += audit.violations;
+    for (stats, report) in results {
         reports.push(report);
         merged.absorb(stats);
     }
-    let audit = if samples == 0 {
-        AuditOutcome::default()
-    } else {
-        AuditOutcome {
-            samples,
-            mean_estimated: est / samples as f64,
-            mean_actual: act / samples as f64,
-            success_probability: succ / samples as f64,
-            violations,
-        }
-    };
+    merged.audit = audit;
     Ok(ObservedLatencyResult {
         result: LatencyResult {
             stats: merged,
-            audit,
             seeds,
         },
         reports,
@@ -276,8 +252,8 @@ mod tests {
         assert_eq!(res.seeds, 2);
         assert!(res.stats.admitted > 0);
         assert_eq!(res.stats.underflows, 0);
-        assert!(res.audit.samples > 0);
-        assert!(res.audit.success_probability > 0.5);
+        assert!(res.stats.audit.samples > 0);
+        assert!(res.stats.audit.success_probability > 0.5);
         assert!(!res.stats.il_samples.is_empty());
     }
 
@@ -388,7 +364,7 @@ mod tests {
             r.mean_latency().expect("samples").as_secs_f64(),
         );
         assert!((mf - mr).abs() < 1e-9, "means diverged: {mf} vs {mr}");
-        assert_eq!(fwd.result.audit.samples, rev.result.audit.samples);
+        assert_eq!(f.audit.samples, r.audit.samples);
     }
 
     #[test]
