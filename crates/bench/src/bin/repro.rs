@@ -5,8 +5,9 @@
 //!       [--summary-json <file>] [--metrics <file.prom>]
 //!       [--metrics-addr <host:port>] <experiment>...
 //! repro [--quick] all
-//! repro bench [--smoke] [--no-fast-forward] [--out <file>]
-//! repro cluster [--smoke] [--no-fast-forward] [--trace <file.jsonl>] [--out <file>]
+//! repro bench [--smoke] [--jobs <n>] [--no-fast-forward] [--out <file>]
+//! repro cluster [--smoke] [--jobs <n>] [--no-fast-forward] [--trace <file.jsonl>] [--out <file>]
+//! repro chaos [--smoke] [--jobs <n>] [--trace <file.jsonl>] [--out <file>]
 //! repro trace-analyze <file.jsonl> [--schema-only] [--top <k>]
 //! repro report <trace.jsonl> [--out <file.md>] [--series-csv <file.csv>]
 //! repro compare <old.json> <new.json> [--tolerance <x>]
@@ -25,9 +26,8 @@
 //!   followed by its events. Feed the file to `repro trace-analyze`.
 //! * `--flight <file.jsonl>` — arms a bounded flight recorder teed
 //!   behind the trace recorder; anomalies (underflow, rejection, parked
-//!   span, a failed `--check` baseline gate) dump the ring to the file
-//!   as `{"kind":"flight_dump",...}` sections. Also accepted by
-//!   `repro bench` and `repro cluster`.
+//!   span) dump the ring to the file as `{"kind":"flight_dump",...}`
+//!   sections. Also accepted by `repro cluster` and `repro chaos`.
 //! * `--summary-json <file>` — writes one JSON document with, per
 //!   experiment, the host wall-clock time, the events and span records
 //!   the recorder dropped (`events_dropped` / `spans_dropped`), per-kind
@@ -45,11 +45,12 @@
 //! `repro bench` skips the tables entirely and runs the pinned
 //! performance matrix instead, writing `BENCH_perf.json` (see
 //! `EXPERIMENTS.md`, “Benchmark methodology”). `--smoke` is the CI-sized
-//! subset; `--out` overrides the output path. `--no-fast-forward`
-//! (also accepted by `repro cluster`) is the escape hatch that makes
-//! every engine take the legacy hop-by-hop idle path instead of the
-//! event-driven jump (DESIGN §11) — deterministic counters are
-//! bit-identical either way, only throughput moves.
+//! subset; `--out` overrides the output path. Runs are gated by diffing
+//! the written document against a committed one with `repro compare`.
+//! `--no-fast-forward` (also accepted by `repro cluster`) is the escape
+//! hatch that makes every engine take the legacy hop-by-hop idle path
+//! instead of the event-driven jump (DESIGN §11) — deterministic
+//! counters are bit-identical either way, only throughput moves.
 //!
 //! `repro cluster --trace <file.jsonl>` runs the matrix sequentially with
 //! a per-cell span recorder and writes `{"kind":"cluster_cell"}` sections
@@ -67,8 +68,7 @@ use std::time::Instant;
 
 use vod_analysis::{write_csv, Table};
 use vod_bench::{
-    check_against_baseline, check_cluster_against_baseline, compare, fig10, fig11, fig12, fig13,
-    fig14, fig6, fig7, fig8, fig9, gss_g, merge_cluster_into_baseline, report,
+    compare, fig10, fig11, fig12, fig13, fig14, fig6, fig7, fig8, fig9, gss_g, report,
     run_bench_configured, run_cluster_bench_configured, run_cluster_bench_traced, tab3, tab4, tab5,
     traceview, vcr, BenchMode, ClusterBenchMode, Scale,
 };
@@ -131,19 +131,15 @@ fn print_usage() {
          [--summary-json <file>] [--metrics <file.prom>] [--metrics-addr <host:port>] \
          <experiment>... | all | --list"
     );
-    eprintln!(
-        "       repro bench [--smoke] [--jobs <n>] [--no-fast-forward] [--out <file>] \
-         [--check <baseline>] [--flight <file.jsonl>]"
-    );
+    eprintln!("       repro bench [--smoke] [--jobs <n>] [--no-fast-forward] [--out <file>]");
     eprintln!(
         "       repro cluster [--smoke] [--jobs <n>] [--no-fast-forward] [--out <file>] \
-         [--check <baseline>] [--merge-baseline <file>] [--metrics <file.prom>] \
-         [--trace <file.jsonl>] [--flight <file.jsonl>]"
+         [--metrics <file.prom>] [--trace <file.jsonl>] [--flight <file.jsonl>]"
     );
     eprintln!(
         "       repro chaos [--smoke] [--jobs <n>] [--seed <n>] [--script <file>] \
-         [--nodes <n>] [--reseed-after <secs>] [--out <file>] [--check <baseline>] \
-         [--envelope-report <file.md>] [--trace <file.jsonl>] [--flight <file.jsonl>]"
+         [--nodes <n>] [--reseed-after <secs>] [--out <file>] [--trace <file.jsonl>] \
+         [--flight <file.jsonl>]"
     );
     eprintln!("       repro trace-analyze <file.jsonl> [--schema-only] [--top <k>]");
     eprintln!("       repro report <trace.jsonl> [--out <file.md>] [--series-csv <file.csv>]");
@@ -159,12 +155,13 @@ fn print_usage() {
     );
     eprintln!(
         "  chaos    fault-injection matrix (scenario x failover x nodes) -> BENCH_chaos.json; \
-         --seed/--script run one ad-hoc episode; --check gates the degradation envelope"
+         --seed/--script run one ad-hoc episode"
     );
     eprintln!("  trace-analyze  span trees, latency breakdowns, invariant audit of a trace");
     eprintln!("  report   markdown run report (series timelines, latencies, audits) from a trace");
     eprintln!(
-        "  compare  diff two BENCH_*.json documents; exit 1 on regression, 2 if incomparable"
+        "  compare  the regression gate: diff two BENCH_*.json documents; \
+         exit 1 on regression, 2 if incomparable"
     );
 }
 
@@ -489,13 +486,11 @@ fn compare_main(args: &[String]) -> ExitCode {
     }
 }
 
-/// `repro bench [--smoke] [--jobs <n>] [--out <file>] [--check <baseline>]`:
-/// the perf-regression harness.
+/// `repro bench [--smoke] [--jobs <n>] [--no-fast-forward] [--out <file>]`:
+/// the pinned performance matrix.
 fn bench_main(args: &[String]) -> ExitCode {
     let mut mode = BenchMode::Full;
     let mut out = PathBuf::from("BENCH_perf.json");
-    let mut check: Option<PathBuf> = None;
-    let mut flight_path: Option<PathBuf> = None;
     let mut fast_forward = true;
     let mut jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut iter = args.iter();
@@ -509,20 +504,6 @@ fn bench_main(args: &[String]) -> ExitCode {
                     return ExitCode::FAILURE;
                 };
                 out = PathBuf::from(p);
-            }
-            "--check" => {
-                let Some(p) = iter.next() else {
-                    eprintln!("--check requires a baseline file argument");
-                    return ExitCode::FAILURE;
-                };
-                check = Some(PathBuf::from(p));
-            }
-            "--flight" => {
-                let Some(p) = iter.next() else {
-                    eprintln!("--flight requires a file argument");
-                    return ExitCode::FAILURE;
-                };
-                flight_path = Some(PathBuf::from(p));
             }
             "--jobs" => {
                 let parsed = iter.next().and_then(|v| v.parse::<usize>().ok());
@@ -539,10 +520,6 @@ fn bench_main(args: &[String]) -> ExitCode {
             }
         }
     }
-    // `run_bench` drives its engines unobserved (the matrix measures the
-    // bare hot loop), so the flight ring stays empty here; the recorder
-    // still documents a failed baseline gate with a dump marker.
-    let flight = flight_path.as_deref().map(arm_flight);
     if !fast_forward {
         eprintln!("bench: fast-forward disabled; engines take the legacy hop-by-hop idle path");
     }
@@ -559,43 +536,6 @@ fn bench_main(args: &[String]) -> ExitCode {
             c.wall_clock_s,
         );
     }
-    if let Some(baseline_path) = check {
-        let baseline = match std::fs::read_to_string(&baseline_path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error: could not read {}: {e}", baseline_path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        return match check_against_baseline(&report, &baseline) {
-            Ok(lines) => {
-                for l in lines {
-                    eprintln!("{l}");
-                }
-                eprintln!(
-                    "[bench {} check OK against {}]",
-                    report.mode.label(),
-                    baseline_path.display()
-                );
-                ExitCode::SUCCESS
-            }
-            Err(drift) => {
-                for d in drift {
-                    eprintln!("bench drift: {d}");
-                }
-                eprintln!(
-                    "[bench {} check FAILED against {}]",
-                    report.mode.label(),
-                    baseline_path.display()
-                );
-                if let Some(f) = &flight {
-                    f.trigger("baseline_gate_failure");
-                    flight_report(f);
-                }
-                ExitCode::FAILURE
-            }
-        };
-    }
     let mut body = report.to_json();
     body.push('\n');
     if let Err(e) = std::fs::write(&out, body) {
@@ -608,27 +548,20 @@ fn bench_main(args: &[String]) -> ExitCode {
         report.total_wall_clock_s,
         out.display()
     );
-    if let Some(f) = &flight {
-        flight_report(f);
-    }
     ExitCode::SUCCESS
 }
 
-/// `repro cluster [--smoke] [--jobs <n>] [--out <file>] [--check <baseline>]
-/// [--merge-baseline <file>] [--metrics <file.prom>]`:
+/// `repro cluster [--smoke] [--jobs <n>] [--no-fast-forward] [--out <file>]
+/// [--metrics <file.prom>] [--trace <file.jsonl>] [--flight <file.jsonl>]`:
 /// the `cluster_scaling` matrix (node count × placement × dispatch).
 ///
-/// `--check` verifies the deterministic cells against the
-/// `cluster_cells` keys of a committed baseline (CI). `--merge-baseline`
-/// rewrites those keys in an existing baseline in place — the supported
-/// way to regenerate the cluster half of `BENCH_baseline.json` without
-/// touching the engine half. `--metrics` dumps the accumulated registry
-/// (per-node counters across every cell) in Prometheus text.
+/// `--metrics` dumps the accumulated registry (per-node counters across
+/// every cell) in Prometheus text. The committed smoke run is
+/// `BENCH_cluster_smoke.json`; CI diffs a fresh one against it with
+/// `repro compare`.
 fn cluster_main(args: &[String]) -> ExitCode {
     let mut mode = ClusterBenchMode::Full;
     let mut out = PathBuf::from("BENCH_cluster.json");
-    let mut check: Option<PathBuf> = None;
-    let mut merge: Option<PathBuf> = None;
     let mut metrics_path: Option<PathBuf> = None;
     let mut trace_path: Option<PathBuf> = None;
     let mut flight_path: Option<PathBuf> = None;
@@ -659,20 +592,6 @@ fn cluster_main(args: &[String]) -> ExitCode {
                     return ExitCode::FAILURE;
                 };
                 out = PathBuf::from(p);
-            }
-            "--check" => {
-                let Some(p) = iter.next() else {
-                    eprintln!("--check requires a baseline file argument");
-                    return ExitCode::FAILURE;
-                };
-                check = Some(PathBuf::from(p));
-            }
-            "--merge-baseline" => {
-                let Some(p) = iter.next() else {
-                    eprintln!("--merge-baseline requires a baseline file argument");
-                    return ExitCode::FAILURE;
-                };
-                merge = Some(PathBuf::from(p));
             }
             "--metrics" => {
                 let Some(p) = iter.next() else {
@@ -749,71 +668,6 @@ fn cluster_main(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    if let Some(baseline_path) = merge {
-        let base = match std::fs::read_to_string(&baseline_path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error: could not read {}: {e}", baseline_path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let merged = match merge_cluster_into_baseline(&report, &base) {
-            Ok(m) => m,
-            Err(e) => {
-                eprintln!("error: could not merge into baseline: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let mut body = merged;
-        body.push('\n');
-        if let Err(e) = std::fs::write(&baseline_path, body) {
-            eprintln!("error: could not write {}: {e}", baseline_path.display());
-            return ExitCode::FAILURE;
-        }
-        eprintln!(
-            "[cluster {} cells merged into {}]",
-            report.cells.len(),
-            baseline_path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-    if let Some(baseline_path) = check {
-        let baseline = match std::fs::read_to_string(&baseline_path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error: could not read {}: {e}", baseline_path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        return match check_cluster_against_baseline(&report, &baseline) {
-            Ok(lines) => {
-                for l in lines {
-                    eprintln!("{l}");
-                }
-                eprintln!(
-                    "[cluster {} check OK against {}]",
-                    report.mode.label(),
-                    baseline_path.display()
-                );
-                ExitCode::SUCCESS
-            }
-            Err(drift) => {
-                for d in drift {
-                    eprintln!("cluster drift: {d}");
-                }
-                eprintln!(
-                    "[cluster {} check FAILED against {}]",
-                    report.mode.label(),
-                    baseline_path.display()
-                );
-                if let Some(f) = &flight {
-                    f.trigger("baseline_gate_failure");
-                    flight_report(f);
-                }
-                ExitCode::FAILURE
-            }
-        };
-    }
     let mut body = report.to_json();
     body.push('\n');
     if let Err(e) = std::fs::write(&out, body) {
@@ -833,17 +687,12 @@ fn cluster_main(args: &[String]) -> ExitCode {
 }
 
 /// `repro chaos [--smoke] [--jobs <n>] [--seed <n>] [--script <file>]
-/// [--nodes <n>] [--reseed-after <secs>] [--out <file>] [--check <baseline.json>]
-/// [--envelope-report <file.md>] [--trace <file.jsonl>]
+/// [--nodes <n>] [--reseed-after <secs>] [--out <file>] [--trace <file.jsonl>]
 /// [--flight <file.jsonl>]`:
 /// the fault-injection matrix (scenario × failover policy × nodes) over
 /// the pinned replicated cluster shape, writing `BENCH_chaos.json`.
-///
-/// `--check <baseline>` gates the fresh run's degradation envelope
-/// (availability, drop/migrate/park/re-replicate split, time-to-
-/// recover) against a committed chaos document under the `ENVELOPE_*`
-/// tolerances instead of writing `--out`; `--envelope-report` saves the
-/// markdown delta table either way the gate goes.
+/// `repro compare` gates it (counters and the degradation envelope);
+/// `repro report --chaos-delta` renders the envelope table.
 ///
 /// `--seed <n>` / `--script <file>` switch to a single ad-hoc episode
 /// (`--nodes <n>`, default 2) instead of the matrix: the schedule comes
@@ -857,8 +706,6 @@ fn cluster_main(args: &[String]) -> ExitCode {
 fn chaos_main(args: &[String]) -> ExitCode {
     let mut mode = vod_bench::ChaosBenchMode::Full;
     let mut out = PathBuf::from("BENCH_chaos.json");
-    let mut check: Option<PathBuf> = None;
-    let mut envelope_report: Option<PathBuf> = None;
     let mut trace_path: Option<PathBuf> = None;
     let mut flight_path: Option<PathBuf> = None;
     let mut seed: Option<u64> = None;
@@ -870,20 +717,6 @@ fn chaos_main(args: &[String]) -> ExitCode {
     while let Some(a) = iter.next() {
         match a.as_str() {
             "--smoke" => mode = vod_bench::ChaosBenchMode::Smoke,
-            "--check" => {
-                let Some(p) = iter.next() else {
-                    eprintln!("--check requires a baseline file argument");
-                    return ExitCode::FAILURE;
-                };
-                check = Some(PathBuf::from(p));
-            }
-            "--envelope-report" => {
-                let Some(p) = iter.next() else {
-                    eprintln!("--envelope-report requires a file argument");
-                    return ExitCode::FAILURE;
-                };
-                envelope_report = Some(PathBuf::from(p));
-            }
             "--reseed-after" => {
                 let parsed = iter.next().and_then(|v| v.parse::<f64>().ok());
                 let Some(s) = parsed.filter(|s| *s >= 0.0) else {
@@ -1064,61 +897,6 @@ fn chaos_main(args: &[String]) -> ExitCode {
             c.underflows,
             c.wall_clock_s,
         );
-    }
-    if let Some(baseline_path) = check {
-        let baseline = match std::fs::read_to_string(&baseline_path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error: could not read {}: {e}", baseline_path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let fresh = report.to_json();
-        let md = match report::render_envelope_delta(&baseline, &fresh) {
-            Ok(md) => md,
-            Err(problems) => {
-                for p in problems {
-                    eprintln!("chaos check: {p}");
-                }
-                eprintln!(
-                    "[chaos {} check REFUSED against {}]",
-                    report.mode.label(),
-                    baseline_path.display()
-                );
-                return ExitCode::from(2);
-            }
-        };
-        if let Some(md_path) = &envelope_report {
-            if let Err(e) = std::fs::write(md_path, &md) {
-                eprintln!("error: could not write {}: {e}", md_path.display());
-                return ExitCode::FAILURE;
-            }
-            eprintln!("[envelope delta -> {}]", md_path.display());
-        }
-        let env = compare::envelope_delta(&baseline, &fresh)
-            .expect("render_envelope_delta already validated compatibility");
-        for p in &env.problems {
-            eprintln!("chaos drift: {p}");
-        }
-        return if env.passed() {
-            eprintln!(
-                "[chaos {} envelope check OK against {}]",
-                report.mode.label(),
-                baseline_path.display()
-            );
-            ExitCode::SUCCESS
-        } else {
-            eprintln!(
-                "[chaos {} envelope check FAILED against {}]",
-                report.mode.label(),
-                baseline_path.display()
-            );
-            if let Some(f) = &flight {
-                f.trigger("baseline_gate_failure");
-                flight_report(f);
-            }
-            ExitCode::FAILURE
-        };
     }
     let mut body = report.to_json();
     body.push('\n');

@@ -23,15 +23,13 @@
 //! of `(mode, cell spec)`, results collect by matrix index, and the
 //! document is byte-identical at any `--jobs`.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant as WallInstant;
 
 use vod_chaos::{
     run_chaos_on, ChaosConfig, DomainEvent, DomainFault, DomainMap, FailoverPolicy, Fault,
     FaultEvent, FaultSchedule, RecoveryPolicy,
 };
-use vod_cluster::{Cluster, ClusterConfig, DispatchPolicy, PlacementPolicy};
+use vod_cluster::{map_indexed, Cluster, ClusterConfig, DispatchPolicy, PlacementPolicy};
 use vod_core::memory::min_memory_static;
 use vod_obs::json::{Array, Object};
 use vod_obs::Obs;
@@ -702,7 +700,6 @@ pub fn run_chaos_bench(
 ) -> ChaosBenchReport {
     let specs = mode.cells();
     let total = specs.len();
-    let jobs = jobs.max(1).min(total.max(1));
     let t0 = WallInstant::now();
     let traces = SharedTraces::generate(mode, &specs);
 
@@ -717,51 +714,11 @@ pub fn run_chaos_bench(
         ));
     };
 
-    let cells: Vec<ChaosCellResult> = if jobs == 1 {
-        specs
-            .iter()
-            .enumerate()
-            .map(|(i, &spec)| {
-                announce(i, spec);
-                run_chaos_cell(mode, spec, traces.for_nodes(spec.nodes), obs, false)
-            })
-            .collect()
-    } else {
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<ChaosCellResult>>> =
-            (0..total).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..jobs {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= total {
-                        break;
-                    }
-                    announce(i, specs[i]);
-                    let result = run_chaos_cell(
-                        mode,
-                        specs[i],
-                        traces.for_nodes(specs[i].nodes),
-                        obs,
-                        false,
-                    );
-                    *slots[i]
-                        .lock()
-                        .expect("chaos bench slot mutex poisoned: a worker panicked") =
-                        Some(result);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, slot)| {
-                slot.into_inner()
-                    .expect("chaos bench slot mutex poisoned: a worker panicked")
-                    .unwrap_or_else(|| panic!("chaos cell {i} was claimed but never filled"))
-            })
-            .collect()
-    };
+    let cells = map_indexed(total, jobs, |i| {
+        let spec = specs[i];
+        announce(i, spec);
+        run_chaos_cell(mode, spec, traces.for_nodes(spec.nodes), obs, false)
+    });
 
     ChaosBenchReport {
         mode,
@@ -1018,49 +975,39 @@ mod tests {
         use crate::cluster::{cell_config, ClusterBenchMode};
         let mode = ClusterBenchMode::Full;
         let specs = mode.cells();
-        let total = specs.len();
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let failures = Mutex::new(Vec::new());
         let jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
-        std::thread::scope(|scope| {
-            for _ in 0..jobs.min(total) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= total {
-                        break;
-                    }
-                    let spec = specs[i];
-                    let cfg = cell_config(mode, spec, true);
-                    let wl = make_workload(
-                        mode.movies(),
-                        mode.arrivals_per_node() * spec.nodes as f64,
-                        mode.horizon_hours(),
-                        mode.seed(),
-                    );
-                    let plain = Cluster::new(cfg.clone())
-                        .expect("valid config")
-                        .run(&wl.arrivals);
-                    let chaos_cfg = ChaosConfig {
-                        cluster: cfg,
-                        schedule: FaultSchedule::empty(),
-                        failover: FailoverPolicy::Migrate,
-                        recovery: RecoveryPolicy::Warm,
-                        reseed_after: None,
-                    };
-                    let chaos =
-                        run_chaos(&chaos_cfg, &wl.arrivals, 1, Obs::null()).expect("valid config");
-                    if chaos.cluster != plain {
-                        failures.lock().unwrap().push(format!(
-                            "{} nodes / {} / {}",
-                            spec.nodes,
-                            spec.placement.label(),
-                            spec.dispatch.label()
-                        ));
-                    }
-                });
-            }
-        });
-        let failures = failures.into_inner().unwrap();
+        let failures: Vec<String> = map_indexed(specs.len(), jobs, |i| {
+            let spec = specs[i];
+            let cfg = cell_config(mode, spec, true);
+            let wl = make_workload(
+                mode.movies(),
+                mode.arrivals_per_node() * spec.nodes as f64,
+                mode.horizon_hours(),
+                mode.seed(),
+            );
+            let plain = Cluster::new(cfg.clone())
+                .expect("valid config")
+                .run(&wl.arrivals);
+            let chaos_cfg = ChaosConfig {
+                cluster: cfg,
+                schedule: FaultSchedule::empty(),
+                failover: FailoverPolicy::Migrate,
+                recovery: RecoveryPolicy::Warm,
+                reseed_after: None,
+            };
+            let chaos = run_chaos(&chaos_cfg, &wl.arrivals, 1, Obs::null()).expect("valid config");
+            (chaos.cluster != plain).then(|| {
+                format!(
+                    "{} nodes / {} / {}",
+                    spec.nodes,
+                    spec.placement.label(),
+                    spec.dispatch.label()
+                )
+            })
+        })
+        .into_iter()
+        .flatten()
+        .collect();
         assert!(failures.is_empty(), "identity broke in cells: {failures:?}");
     }
 

@@ -16,11 +16,10 @@
 //! cell index whatever `--jobs` says — the same contract as the engine
 //! matrix in [`crate::perf`].
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant as WallInstant;
 
-use vod_cluster::{Cluster, ClusterConfig, DispatchPolicy, PlacementPolicy};
+use vod_cluster::{map_indexed, Cluster, ClusterConfig, DispatchPolicy, PlacementPolicy};
 use vod_core::SchemeKind;
 use vod_obs::json::{Array, Object};
 use vod_obs::timeseries::SeriesRecorder;
@@ -304,9 +303,8 @@ pub struct ClusterBenchReport {
 }
 
 impl ClusterBenchReport {
-    /// Renders the `BENCH_cluster.json` document. The cell objects are
-    /// the same shape the baseline carries under `cluster_cells` (see
-    /// [`crate::baseline::check_cluster_against_baseline`]).
+    /// Renders the `BENCH_cluster.json` document (`BENCH_cluster_smoke.json`
+    /// is the committed smoke run), the shape `repro compare` gates.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut o = Object::new();
@@ -577,7 +575,6 @@ pub fn run_cluster_bench_configured(
 ) -> ClusterBenchReport {
     let specs = mode.cells();
     let total = specs.len();
-    let jobs = jobs.max(1).min(total.max(1));
     let t0 = WallInstant::now();
     let traces = SharedTraces::generate(mode, &specs);
 
@@ -592,61 +589,19 @@ pub fn run_cluster_bench_configured(
         ));
     };
 
-    let cells: Vec<ClusterCellResult> = if jobs == 1 {
-        specs
-            .iter()
-            .enumerate()
-            .map(|(i, &spec)| {
-                announce(i, spec);
-                run_cluster_cell(
-                    mode,
-                    spec,
-                    traces.for_nodes(spec.nodes),
-                    fast_forward,
-                    obs,
-                    false,
-                    None,
-                )
-            })
-            .collect()
-    } else {
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<ClusterCellResult>>> =
-            (0..total).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..jobs {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= total {
-                        break;
-                    }
-                    announce(i, specs[i]);
-                    let result = run_cluster_cell(
-                        mode,
-                        specs[i],
-                        traces.for_nodes(specs[i].nodes),
-                        fast_forward,
-                        obs,
-                        false,
-                        None,
-                    );
-                    *slots[i]
-                        .lock()
-                        .expect("cluster bench slot mutex poisoned: a worker panicked") =
-                        Some(result);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, slot)| {
-                slot.into_inner()
-                    .expect("cluster bench slot mutex poisoned: a worker panicked")
-                    .unwrap_or_else(|| panic!("cluster cell {i} was claimed but never filled"))
-            })
-            .collect()
-    };
+    let cells = map_indexed(total, jobs, |i| {
+        let spec = specs[i];
+        announce(i, spec);
+        run_cluster_cell(
+            mode,
+            spec,
+            traces.for_nodes(spec.nodes),
+            fast_forward,
+            obs,
+            false,
+            None,
+        )
+    });
 
     ClusterBenchReport {
         mode,

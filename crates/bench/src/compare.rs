@@ -1,24 +1,26 @@
-//! `repro compare`: cross-run regression analytics over two bench
+//! `repro compare`: the harness's one regression gate, over two bench
 //! documents.
 //!
-//! Where `--check` ([`crate::baseline`]) gates a *fresh run* against one
-//! committed baseline, `compare` diffs any two saved `BENCH_perf.json` /
-//! `BENCH_cluster.json` documents — the perf *trajectory* view: exact
-//! equality on every deterministic counter, tolerance-gated deltas on
-//! the host-dependent ones (wall-clock, cycles/second), and per-phase
-//! p95 drift. Non-zero exit on regression makes it the CI perf check.
+//! `compare` diffs any two saved engine (`BENCH_perf.json`), cluster
+//! (`BENCH_cluster.json`) or chaos (`BENCH_chaos.json`) documents, most
+//! often a committed one against a fresh run: exact equality on every
+//! deterministic counter and bitwise equality on `peak_memory_mib`,
+//! tolerance-gated deltas on the host-dependent ones (wall-clock,
+//! cycles/second, per-phase p95), and for chaos documents the
+//! degradation envelope ([`envelope_delta`]). Non-zero exit on
+//! regression makes it the CI gate.
 //!
 //! ## Compatibility refusal
 //!
 //! Two documents are only comparable when they describe the same
-//! experiment. Both must carry the PR 6 metadata stamp — `version`
+//! experiment. Both must carry the metadata stamp — `version`
 //! (schema), `config_fingerprint` (an FNV-1a hash over the pinned
 //! matrix configuration), and `matrix` (the shape) — and the stamps
 //! must agree; otherwise the diff would be apples-to-oranges garbage
 //! and [`compare_documents`] refuses with [`CompareVerdict::Incompatible`]
 //! instead of reporting deltas.
 
-use crate::baseline::{parse, Json};
+use vod_obs::json::{parse, Json};
 
 /// Schema version stamped into bench documents by this revision of the
 /// writers ([`crate::perf::BenchReport::to_json`],
@@ -26,10 +28,9 @@ use crate::baseline::{parse, Json};
 pub const BENCH_SCHEMA_VERSION: u64 = 2;
 
 /// Default wall-clock / throughput slowdown factor tolerated before a
-/// delta counts as a regression. Matches the historical baseline gate
-/// ([`crate::baseline::WALL_CLOCK_SLOWDOWN_LIMIT`]): loose enough for
-/// cross-host CI noise, tight enough for order-of-magnitude slips.
-pub const DEFAULT_TOLERANCE: f64 = crate::baseline::WALL_CLOCK_SLOWDOWN_LIMIT;
+/// delta counts as a regression: loose enough for cross-host CI noise,
+/// tight enough for order-of-magnitude slips.
+pub const DEFAULT_TOLERANCE: f64 = 10.0;
 
 /// FNV-1a 64-bit over `parts`, with a separator byte folded in between
 /// parts so `["ab","c"]` and `["a","bc"]` hash differently. Pure and
@@ -632,27 +633,43 @@ mod tests {
         assert!(!r.info.is_empty(), "per-cell speed lines expected");
     }
 
-    #[test]
-    fn injected_counter_mismatch_is_a_regression() {
-        let doc = smoke_json();
-        let parsed = parse(&doc).expect("parses");
-        let cycles = parsed.get("cells").and_then(Json::as_arr).unwrap()[0]
-            .get("cycles")
+    /// Bumps the first `"key":<n>` counter of `doc` by one.
+    fn bump_first(doc: &str, key: &str) -> String {
+        let parsed = parse(doc).expect("parses");
+        let n = parsed.get("cells").and_then(Json::as_arr).unwrap()[0]
+            .get(key)
             .and_then(Json::as_u64)
-            .expect("cycles present");
+            .expect("counter present");
         let broken = doc.replacen(
-            &format!("\"cycles\":{cycles}"),
-            &format!("\"cycles\":{}", cycles + 1),
+            &format!("\"{key}\":{n}"),
+            &format!("\"{key}\":{}", n + 1),
             1,
         );
-        assert_ne!(doc, broken);
-        let r = compare_documents(&doc, &broken, DEFAULT_TOLERANCE);
-        assert_eq!(r.verdict, CompareVerdict::Regression);
-        assert!(
-            r.problems.iter().any(|p| p.contains("cycles")),
-            "{:?}",
-            r.problems
-        );
+        assert_ne!(doc, broken, "perturbation must hit");
+        broken
+    }
+
+    #[test]
+    fn injected_counter_mismatch_is_a_regression() {
+        let engine = smoke_json();
+        let cluster = crate::cluster::run_cluster_bench(
+            crate::cluster::ClusterBenchMode::Smoke,
+            1,
+            &vod_obs::Obs::null(),
+            &|_| {},
+        )
+        .to_json();
+        for (doc, key) in [(engine, "cycles"), (cluster, "admitted")] {
+            let r = compare_documents(&doc, &doc, DEFAULT_TOLERANCE);
+            assert_eq!(r.verdict, CompareVerdict::Matches, "{:?}", r.problems);
+            let r = compare_documents(&doc, &bump_first(&doc, key), DEFAULT_TOLERANCE);
+            assert_eq!(r.verdict, CompareVerdict::Regression);
+            assert!(
+                r.problems.iter().any(|p| p.contains(key)),
+                "{:?}",
+                r.problems
+            );
+        }
     }
 
     #[test]

@@ -8,7 +8,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod chaos;
 pub mod cluster;
 pub mod compare;
@@ -18,9 +17,6 @@ pub mod report;
 pub mod scale;
 pub mod traceview;
 
-pub use baseline::{
-    check_against_baseline, check_cluster_against_baseline, merge_cluster_into_baseline,
-};
 pub use chaos::{run_chaos_bench, run_chaos_bench_traced, ChaosBenchMode, ChaosBenchReport};
 pub use cluster::{
     run_cluster_bench, run_cluster_bench_configured, run_cluster_bench_traced, ClusterBenchMode,

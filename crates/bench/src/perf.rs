@@ -17,10 +17,10 @@
 //! only the wall-clock fields vary (and under `--jobs > 1` the per-cell
 //! wall-clocks include scheduling noise from neighbours).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant as WallInstant;
 
+use vod_cluster::map_indexed;
 use vod_core::SchemeKind;
 use vod_obs::json::{Array, Object};
 use vod_obs::metrics::{
@@ -318,7 +318,6 @@ pub fn run_bench_configured(
 ) -> BenchReport {
     let cells_spec = mode.cells();
     let total = cells_spec.len();
-    let jobs = jobs.max(1).min(total.max(1));
     let t0 = WallInstant::now();
 
     let announce = |i: usize, scheme: SchemeKind, method: SchedulingMethod, theta: f64| {
@@ -331,41 +330,11 @@ pub fn run_bench_configured(
         ));
     };
 
-    let cells: Vec<CellResult> = if jobs == 1 {
-        cells_spec
-            .iter()
-            .enumerate()
-            .map(|(i, &(scheme, method, theta))| {
-                announce(i, scheme, method, theta);
-                run_cell(mode, scheme, method, theta, fast_forward)
-            })
-            .collect()
-    } else {
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<CellResult>>> = (0..total).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..jobs {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= total {
-                        break;
-                    }
-                    let (scheme, method, theta) = cells_spec[i];
-                    announce(i, scheme, method, theta);
-                    let result = run_cell(mode, scheme, method, theta, fast_forward);
-                    *slots[i].lock().expect("bench worker poisoned a slot") = Some(result);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("bench worker poisoned a slot")
-                    .expect("every cell index was claimed and filled")
-            })
-            .collect()
-    };
+    let cells = map_indexed(total, jobs, |i| {
+        let (scheme, method, theta) = cells_spec[i];
+        announce(i, scheme, method, theta);
+        run_cell(mode, scheme, method, theta, fast_forward)
+    });
 
     BenchReport {
         mode,

@@ -22,8 +22,8 @@
 
 use std::collections::BTreeMap;
 
-use crate::baseline::{parse, Json};
 use crate::traceview;
+use vod_obs::json::{parse, Json};
 
 /// One parsed `{"kind":"series",..}` line.
 #[derive(Clone, Debug)]

@@ -32,7 +32,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::baseline::{parse, Json};
+use vod_obs::json::{parse, Json};
 
 /// Everything known about one span id within a section.
 #[derive(Clone, Debug, Default)]

@@ -9,16 +9,15 @@
 //!   so inter-node event interleaving is not a source of nondeterminism;
 //! * all policy decisions read node state that is itself deterministic,
 //!   and `RandomOfK` draws from one seeded RNG in dispatch order;
-//! * the parallel drain (`jobs > 1`) claims nodes from an atomic counter
-//!   but merges results **by node index**, so any job count produces the
-//!   byte-identical report (the PR 3 bench-matrix pattern).
+//! * the parallel drain (`jobs > 1`, [`crate::map_indexed`]) claims nodes
+//!   from an atomic counter but merges results **by node index**, so any
+//!   job count produces the byte-identical report.
 //!
 //! With one node and [`PlacementPolicy::PassThrough`], the front end
 //! reduces to `advance_to` + `offer` + `finish` on a single engine —
 //! bit-identical to [`DiskEngine::run`] (pinned by a test).
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use rand::rngs::SmallRng;
@@ -39,6 +38,7 @@ use vod_workload::{Arrival, Zipf};
 
 use crate::dispatch::DispatchPolicy;
 use crate::placement::{Placement, PlacementPolicy};
+use crate::pool::map_indexed;
 use crate::report::{ClusterReport, NodeReport};
 
 /// Configuration of a cluster run.
@@ -793,47 +793,18 @@ impl Cluster {
     }
 }
 
-/// Drains engines to completion. `jobs <= 1` runs in index order on the
-/// calling thread; otherwise a scoped pool claims node indices from an
-/// atomic counter and writes each result into its own slot — collection
-/// is by index, so the output is identical at any job count.
+/// Drains engines to completion, in index order on the calling thread
+/// when `jobs <= 1`, otherwise on the [`map_indexed`] pool. Results are
+/// collected by node index, so the output is identical at any job count.
 fn drain_engines(engines: Vec<DiskEngine>, jobs: usize) -> Vec<vod_sim::DiskRunStats> {
-    if jobs <= 1 || engines.len() <= 1 {
-        return engines.into_iter().map(DiskEngine::finish).collect();
-    }
-    let n = engines.len();
-    let slots: Vec<Mutex<Option<vod_sim::DiskRunStats>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
     let work: Vec<Mutex<Option<DiskEngine>>> =
         engines.into_iter().map(|e| Mutex::new(Some(e))).collect();
-    let next = AtomicUsize::new(0);
-    let workers = jobs.min(n);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    return;
-                }
-                let engine = work[i]
-                    .lock()
-                    .expect("engine slot mutex poisoned: a drain worker panicked")
-                    .take()
-                    .expect("each node index is claimed exactly once");
-                let stats = engine.finish();
-                *slots[i]
-                    .lock()
-                    .expect("result slot mutex poisoned: a drain worker panicked") = Some(stats);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, slot)| {
-            slot.into_inner()
-                .expect("result slot mutex poisoned: a drain worker panicked")
-                .unwrap_or_else(|| panic!("node {i} produced no drain result"))
-        })
-        .collect()
+    map_indexed(work.len(), jobs, |i| {
+        work[i]
+            .lock()
+            .expect("engine slot mutex poisoned: a drain worker panicked")
+            .take()
+            .expect("each node index is claimed exactly once")
+            .finish()
+    })
 }

@@ -29,9 +29,11 @@
 pub mod cluster;
 pub mod dispatch;
 pub mod placement;
+pub mod pool;
 pub mod report;
 
 pub use cluster::{Cluster, ClusterConfig};
 pub use dispatch::DispatchPolicy;
 pub use placement::{Placement, PlacementPolicy};
+pub use pool::map_indexed;
 pub use report::{ClusterReport, NodeReport};

@@ -21,8 +21,8 @@
 //!   [`Parked`](crate::span::SpanStatus::Parked) — a cluster arrival no
 //!   node would take;
 //!
-//! and manually via [`FlightRecorder::trigger`] (the bench baseline gate
-//! calls this when a perf check fails). Dumps are capped (default
+//! and manually via [`FlightRecorder::trigger`], for a caller that
+//! detects a failure of its own. Dumps are capped (default
 //! [`DEFAULT_MAX_DUMPS`]) so an anomaly storm cannot fill the disk; the
 //! anomaly *count* keeps incrementing past the cap.
 
@@ -131,7 +131,7 @@ impl FlightRecorder {
             .cloned()
     }
 
-    /// Fires a dump manually (e.g. on a baseline-gate failure). Counted
+    /// Fires a dump manually (e.g. on a caller-detected failure). Counted
     /// as an anomaly; writes nothing once the dump cap is reached.
     pub fn trigger(&self, reason: &str) {
         self.anomalies.fetch_add(1, Ordering::Relaxed);

@@ -1,11 +1,19 @@
-//! Minimal hand-rolled JSON emission (no external dependencies).
+//! Minimal hand-rolled JSON (no external dependencies): the writer and
+//! the parser of the bench documents and trace lines.
 //!
-//! Only what the observability layer needs: objects and arrays built
-//! field-by-field, with correct string escaping and `null` for
-//! non-finite floats. Output is compact (no whitespace), one value per
-//! call to [`Object::finish`] / [`Array::finish`].
+//! The writer builds objects and arrays field-by-field, with correct
+//! string escaping and `null` for non-finite floats. Output is compact
+//! (no whitespace), one value per call to [`Object::finish`] /
+//! [`Array::finish`]. Floats are written in shortest round-trip form
+//! ([`number`]), so [`parse`] recovers identical bits and float fields
+//! can be compared for equality.
+//!
+//! The parser reads what the writer produces and answers malformed
+//! input with a positioned error, never a panic: nesting is capped at
+//! [`MAX_DEPTH`] and string decoding is linear in the input.
 
 use core::fmt::Write as _;
+use std::collections::BTreeMap;
 
 /// Escapes `s` for inclusion inside a JSON string literal (no quotes).
 #[must_use]
@@ -135,6 +143,279 @@ impl Array {
     }
 }
 
+/// A parsed JSON value.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Json {
+    /// `null` (also what the writer emits for non-finite floats).
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// Any JSON number, as `f64` (exact for the magnitudes we emit).
+    Num(f64),
+    /// A string.
+    Str(String),
+    /// An array.
+    Arr(Vec<Json>),
+    /// An object. Key order is irrelevant for comparison.
+    Obj(BTreeMap<String, Json>),
+}
+
+impl Json {
+    /// Member lookup on an object.
+    #[must_use]
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(m) => m.get(key),
+            _ => None,
+        }
+    }
+
+    /// The numeric value, if this is a number.
+    #[must_use]
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Json::Num(x) => Some(*x),
+            _ => None,
+        }
+    }
+
+    /// The numeric value as an exact `u64`, if representable.
+    #[must_use]
+    pub fn as_u64(&self) -> Option<u64> {
+        let x = self.as_f64()?;
+        if x >= 0.0 && x.fract() == 0.0 && x <= 2f64.powi(53) {
+            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+            Some(x as u64)
+        } else {
+            None
+        }
+    }
+
+    /// The string value, if this is a string.
+    #[must_use]
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The elements, if this is an array.
+    #[must_use]
+    pub fn as_arr(&self) -> Option<&[Json]> {
+        match self {
+            Json::Arr(v) => Some(v),
+            _ => None,
+        }
+    }
+}
+
+/// The deepest array/object nesting [`parse`] accepts. Bench documents
+/// and trace lines nest a handful of levels; the cap keeps a hostile
+/// input from exhausting the stack.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses one JSON document.
+///
+/// # Errors
+///
+/// Returns a message with a byte offset on malformed input, nesting
+/// deeper than [`MAX_DEPTH`], or trailing garbage.
+pub fn parse(src: &str) -> Result<Json, String> {
+    let mut p = Parser {
+        src,
+        b: src.as_bytes(),
+        pos: 0,
+        depth: 0,
+    };
+    let value = p.value()?;
+    p.skip_ws();
+    if p.pos != p.b.len() {
+        return Err(format!("trailing data at byte {}", p.pos));
+    }
+    Ok(value)
+}
+
+struct Parser<'a> {
+    src: &'a str,
+    b: &'a [u8],
+    pos: usize,
+    depth: usize,
+}
+
+impl Parser<'_> {
+    fn skip_ws(&mut self) {
+        while matches!(self.b.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    fn expect(&mut self, c: u8) -> Result<(), String> {
+        self.skip_ws();
+        if self.b.get(self.pos) == Some(&c) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(format!("expected `{}` at byte {}", c as char, self.pos))
+        }
+    }
+
+    fn value(&mut self) -> Result<Json, String> {
+        self.skip_ws();
+        match self.b.get(self.pos) {
+            None => Err(format!("unexpected end of input at byte {}", self.pos)),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'n') => self.literal("null", Json::Null),
+            Some(_) => self.number(),
+        }
+    }
+
+    /// Runs `inner` one nesting level down, refusing past [`MAX_DEPTH`].
+    fn nested(&mut self, inner: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = inner(self);
+        self.depth -= 1;
+        value
+    }
+
+    fn literal(&mut self, lit: &str, value: Json) -> Result<Json, String> {
+        if self.b[self.pos..].starts_with(lit.as_bytes()) {
+            self.pos += lit.len();
+            Ok(value)
+        } else {
+            Err(format!("invalid literal at byte {}", self.pos))
+        }
+    }
+
+    fn number(&mut self) -> Result<Json, String> {
+        let start = self.pos;
+        while matches!(
+            self.b.get(self.pos),
+            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
+        ) {
+            self.pos += 1;
+        }
+        // Every byte taken is ASCII, so the slice is on char boundaries.
+        let text = &self.src[start..self.pos];
+        text.parse::<f64>()
+            .map(Json::Num)
+            .map_err(|_| format!("invalid number `{text}` at byte {start}"))
+    }
+
+    /// Decodes a string literal. Unescaped runs are copied as whole
+    /// slices (they end at an ASCII `"` or `\\`, so on char boundaries
+    /// of the already-valid `&str`), which keeps decoding linear.
+    fn string(&mut self) -> Result<String, String> {
+        self.expect(b'"')?;
+        let open = self.pos - 1;
+        let mut out = String::new();
+        loop {
+            let run = self.pos;
+            while !matches!(self.b.get(self.pos), None | Some(b'"' | b'\\')) {
+                self.pos += 1;
+            }
+            out.push_str(&self.src[run..self.pos]);
+            match self.b.get(self.pos) {
+                None => return Err(format!("unterminated string opened at byte {open}")),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(out);
+                }
+                _ => self.escape(&mut out)?,
+            }
+        }
+    }
+
+    /// Decodes the escape sequence whose backslash is at `self.pos`.
+    fn escape(&mut self, out: &mut String) -> Result<(), String> {
+        let at = self.pos;
+        self.pos += 1;
+        let c = match self.b.get(self.pos) {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b't') => '\t',
+            Some(b'r') => '\r',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'u') => {
+                let code = self
+                    .b
+                    .get(self.pos + 1..self.pos + 5)
+                    .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+                    .and_then(|h| u32::from_str_radix(std::str::from_utf8(h).ok()?, 16).ok())
+                    .ok_or_else(|| format!("bad \\u escape at byte {at}"))?;
+                self.pos += 4;
+                // Lone surrogates have no `char`; the writer never emits them.
+                char::from_u32(code).unwrap_or('\u{fffd}')
+            }
+            _ => return Err(format!("bad escape at byte {at}")),
+        };
+        out.push(c);
+        self.pos += 1;
+        Ok(())
+    }
+
+    fn array(&mut self) -> Result<Json, String> {
+        self.expect(b'[')?;
+        let mut out = Vec::new();
+        self.skip_ws();
+        if self.b.get(self.pos) == Some(&b']') {
+            self.pos += 1;
+            return Ok(Json::Arr(out));
+        }
+        loop {
+            out.push(self.value()?);
+            self.skip_ws();
+            match self.b.get(self.pos) {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Json::Arr(out));
+                }
+                _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
+            }
+        }
+    }
+
+    fn object(&mut self) -> Result<Json, String> {
+        self.expect(b'{')?;
+        let mut out = BTreeMap::new();
+        self.skip_ws();
+        if self.b.get(self.pos) == Some(&b'}') {
+            self.pos += 1;
+            return Ok(Json::Obj(out));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.expect(b':')?;
+            let value = self.value()?;
+            out.insert(key, value);
+            self.skip_ws();
+            match self.b.get(self.pos) {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Json::Obj(out));
+                }
+                _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,5 +450,56 @@ mod tests {
             o.finish(),
             "{\"name\":\"x\",\"count\":3,\"ok\":true,\"missing\":null,\"values\":[1.0,2.5]}"
         );
+    }
+
+    #[test]
+    fn parser_round_trips_report_shapes() {
+        let doc = r#"{"version":1,"mode":"smoke","seeds":[1,2],"cells":[{"scheme":"static","theta":0.5,"cycles":47667,"peak_memory_mib":1810.5721923828125}],"total_wall_clock_s":0.53}"#;
+        let v = parse(doc).expect("parses");
+        assert_eq!(v.get("mode").and_then(Json::as_str), Some("smoke"));
+        let seeds: Vec<u64> = v
+            .get("seeds")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .filter_map(Json::as_u64)
+            .collect();
+        assert_eq!(seeds, vec![1, 2]);
+        let cell = &v.get("cells").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(cell.get("cycles").and_then(Json::as_u64), Some(47667));
+        // Shortest round-trip floats parse back to identical bits.
+        assert_eq!(
+            cell.get("peak_memory_mib").and_then(Json::as_f64),
+            Some(1810.5721923828125)
+        );
+    }
+
+    #[test]
+    fn parser_rejects_garbage() {
+        assert!(parse("{").is_err());
+        assert!(parse("{}x").is_err());
+        assert!(parse(r#"{"a":}"#).is_err());
+        assert!(parse(r#""\u+123""#).is_err());
+        assert!(parse("\"open").is_err());
+    }
+
+    #[test]
+    fn parser_decodes_escapes_and_multibyte_runs() {
+        let v = parse(r#""a\"b\\c\n\u0007é漢\/""#).expect("parses");
+        assert_eq!(v.as_str(), Some("a\"b\\c\n\u{7}é漢/"));
+    }
+
+    #[test]
+    fn deep_nesting_is_a_positioned_error_not_a_stack_overflow() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let deep = "[".repeat(200_000);
+        let err = parse(&deep).expect_err("too deep");
+        assert!(
+            err.contains("nesting") && err.contains(&format!("byte {MAX_DEPTH}")),
+            "{err}"
+        );
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1);
+        assert!(parse(&objects).expect_err("too deep").contains("nesting"));
     }
 }

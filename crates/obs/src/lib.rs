@@ -20,7 +20,7 @@
 //! A fourth sink, the [`FlightRecorder`], keeps only a bounded ring of
 //! the most recent records and dumps them as JSONL when an anomaly
 //! fires (underflow, overflow rejection, cluster queue park, or a
-//! manual trigger such as a baseline-gate failure). [`sink::TeeSink`]
+//! manual trigger). [`sink::TeeSink`]
 //! fans one event stream out to two sinks, so the flight recorder can
 //! ride alongside a full recorder.
 //!
@@ -53,7 +53,8 @@
 //!
 //! # No external dependencies
 //!
-//! JSON is hand-rolled ([`json`]); the recorder uses `std::sync::Mutex`.
+//! JSON is hand-rolled ([`json`]: the writer and the bench-document
+//! parser); the recorder uses `std::sync::Mutex`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

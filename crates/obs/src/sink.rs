@@ -8,7 +8,10 @@ use crate::metrics::Metrics;
 
 /// A set of [`EventKind`]s, packed into a bitmask.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EventMask(u16);
+pub struct EventMask(u32);
+
+// One bit per kind: a kind past bit 31 would overflow the shift.
+const _: () = assert!(EventKind::COUNT <= 32);
 
 impl EventMask {
     /// The empty set.
@@ -327,6 +330,10 @@ mod tests {
         assert!(m.contains(EventKind::Underflow));
         assert!(m.contains(EventKind::CyclePlanned));
         assert!(!m.contains(EventKind::StreamServiced));
+        // The highest-index kind must not alias bit 0.
+        let last = EventKind::ALL[EventKind::COUNT - 1];
+        assert!(!m.contains(last));
+        assert!(!EventMask::NONE.with(last).contains(EventKind::ALL[0]));
         assert!(EventMask::NONE.is_empty());
         for k in EventKind::ALL {
             assert!(EventMask::all().contains(k));

@@ -1,14 +1,18 @@
-//! Round-trip tests for the hand-rolled JSON emitter (`vod_obs::json`):
+//! Round-trip tests for the hand-rolled JSON in `vod_obs::json`:
 //! whatever `escape` / `number` / the builders produce must parse as
-//! valid JSON under a strict RFC 8259 grammar.
+//! valid JSON under a strict RFC 8259 grammar, and `json::parse` must
+//! read it back bit-identically and never panic on any input.
 //!
 //! The validator below is a minimal recursive-descent parser written for
-//! this test only. It accepts exactly one JSON value and rejects trailing
-//! input, raw control characters inside strings, malformed escapes, and
-//! malformed numbers — the failure modes a hand-rolled emitter could
-//! plausibly produce.
+//! this test only, as the writer's independent reference. It accepts
+//! exactly one JSON value and rejects trailing input, raw control
+//! characters inside strings, malformed escapes, and malformed numbers —
+//! the failure modes a hand-rolled emitter could plausibly produce.
 
-use vod_obs::json::{escape, number, Array, Object};
+use std::collections::BTreeMap;
+
+use proptest::prelude::*;
+use vod_obs::json::{escape, number, parse, Array, Json, Object};
 
 /// Strict single-value JSON validator. Returns `Err(position)` on the
 /// first offending byte.
@@ -289,4 +293,144 @@ fn built_documents_round_trip_through_the_validator() {
     let rendered = doc.finish();
     assert_valid(&rendered);
     assert!(rendered.contains("null"));
+}
+
+/// Any Unicode scalar value (surrogates have no `char`).
+fn any_char() -> impl Strategy<Value = char> {
+    prop_oneof![0u32..0x80, 0x80u32..0xd800, 0xe000u32..0x11_0000]
+        .prop_map(|c| char::from_u32(c).expect("range excludes surrogates"))
+}
+
+fn any_string() -> impl Strategy<Value = String> {
+    prop::collection::vec(any_char(), 0..24).prop_map(|cs| cs.into_iter().collect())
+}
+
+/// Mostly JSON punctuation and literal letters, so arbitrary text gets
+/// deep into the parser before it fails.
+fn jsonish_char() -> impl Strategy<Value = char> {
+    const ALPHABET: &[u8] = b"{}[]\",:\\ u0123456789.eE+-truefalsn";
+    prop_oneof![
+        (0..ALPHABET.len()).prop_map(|i| ALPHABET[i] as char),
+        any_char(),
+    ]
+}
+
+/// `Num` compared by bits, so `-0.0` and `0.0` differ.
+fn bits_eq(a: &Json, b: &Json) -> bool {
+    match (a, b) {
+        (Json::Num(x), Json::Num(y)) => x.to_bits() == y.to_bits(),
+        (Json::Arr(xs), Json::Arr(ys)) => {
+            xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| bits_eq(x, y))
+        }
+        (Json::Obj(xs), Json::Obj(ys)) => {
+            xs.len() == ys.len()
+                && xs
+                    .iter()
+                    .zip(ys)
+                    .all(|((kx, x), (ky, y))| kx == ky && bits_eq(x, y))
+        }
+        _ => a == b,
+    }
+}
+
+/// The document the property tests write: one field of every writer
+/// kind per entry, plus a nested array of the floats. Returns the text
+/// and the value it must parse back to.
+fn written_document(fields: &[(String, u64, u64, bool, String)]) -> (String, Json) {
+    let mut doc = Object::new();
+    let mut expected = BTreeMap::new();
+    let mut floats = Array::new();
+    let mut expected_floats = Vec::new();
+    for (i, (key, float_bits, uint, flag, text)) in fields.iter().enumerate() {
+        let x = f64::from_bits(*float_bits);
+        let mut inner = Object::new();
+        inner.str("text", text);
+        inner.num("x", x);
+        inner.uint("n", *uint);
+        inner.bool("flag", *flag);
+        inner.null("none");
+        floats.num(x);
+        let x_json = if x.is_finite() {
+            Json::Num(x)
+        } else {
+            Json::Null
+        };
+        expected_floats.push(x_json.clone());
+        let fields = BTreeMap::from([
+            ("text".to_owned(), Json::Str(text.clone())),
+            ("x".to_owned(), x_json),
+            ("n".to_owned(), Json::Num(*uint as f64)),
+            ("flag".to_owned(), Json::Bool(*flag)),
+            ("none".to_owned(), Json::Null),
+        ]);
+        // Index-prefixed keys stay unique whatever the generated text.
+        let key = format!("{i}:{key}");
+        doc.raw(&key, &inner.finish());
+        expected.insert(key, Json::Obj(fields));
+    }
+    doc.raw("floats", &floats.finish());
+    expected.insert("floats".to_owned(), Json::Arr(expected_floats));
+    (doc.finish(), Json::Obj(expected))
+}
+
+fn document_fields() -> impl Strategy<Value = Vec<(String, u64, u64, bool, String)>> {
+    prop::collection::vec(
+        (
+            any_string(),
+            0u64..=u64::MAX,
+            0u64..=u64::MAX,
+            any::<bool>(),
+            any_string(),
+        ),
+        0..6,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every document the writer produces parses back to the values it
+    /// was built from, floats bit for bit (non-finite ones as `null`).
+    #[test]
+    fn writer_output_parses_back_bit_identically(fields in document_fields()) {
+        let (text, expected) = written_document(&fields);
+        assert_valid(&text);
+        let parsed = parse(&text).unwrap_or_else(|e| panic!("{e}: {text:?}"));
+        prop_assert!(bits_eq(&parsed, &expected), "{parsed:?} != {expected:?}");
+    }
+
+    /// Arbitrary text returns `Ok` or a positioned `Err`, never a panic.
+    #[test]
+    fn arbitrary_text_never_panics(
+        chars in prop::collection::vec(jsonish_char(), 0..200),
+    ) {
+        let text: String = chars.into_iter().collect();
+        if let Err(e) = parse(&text) {
+            prop_assert!(e.contains("byte"), "unpositioned error {e:?}");
+        }
+    }
+
+    /// Writer output with a few characters deleted, inserted, or cut
+    /// off never panics the parser either.
+    #[test]
+    fn mutated_writer_output_never_panics(
+        fields in document_fields(),
+        edits in prop::collection::vec((0u8..3, 0usize..4096, jsonish_char()), 1..6),
+    ) {
+        let mut chars: Vec<char> = written_document(&fields).0.chars().collect();
+        for (op, at, c) in edits {
+            let at = at % (chars.len() + 1);
+            match op {
+                0 if at < chars.len() => {
+                    chars.remove(at);
+                }
+                1 => chars.insert(at, c),
+                _ => chars.truncate(at),
+            }
+        }
+        let text: String = chars.into_iter().collect();
+        if let Err(e) = parse(&text) {
+            prop_assert!(e.contains("byte"), "unpositioned error {e:?}");
+        }
+    }
 }
