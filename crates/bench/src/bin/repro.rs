@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! repro [--quick] [--trace <file.jsonl>] [--flight <file.jsonl>]
-//!       [--summary-json <file>] [--metrics <file.prom>]
-//!       [--metrics-addr <host:port>] <experiment>...
+//!       [--summary-json <file>] [--metrics <file.prom>] <experiment>...
 //! repro [--quick] all
 //! repro bench [--smoke] [--jobs <n>] [--no-fast-forward] [--out <file>]
 //! repro cluster [--smoke] [--jobs <n>] [--no-fast-forward] [--trace <file.jsonl>] [--out <file>]
@@ -38,9 +37,6 @@
 //! * `--metrics <file.prom>` — attaches one shared metrics registry to
 //!   every simulated experiment and writes its final state in Prometheus
 //!   text exposition format.
-//! * `--metrics-addr <host:port>` — additionally serves the live registry
-//!   over HTTP (GET, Prometheus text) for the duration of the run; pass
-//!   `127.0.0.1:0` to pick a free port (printed to stderr).
 //!
 //! `repro bench` skips the tables entirely and runs the pinned
 //! performance matrix instead, writing `BENCH_perf.json` (see
@@ -74,8 +70,7 @@ use vod_bench::{
 };
 use vod_obs::metrics::{CTR_EVENTS_DROPPED, CTR_SPANS_DROPPED};
 use vod_obs::{
-    json, prom, FlightRecorder, Metrics, MetricsRegistry, MetricsServer, Obs, RecorderSink, Sink,
-    TeeSink,
+    json, prom, FlightRecorder, Metrics, MetricsRegistry, Obs, RecorderSink, Sink, TeeSink,
 };
 
 const EXPERIMENTS: [(&str, &str); 14] = [
@@ -128,8 +123,7 @@ fn run_experiment(name: &str, scale: Scale, obs: &Obs) -> Option<Vec<Table>> {
 fn print_usage() {
     eprintln!(
         "usage: repro [--quick] [--trace <file.jsonl>] [--flight <file.jsonl>] \
-         [--summary-json <file>] [--metrics <file.prom>] [--metrics-addr <host:port>] \
-         <experiment>... | all | --list"
+         [--summary-json <file>] [--metrics <file.prom>] <experiment>... | all | --list"
     );
     eprintln!("       repro bench [--smoke] [--jobs <n>] [--no-fast-forward] [--out <file>]");
     eprintln!(
@@ -946,7 +940,6 @@ fn main() -> ExitCode {
     let mut flight_path: Option<PathBuf> = None;
     let mut summary_path: Option<PathBuf> = None;
     let mut metrics_path: Option<PathBuf> = None;
-    let mut metrics_addr: Option<String> = None;
     let mut iter = args.iter();
     while let Some(a) = iter.next() {
         match a.as_str() {
@@ -983,14 +976,12 @@ fn main() -> ExitCode {
                 };
                 metrics_path = Some(PathBuf::from(p));
             }
-            "--metrics-addr" => {
-                let Some(p) = iter.next() else {
-                    eprintln!("--metrics-addr requires a host:port argument");
-                    return ExitCode::FAILURE;
-                };
-                metrics_addr = Some(p.clone());
-            }
             "all" => names.extend(EXPERIMENTS.iter().map(|(n, _)| (*n).to_owned())),
+            other if other.starts_with("--") => {
+                eprintln!("unknown option `{other}`");
+                print_usage();
+                return ExitCode::FAILURE;
+            }
             other => names.push(other.to_owned()),
         }
     }
@@ -1000,29 +991,14 @@ fn main() -> ExitCode {
     }
 
     // One registry shared by every simulated experiment of the run: the
-    // .prom file and the scrape endpoint describe the whole invocation.
-    let registry = (metrics_path.is_some() || metrics_addr.is_some())
+    // .prom file describes the whole invocation.
+    let registry = metrics_path
+        .is_some()
         .then(|| Arc::new(MetricsRegistry::new()));
     let metrics = registry
         .as_ref()
         .map(|r| Metrics::new(Arc::clone(r)))
         .unwrap_or_default();
-    let _server = match (&metrics_addr, &registry) {
-        (Some(addr), Some(reg)) => match MetricsServer::bind(addr, Arc::clone(reg)) {
-            Ok(server) => {
-                eprintln!(
-                    "metrics: serving Prometheus text on http://{}/metrics",
-                    server.local_addr()
-                );
-                Some(server)
-            }
-            Err(e) => {
-                eprintln!("error: could not bind metrics server on {addr}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        _ => None,
-    };
 
     let flight = flight_path.as_deref().map(arm_flight);
     let observing = trace_path.is_some() || summary_path.is_some();
@@ -1098,8 +1074,8 @@ fn main() -> ExitCode {
                 trace_out.push('\n');
                 trace_out.push_str(&snap.export_jsonl());
             }
-            // The drop totals are first-class series: whatever registry
-            // is attached (file dump, live scrape) reports them.
+            // The drop totals are first-class series in the attached
+            // registry's file dump.
             metrics
                 .counter(CTR_EVENTS_DROPPED)
                 .add(snap.events_dropped());

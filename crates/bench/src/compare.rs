@@ -319,6 +319,8 @@ fn compare_cell(
         // 3-sample histogram's p95 IS its max, and a single scheduling
         // hiccup (smoke cells time some phases a handful of times) swings
         // it by orders of magnitude; below the floor it is info-only.
+        // Engine phases are sampled per cycle: the service p95 is that
+        // of a cycle's average per-service cost (see `perf`).
         const PHASE_P95_MIN_COUNT: u64 = 16;
         if let (Some(Json::Obj(op)), Some(Json::Obj(np))) = (old.get("phases"), new.get("phases")) {
             for (phase, o_hist) in op {

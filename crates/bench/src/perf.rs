@@ -8,6 +8,14 @@
 //! cycles/second, admission counters, peak pool memory, and p50/p95/max
 //! per instrumented phase.
 //!
+//! The engine phases are sampled per cycle, not per service:
+//! [`PHASE_CYCLE_PLAN`] holds one sample per cycle boundary (departures,
+//! boundary admissions, order rebuild and cycle plan), and
+//! [`PHASE_SERVICE`] one sample per cycle that read anything, the rest of
+//! the cycle's wall time divided by its services. A service p95 is
+//! therefore the p95 over cycles of the average per-service cost, not of
+//! single services.
+//!
 //! The numbers in the document are host-dependent (wall-clock); the
 //! counters and peak memory are deterministic for a given seed list.
 //! Cells are independent — each gets a private registry and a pinned

@@ -116,9 +116,9 @@ impl SizeTable {
     /// [`Metrics`] this is exactly `build` (no clock read).
     #[must_use]
     pub fn build_instrumented(params: &SystemParams, metrics: &Metrics) -> Self {
-        let timer = metrics.histogram(PHASE_TABLE_BUILD).start_timer();
-        let table = Self::build(params);
-        timer.stop();
+        let table = metrics
+            .histogram(PHASE_TABLE_BUILD)
+            .time(|| Self::build(params));
         metrics
             .gauge(GAUGE_TABLE_ENTRIES)
             .set(table.sizes.len() as f64);
@@ -167,9 +167,9 @@ impl SizeTable {
     /// cache-lookup latency instead of a rebuild).
     #[must_use]
     pub fn shared_instrumented(params: &SystemParams, metrics: &Metrics) -> Arc<Self> {
-        let timer = metrics.histogram(PHASE_TABLE_BUILD).start_timer();
-        let table = Self::shared(params);
-        timer.stop();
+        let table = metrics
+            .histogram(PHASE_TABLE_BUILD)
+            .time(|| Self::shared(params));
         metrics
             .gauge(GAUGE_TABLE_ENTRIES)
             .set(table.sizes.len() as f64);

@@ -21,7 +21,6 @@ use crate::profile::DiskProfile;
 
 /// A contiguous range of cylinders occupied by one video.
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Extent {
     /// First cylinder of the extent.
     pub start_cylinder: u32,

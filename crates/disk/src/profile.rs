@@ -9,7 +9,6 @@ use crate::seek::SeekModel;
 /// [`DiskProfile::barracuda_9lp`] reproduces Table 3 of the paper (the
 /// Seagate Barracuda 9LP used throughout its evaluation).
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DiskProfile {
     /// Human-readable model name.
     pub name: String,

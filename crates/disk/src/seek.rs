@@ -19,7 +19,6 @@ use vod_types::{ConfigError, Seconds};
 
 /// The two-piece seek-time curve of Eq. 7.
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SeekModel {
     /// Fixed overhead of the square-root segment (speedup/slowdown/settle),
     /// in seconds (`μ1`).
@@ -109,7 +108,6 @@ impl SeekModel {
 
 /// How a simulator charges disk latency for each service.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum LatencyModel {
     /// Charge the worst-case latency the buffer-size formulas assume
     /// (maximum seek for the scheduling method, full rotation). This is

@@ -14,7 +14,6 @@ use crate::profile::DiskProfile;
 
 /// One recording zone: a run of cylinders sharing a transfer rate.
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Zone {
     /// Number of cylinders in the zone.
     pub cylinders: u32,

@@ -14,8 +14,8 @@
 //!   `VOD_DEBUG_CYCLE`, `VOD_DEBUG_SVC`, and `VOD_DEBUG_UNDERFLOW`
 //!   environment variables as kind filters.
 //! * [`RecorderSink`] — an in-memory recorder with bounded event
-//!   capacity, per-kind counters, fixed-bucket histograms (service
-//!   latency, cycle slack, pool occupancy), and JSONL export.
+//!   capacity, per-kind counters, [`LogHistogram`]s (service latency,
+//!   cycle slack, pool occupancy), and JSONL export.
 //!
 //! A fourth sink, the [`FlightRecorder`], keeps only a bounded ring of
 //! the most recent records and dumps them as JSONL when an anomaly
@@ -43,13 +43,14 @@
 //!
 //! Orthogonal to the event stream, [`metrics`] provides a lock-free
 //! [`MetricsRegistry`] of atomic counters, gauges, and log-bucketed
-//! histograms that never drops and never allocates on the hot path;
-//! [`profile::Timed`] is the RAII phase timer feeding it. [`prom`]
-//! renders a registry snapshot in the Prometheus text format and
-//! [`http::MetricsServer`] serves it over a one-thread GET-only
-//! scrape endpoint. An [`Obs`] handle can carry a [`Metrics`] handle
-//! alongside its sink ([`Obs::with_metrics`]), so one handle threads
-//! both through the engine.
+//! histograms that never drops and never allocates on the hot path.
+//! Phase timings read the clock only when a registry is attached:
+//! coarse phases through [`Histo::time`], the engine once or twice per
+//! cycle. Run totals are added once, when a run ends. [`prom`] renders
+//! a registry snapshot in the Prometheus text format. An [`Obs`] handle
+//! can carry a [`Metrics`] handle alongside its sink
+//! ([`Obs::with_metrics`]), so one handle threads both through the
+//! engine.
 //!
 //! # No external dependencies
 //!
@@ -61,10 +62,8 @@
 
 pub mod event;
 pub mod flight;
-pub mod http;
 pub mod json;
 pub mod metrics;
-pub mod profile;
 pub mod prom;
 pub mod recorder;
 pub mod sink;
@@ -73,14 +72,11 @@ pub mod timeseries;
 
 pub use event::{Event, EventKind, RejectReason};
 pub use flight::FlightRecorder;
-pub use http::MetricsServer;
 pub use metrics::{
     Counter, Gauge, Histo, HistoSnapshot, LogHistogram, Metrics, MetricsRegistry, MetricsSnapshot,
 };
-pub use profile::Timed;
 pub use recorder::{
-    Histogram, HistogramSnapshot, RecorderSink, RecorderSnapshot, HIST_CYCLE_SLACK,
-    HIST_POOL_OCCUPANCY, HIST_SERVICE_LATENCY,
+    RecorderSink, RecorderSnapshot, HIST_CYCLE_SLACK, HIST_POOL_OCCUPANCY, HIST_SERVICE_LATENCY,
 };
 pub use sink::{EventMask, NullSink, Obs, Sink, StderrSink, TeeSink};
 pub use span::{AnnoValue, Span, SpanId, SpanKind, SpanStatus, TraceId};

@@ -29,15 +29,18 @@ use core::fmt;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 use crate::json;
-use crate::profile::Timed;
 
 /// Phase histogram: `BS_k(n)` size-table precompute (seconds).
 pub const PHASE_TABLE_BUILD: &str = "vod_phase_table_build_seconds";
-/// Phase histogram: per-cycle scheduling (order rebuild + cycle plan).
+/// Phase histogram: one cycle boundary of the engine (departures,
+/// boundary admissions, order rebuild and cycle plan).
 pub const PHASE_CYCLE_PLAN: &str = "vod_phase_cycle_plan_seconds";
-/// Phase histogram: one stream service (buffer refill) in the engine.
+/// Phase histogram: per-service cost of one engine cycle — the cycle's
+/// wall time from the end of its planning to its close, divided by the
+/// services it performed (one sample per cycle).
 pub const PHASE_SERVICE: &str = "vod_phase_service_seconds";
 /// Phase histogram: one admission-control pass over the pending queue.
 pub const PHASE_ADMISSION: &str = "vod_phase_admission_seconds";
@@ -114,11 +117,11 @@ pub fn per_node(node: usize, suffix: &str) -> String {
     format!("vod_cluster_node{node}_{suffix}")
 }
 
-/// Exponent of the smallest finite histogram bound (`2^-20` ≈ 1 µs).
-const LOG_MIN_EXP: i32 = -20;
-/// Number of buckets: 33 finite power-of-two bounds (`2^-20 ..= 2^12`,
-/// i.e. ~1 µs up to 4096 s) plus one `+Inf` overflow bucket.
-const BUCKETS: usize = 34;
+/// Exponent of the smallest finite histogram bound (`2^-26` ≈ 15 ns).
+const LOG_MIN_EXP: i32 = -26;
+/// Number of buckets: 41 finite power-of-two bounds (`2^-26 ..= 2^14`,
+/// i.e. ~15 ns up to 16384) plus one `+Inf` overflow bucket.
+const BUCKETS: usize = 42;
 
 /// Upper bound of bucket `i` (`f64::INFINITY` for the last bucket).
 fn bucket_bound(i: usize) -> f64 {
@@ -166,11 +169,12 @@ fn update_f64(cell: &AtomicU64, f: impl Fn(f64) -> f64) {
 
 /// A base-2 log-bucketed histogram with atomic counts.
 ///
-/// Buckets span `2^-20 ..= 2^12` seconds (about 1 µs to ~68 min) plus
-/// an overflow bucket — wide enough for any phase this repo times.
-/// `sum`/`min`/`max` are tracked exactly (as bit-cast `f64`s), so
-/// `max` in snapshots is precise even though quantiles are
-/// bucket-resolution approximations.
+/// Buckets span `2^-26 ..= 2^14` plus an overflow bucket: as seconds,
+/// about 15 ns (a per-service cost) to 4.5 h; as MiB, pool occupancy up
+/// to 16 GiB. Values at or below the first bound (zero and negatives
+/// included) land in the first bucket. `sum`/`min`/`max` are tracked
+/// exactly (as bit-cast `f64`s), so `max` in snapshots is precise even
+/// though quantiles are bucket-resolution approximations.
 pub struct LogHistogram {
     counts: [AtomicU64; BUCKETS],
     count: AtomicU64,
@@ -528,10 +532,18 @@ impl Histo {
         }
     }
 
-    /// Starts a scoped timer that records elapsed seconds here on
-    /// drop. Detached handles skip the clock read entirely.
-    pub fn start_timer(&self) -> Timed {
-        Timed::start(self)
+    /// Runs `f`, recording its wall time in seconds here. Detached
+    /// handles run `f` without reading the clock. Meant for coarse
+    /// phases (a table build, a workload generation); hot loops read
+    /// the clock themselves, once per batch.
+    pub fn time<R>(&self, f: impl FnOnce() -> R) -> R {
+        let Some(hist) = &self.hist else {
+            return f();
+        };
+        let start = Instant::now();
+        let out = f();
+        hist.record(start.elapsed().as_secs_f64());
+        out
     }
 }
 
@@ -638,7 +650,8 @@ mod tests {
         for i in 0..BUCKETS - 1 {
             assert!(bucket_bound(i) < bucket_bound(i + 1));
         }
-        assert_eq!(bucket_bound(0), (-20.0f64).exp2());
+        assert_eq!(bucket_bound(0), (-26.0f64).exp2());
+        assert_eq!(bucket_bound(BUCKETS - 2), 16384.0);
         assert!(bucket_bound(BUCKETS - 1).is_infinite());
     }
 
@@ -655,6 +668,71 @@ mod tests {
         assert_eq!(bucket_index(1e-12), 0);
         // Above the largest finite bound goes to the +Inf bucket.
         assert_eq!(bucket_index(1e30), BUCKETS - 1);
+        assert_eq!(bucket_index(16384.0), BUCKETS - 2);
+        assert_eq!(bucket_index(16384.5), BUCKETS - 1);
+    }
+
+    #[test]
+    fn nanosecond_timings_land_in_distinct_buckets() {
+        let h = LogHistogram::new();
+        h.record(20e-9);
+        h.record(200e-9);
+        let snap = h.snapshot("t");
+        let (fast, slow) = (bucket_index(20e-9), bucket_index(200e-9));
+        assert!(fast > 0, "20 ns must leave the first bucket");
+        assert!(slow > fast);
+        assert_eq!((snap.counts[fast], snap.counts[slow]), (1, 1));
+        assert!(snap.quantile(0.5).unwrap() < 50e-9);
+        assert!(snap.quantile(1.0).unwrap() > 150e-9);
+    }
+
+    #[test]
+    fn negative_and_negative_zero_inputs_land_in_the_first_bucket() {
+        let h = LogHistogram::new();
+        h.record(-3.0);
+        h.record(-0.0);
+        h.record(0.5);
+        let snap = h.snapshot("t");
+        assert_eq!(snap.counts[0], 2);
+        assert_eq!(snap.count, 3);
+        assert_eq!(snap.min, -3.0);
+        assert_eq!(snap.max, 0.5);
+        assert_eq!(snap.sum, -2.5);
+    }
+
+    #[test]
+    fn empty_histogram_has_no_extrema() {
+        let snap = LogHistogram::new().snapshot("e");
+        assert_eq!(snap.count, 0);
+        assert_eq!(snap.mean(), None);
+        let json = snap.to_json();
+        assert!(json.contains("\"min\":null"), "{json}");
+        assert!(json.contains("\"max\":null"), "{json}");
+        assert!(json.contains("\"p50\":null"), "{json}");
+    }
+
+    #[test]
+    fn overflow_above_the_top_bound_keeps_the_exact_max() {
+        let h = LogHistogram::new();
+        h.record(1e6);
+        let snap = h.snapshot("t");
+        assert_eq!(snap.counts[BUCKETS - 1], 1);
+        assert_eq!(snap.max, 1e6);
+        // The +Inf bucket's quantile clamps to the exact max.
+        assert_eq!(snap.quantile(0.5), Some(1e6));
+    }
+
+    #[test]
+    fn time_records_one_sample_when_attached_and_none_when_detached() {
+        let reg = Arc::new(MetricsRegistry::new());
+        let h = Metrics::new(Arc::clone(&reg)).histogram("phase_seconds");
+        assert_eq!(h.time(|| 7), 7);
+        assert_eq!(h.time(|| "twice"), "twice");
+        let snap = reg.snapshot();
+        let hist = snap.histogram("phase_seconds").unwrap();
+        assert_eq!(hist.count, 2);
+        assert!(hist.min >= 0.0);
+        assert_eq!(Metrics::null().histogram("phase_seconds").time(|| 3), 3);
     }
 
     #[test]
@@ -665,6 +743,7 @@ mod tests {
         }
         h.record(f64::NAN); // ignored
         h.record(f64::INFINITY); // ignored
+        h.record(f64::NEG_INFINITY); // ignored
         let snap = h.snapshot("t");
         assert_eq!(snap.count, 3);
         assert_eq!(snap.sum, 5.25);

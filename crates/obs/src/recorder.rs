@@ -1,134 +1,12 @@
 //! The in-memory [`RecorderSink`]: bounded event capture, per-kind
-//! counters, and fixed-bucket histograms, with JSON/JSONL export.
+//! counters, and log-bucketed histograms, with JSON/JSONL export.
 
 use std::sync::Mutex;
 
 use crate::event::{Event, EventKind};
 use crate::json;
+use crate::metrics::{HistoSnapshot, LogHistogram};
 use crate::sink::Sink;
-
-/// A fixed-bucket histogram.
-///
-/// `bounds` are inclusive upper bucket edges in ascending order; a value
-/// `x` lands in the first bucket with `x <= bound`, and values above the
-/// last bound land in a final overflow bucket, so `counts.len() ==
-/// bounds.len() + 1`. Exact min/max/sum are tracked alongside.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    name: &'static str,
-    bounds: Vec<f64>,
-    counts: Vec<u64>,
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Histogram {
-    /// A new histogram named `name` with the given ascending bucket edges.
-    #[must_use]
-    pub fn new(name: &'static str, bounds: &[f64]) -> Self {
-        debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]));
-        Histogram {
-            name,
-            bounds: bounds.to_vec(),
-            counts: vec![0; bounds.len() + 1],
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Records one observation. Non-finite values are ignored.
-    pub fn record(&mut self, x: f64) {
-        if !x.is_finite() {
-            return;
-        }
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&b| x <= b)
-            .unwrap_or(self.bounds.len());
-        self.counts[idx] += 1;
-        self.count += 1;
-        self.sum += x;
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// An immutable copy of the current state.
-    #[must_use]
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            name: self.name,
-            bounds: self.bounds.clone(),
-            counts: self.counts.clone(),
-            count: self.count,
-            sum: self.sum,
-            min: (self.count > 0).then_some(self.min),
-            max: (self.count > 0).then_some(self.max),
-        }
-    }
-}
-
-/// An immutable view of a [`Histogram`] at snapshot time.
-#[derive(Clone, Debug)]
-pub struct HistogramSnapshot {
-    /// The histogram's name (e.g. `service_latency_s`).
-    pub name: &'static str,
-    /// Inclusive upper bucket edges, ascending.
-    pub bounds: Vec<f64>,
-    /// Per-bucket counts; the final entry is the overflow bucket.
-    pub counts: Vec<u64>,
-    /// Total observations.
-    pub count: u64,
-    /// Sum of observations.
-    pub sum: f64,
-    /// Smallest observation, `None` when empty.
-    pub min: Option<f64>,
-    /// Largest observation, `None` when empty.
-    pub max: Option<f64>,
-}
-
-impl HistogramSnapshot {
-    /// Mean of the observations, `None` when empty.
-    #[must_use]
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum / self.count as f64)
-    }
-
-    /// Renders the snapshot as a JSON object.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut bounds = json::Array::new();
-        for &b in &self.bounds {
-            bounds.num(b);
-        }
-        let mut counts = json::Array::new();
-        for &c in &self.counts {
-            counts.raw(&c.to_string());
-        }
-        let mut o = json::Object::new();
-        o.uint("count", self.count);
-        o.num("sum", self.sum);
-        match self.min {
-            Some(v) => o.num("min", v),
-            None => o.null("min"),
-        }
-        match self.max {
-            Some(v) => o.num("max", v),
-            None => o.null("max"),
-        }
-        match self.mean() {
-            Some(v) => o.num("mean", v),
-            None => o.null("mean"),
-        }
-        o.raw("bounds", &bounds.finish());
-        o.raw("counts", &counts.finish());
-        o.finish()
-    }
-}
 
 /// Name of the recorder's service-latency histogram (seconds).
 pub const HIST_SERVICE_LATENCY: &str = "service_latency_s";
@@ -142,9 +20,9 @@ struct RecorderState {
     events: Vec<Event>,
     events_dropped: u64,
     spans_dropped: u64,
-    service_latency: Histogram,
-    cycle_slack: Histogram,
-    pool_occupancy: Histogram,
+    service_latency: LogHistogram,
+    cycle_slack: LogHistogram,
+    pool_occupancy: LogHistogram,
 }
 
 /// An in-memory sink: counts every event, histograms the interesting
@@ -179,22 +57,9 @@ impl RecorderSink {
                 events: Vec::with_capacity(capacity.min(4096)),
                 events_dropped: 0,
                 spans_dropped: 0,
-                service_latency: Histogram::new(
-                    HIST_SERVICE_LATENCY,
-                    &[
-                        0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 60.0,
-                    ],
-                ),
-                cycle_slack: Histogram::new(
-                    HIST_CYCLE_SLACK,
-                    &[0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0],
-                ),
-                pool_occupancy: Histogram::new(
-                    HIST_POOL_OCCUPANCY,
-                    &[
-                        16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0, 2048.0, 4096.0, 8192.0,
-                    ],
-                ),
+                service_latency: LogHistogram::new(),
+                cycle_slack: LogHistogram::new(),
+                pool_occupancy: LogHistogram::new(),
             }),
             capacity,
             enabled: [true; EventKind::COUNT],
@@ -226,9 +91,9 @@ impl RecorderSink {
             events_dropped: st.events_dropped,
             spans_dropped: st.spans_dropped,
             histograms: vec![
-                st.service_latency.snapshot(),
-                st.cycle_slack.snapshot(),
-                st.pool_occupancy.snapshot(),
+                st.service_latency.snapshot(HIST_SERVICE_LATENCY),
+                st.cycle_slack.snapshot(HIST_CYCLE_SLACK),
+                st.pool_occupancy.snapshot(HIST_POOL_OCCUPANCY),
             ],
         }
     }
@@ -284,7 +149,7 @@ pub struct RecorderSnapshot {
     events: Vec<Event>,
     events_dropped: u64,
     spans_dropped: u64,
-    histograms: Vec<HistogramSnapshot>,
+    histograms: Vec<HistoSnapshot>,
 }
 
 impl RecorderSnapshot {
@@ -323,13 +188,13 @@ impl RecorderSnapshot {
     /// The three built-in histograms: service latency, cycle slack, and
     /// pool occupancy.
     #[must_use]
-    pub fn histograms(&self) -> &[HistogramSnapshot] {
+    pub fn histograms(&self) -> &[HistoSnapshot] {
         &self.histograms
     }
 
     /// The named histogram, if present.
     #[must_use]
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
+    pub fn histogram(&self, name: &str) -> Option<&HistoSnapshot> {
         self.histograms.iter().find(|h| h.name == name)
     }
 
@@ -342,7 +207,7 @@ impl RecorderSnapshot {
         }
         let mut hists = json::Object::new();
         for h in &self.histograms {
-            hists.raw(h.name, &h.to_json());
+            hists.raw(&h.name, &h.to_json());
         }
         let mut o = json::Object::new();
         o.raw("counters", &counters.finish());
@@ -378,66 +243,6 @@ mod tests {
             n: 1,
             deficit: Bits::new(8.0),
         }
-    }
-
-    #[test]
-    fn histogram_buckets_and_overflow() {
-        let mut h = Histogram::new("h", &[1.0, 2.0]);
-        h.record(0.5); // bucket 0
-        h.record(1.0); // bucket 0 (inclusive edge)
-        h.record(1.5); // bucket 1
-        h.record(9.0); // overflow
-        h.record(f64::NAN); // ignored
-        let s = h.snapshot();
-        assert_eq!(s.counts, vec![2, 1, 1]);
-        assert_eq!(s.count, 4);
-        assert_eq!(s.min, Some(0.5));
-        assert_eq!(s.max, Some(9.0));
-        assert_eq!(s.mean(), Some(3.0));
-    }
-
-    #[test]
-    fn histogram_ignores_every_non_finite_input() {
-        let mut h = Histogram::new("h", &[1.0, 2.0]);
-        h.record(f64::NAN);
-        h.record(f64::INFINITY);
-        h.record(f64::NEG_INFINITY);
-        let s = h.snapshot();
-        assert_eq!(s.count, 0);
-        assert_eq!(s.counts, vec![0, 0, 0]);
-        assert_eq!(s.sum, 0.0);
-        assert_eq!((s.min, s.max), (None, None));
-        // Non-finite noise must not poison later valid samples.
-        h.record(f64::NAN);
-        h.record(1.5);
-        let s = h.snapshot();
-        assert_eq!(s.count, 1);
-        assert_eq!((s.min, s.max), (Some(1.5), Some(1.5)));
-        assert_eq!(s.mean(), Some(1.5));
-    }
-
-    #[test]
-    fn histogram_accepts_negative_and_negative_zero_inputs() {
-        let mut h = Histogram::new("h", &[0.0, 1.0]);
-        h.record(-3.0); // below every bound: first bucket
-        h.record(-0.0); // -0.0 <= 0.0: first bucket
-        h.record(0.5);
-        let s = h.snapshot();
-        assert_eq!(s.counts, vec![2, 1, 0]);
-        assert_eq!(s.count, 3);
-        assert_eq!(s.min, Some(-3.0));
-        assert_eq!(s.max, Some(0.5));
-        assert_eq!(s.sum, -2.5);
-    }
-
-    #[test]
-    fn empty_histogram_has_no_extrema() {
-        let s = Histogram::new("h", &[1.0]).snapshot();
-        assert_eq!(s.count, 0);
-        assert_eq!(s.min, None);
-        assert_eq!(s.max, None);
-        assert_eq!(s.mean(), None);
-        assert!(s.to_json().contains("\"min\":null"));
     }
 
     #[test]

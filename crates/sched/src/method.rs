@@ -22,7 +22,6 @@ pub enum AdmissionTiming {
 
 /// A buffer scheduling method, as evaluated in the paper.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SchedulingMethod {
     /// Round-Robin in allocation order, serviced with BubbleUp.
     RoundRobin,

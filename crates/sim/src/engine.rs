@@ -21,6 +21,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::time::Instant as WallInstant;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -33,7 +34,7 @@ use vod_obs::metrics::{
 };
 use vod_obs::span::{self, AnnoValue, SpanId, SpanKind, SpanStatus, TraceId};
 use vod_obs::timeseries::{engine_series, Series, SeriesRecorder};
-use vod_obs::{Counter, Event, EventKind, Histo, Obs, RejectReason};
+use vod_obs::{Event, EventKind, Histo, Obs, RejectReason};
 use vod_sched::{AdmissionTiming, SchedulingMethod};
 use vod_types::{Bits, ConfigError, Instant, RequestId, Seconds, VideoId};
 use vod_workload::Arrival;
@@ -186,22 +187,22 @@ impl MemTracker {
     }
 }
 
-/// Metric handles resolved once at construction. Registration takes a
-/// lock, so the hot loop only ever touches pre-resolved handles —
-/// relaxed atomics when a registry is attached, single-branch no-ops
-/// otherwise. Values mirror already-maintained [`DiskRunStats`]
-/// fields plus wall-clock phase timings; the engine never reads them
-/// back, so an attached registry cannot perturb a run.
+/// Phase histograms, resolved once at construction (registration takes
+/// a lock). The wall clock is read only when a registry is attached, and
+/// then only at cycle boundaries (twice each) and around admission
+/// passes that have an eligible request: never per service. The run
+/// totals reach the registry once, from [`DiskRunStats`], when the run
+/// ends (see [`DiskEngine::finalize`]). Nothing here is read back, so an
+/// attached registry cannot perturb a run.
 struct EngineMetrics {
     cycle_plan: Histo,
     service: Histo,
     admission: Histo,
-    cycles: Counter,
-    services: Counter,
-    admitted: Counter,
-    deferred: Counter,
-    rejected: Counter,
-    underflows: Counter,
+    /// When the current cycle's planning ended. `None` when detached, and
+    /// cleared on entry to the steppable API: a cycle planned in an
+    /// earlier call would time the caller's work too, so it goes
+    /// unsampled.
+    planned_at: Option<WallInstant>,
 }
 
 impl EngineMetrics {
@@ -210,12 +211,34 @@ impl EngineMetrics {
             cycle_plan: m.histogram(PHASE_CYCLE_PLAN),
             service: m.histogram(PHASE_SERVICE),
             admission: m.histogram(PHASE_ADMISSION),
-            cycles: m.counter(CTR_CYCLES),
-            services: m.counter(CTR_SERVICES),
-            admitted: m.counter(CTR_ADMITTED),
-            deferred: m.counter(CTR_DEFERRED),
-            rejected: m.counter(CTR_REJECTED),
-            underflows: m.counter(CTR_UNDERFLOWS),
+            planned_at: None,
+        }
+    }
+
+    /// The wall clock, read only when a registry is attached.
+    fn clock(&self) -> Option<WallInstant> {
+        self.cycle_plan.is_attached().then(WallInstant::now)
+    }
+
+    /// Closes a cycle at `now` that performed `services` reads: one
+    /// [`PHASE_SERVICE`] sample of its average per-service cost.
+    fn close_cycle(&mut self, now: Option<WallInstant>, services: u64) {
+        if let (Some(start), Some(end)) = (self.planned_at.take(), now) {
+            if services > 0 {
+                let secs = end.duration_since(start).as_secs_f64();
+                self.service.record(secs / services as f64);
+            }
+        }
+    }
+
+    /// Ends the planning of a boundary pass that began at `boundary`:
+    /// one [`PHASE_CYCLE_PLAN`] sample.
+    fn plan_done(&mut self, boundary: Option<WallInstant>) {
+        if let Some(start) = boundary {
+            let now = WallInstant::now();
+            self.cycle_plan
+                .record(now.duration_since(start).as_secs_f64());
+            self.planned_at = Some(now);
         }
     }
 }
@@ -606,11 +629,12 @@ impl DiskEngine {
         {
             if self.cursor >= self.order.len() {
                 // ---- Cycle boundary ----
+                let boundary = self.m.clock();
                 let mut idle_cycle = false;
                 if self.cycle_active {
                     self.last_period = Some(self.t - self.cycle_start);
                     self.stats.cycles += 1;
-                    self.m.cycles.inc();
+                    self.m.close_cycle(boundary, self.cycle_services);
                     self.cycle_active = false;
                     idle_cycle = self.cycle_services == 0;
                     if let Some((tr, sp)) = self.cycle_span.take() {
@@ -621,13 +645,10 @@ impl DiskEngine {
                 self.order.clear();
                 self.process_due_departures();
                 self.try_admissions();
-                // One sample per boundary: order rebuild, plus the
-                // cycle-start planning when the roster is non-empty.
-                let plan_timer = self.m.cycle_plan.start_timer();
                 self.rebuild_order();
 
                 if self.order.is_empty() {
-                    plan_timer.stop();
+                    self.m.plan_done(boundary);
                     // Idle: jump to the next external event (arrival,
                     // departure, or a queued request's slot boundary).
                     let next = if self.cfg.fast_forward {
@@ -651,7 +672,6 @@ impl DiskEngine {
                             // memory-rejected — drop them.
                             while let Some(p) = self.pending.pop_front() {
                                 self.stats.rejected += 1;
-                                self.m.rejected.inc();
                                 let n = self.streams.len() + self.pending.len();
                                 self.obs.emit_with(EventKind::RequestRejected, || {
                                     Event::RequestRejected {
@@ -681,7 +701,7 @@ impl DiskEngine {
                 }
 
                 let plan = self.plan_cycle_start();
-                plan_timer.stop();
+                self.m.plan_done(boundary);
                 if idle_cycle && plan.is_some_and(|p| p.start <= self.t) {
                     // The last cycle read nothing and we would re-run it at
                     // the same instant: every stream is over-provisioned
@@ -1019,6 +1039,7 @@ impl DiskEngine {
     /// subsequent [`Self::offer`] at `horizon` lands exactly where `run`
     /// would have ingested it.
     pub fn advance_to(&mut self, horizon: Instant) {
+        self.m.planned_at = None;
         while self.t < horizon {
             self.process_due_departures();
             match self.step_body(Some(horizon)) {
@@ -1054,6 +1075,7 @@ impl DiskEngine {
     pub fn finish(mut self) -> DiskRunStats {
         // The drain's allocations score as they open.
         self.settle_arrivals_before(Instant::from_secs(f64::INFINITY));
+        self.m.planned_at = None;
         loop {
             self.process_due_departures();
             match self.step_body(None) {
@@ -1176,7 +1198,6 @@ impl DiskEngine {
     fn note_deficit(&mut self, id: RequestId, at: Instant, deficit: Bits) {
         if deficit.as_f64() > UNDERFLOW_SLACK_BITS {
             self.stats.underflows += 1;
-            self.m.underflows.inc();
             self.stats.underflow_deficit += deficit;
             let n = self.streams.len();
             self.obs
@@ -1230,7 +1251,6 @@ impl DiskEngine {
         // now, not parked for an hour.
         if n >= self.effective_max_requests() {
             self.stats.rejected += 1;
-            self.m.rejected.inc();
             self.obs
                 .emit_with(EventKind::RequestRejected, || Event::RequestRejected {
                     at: a.at,
@@ -1242,7 +1262,6 @@ impl DiskEngine {
         }
         if !self.memory_admits(n + 1, a.at) {
             self.stats.rejected += 1;
-            self.m.rejected.inc();
             self.obs
                 .emit_with(EventKind::RequestRejected, || Event::RequestRejected {
                     at: a.at,
@@ -1325,15 +1344,24 @@ impl DiskEngine {
 
     fn try_admissions(&mut self) {
         // Nothing to do on the overwhelmingly common empty/ineligible
-        // queue: bail before starting the phase timer, so an attached
-        // registry doesn't charge two clock reads per service for a
-        // no-op (the admission phase now times actual admission work).
+        // queue: bail before reading the clock, so the admission phase
+        // times actual admission work only.
         match self.pending.front() {
             None => return,
             Some(head) if head.eligible_at > self.t => return,
             Some(_) => {}
         }
-        let _t = self.m.admission.start_timer();
+        let start = self.m.clock();
+        self.admit_eligible();
+        if let Some(start) = start {
+            self.m.admission.record(start.elapsed().as_secs_f64());
+        }
+    }
+
+    /// Admits queued requests in FIFO order until the head is not yet
+    /// eligible, cannot be inserted into the running cycle, or is
+    /// deferred.
+    fn admit_eligible(&mut self) {
         loop {
             let Some(head) = self.pending.front().copied() else {
                 return;
@@ -1370,7 +1398,6 @@ impl DiskEngine {
                     if !front.deferred_counted {
                         front.deferred_counted = true;
                         self.stats.deferrals += 1;
-                        self.m.deferred.inc();
                         newly_deferred = true;
                     }
                 }
@@ -1453,7 +1480,6 @@ impl DiskEngine {
         stream.trace = p.trace;
         let slot = self.streams.insert(stream);
         self.stats.admitted += 1;
-        self.m.admitted.inc();
         self.conc_events.push((self.t, 1));
         let n_now = self.streams.len();
         self.obs
@@ -1532,7 +1558,6 @@ impl DiskEngine {
     // ---------- service ----------
 
     fn service(&mut self, slot: SlotId) {
-        let _t = self.m.service.start_timer();
         let cr = self.cfg.params.cr();
         let crf = cr.as_f64();
         let n_active = self.streams.len();
@@ -1717,7 +1742,6 @@ impl DiskEngine {
                 first_fill: !started,
             });
         self.stats.services += 1;
-        self.m.services.inc();
         self.cycle_services += 1;
         if self.obs.tracing() && !trace.is_none() && (self.trace_per_cycle || !started) {
             let root = SpanId::derive(trace, span::SEQ_REQUEST);
@@ -2104,11 +2128,27 @@ impl DiskEngine {
 
     // ---------- finish ----------
 
+    /// Ends the run, whether [`Self::run`] or [`Self::finish`] drove it,
+    /// and adds its totals to the attached registry. These are the
+    /// engine's only counter writes. Adding rather than setting lets
+    /// engines that share a registry, such as the multi-seed runner's,
+    /// sum.
     fn finalize(mut self) -> DiskRunStats {
         // A run that ends mid-cycle (drained while a cycle was open)
         // still closes its cycle span.
         if let Some((tr, sp)) = self.cycle_span.take() {
             self.obs.span_end(self.t, tr, sp, SpanStatus::Ok);
+        }
+        let m = self.obs.metrics();
+        for (name, total) in [
+            (CTR_CYCLES, self.stats.cycles),
+            (CTR_SERVICES, self.stats.services),
+            (CTR_ADMITTED, self.stats.admitted),
+            (CTR_DEFERRED, self.stats.deferrals),
+            (CTR_REJECTED, self.stats.rejected),
+            (CTR_UNDERFLOWS, self.stats.underflows),
+        ] {
+            m.counter(name).add(total);
         }
         self.conc_events.sort_by_key(|a| a.0);
         let mut n = 0i64;
@@ -2577,7 +2617,7 @@ mod tests {
         assert_eq!(plain.peak_memory, observed.peak_memory);
         assert_eq!(plain.finished_at, observed.finished_at);
 
-        // The registry's counters mirror the stats exactly, and every
+        // The registry's counters equal the stats exactly, and every
         // engine phase histogram recorded samples.
         let snap = reg.snapshot();
         assert_eq!(snap.counter(CTR_ADMITTED), Some(observed.admitted));
@@ -2586,10 +2626,10 @@ mod tests {
         assert_eq!(snap.counter(CTR_SERVICES), Some(observed.services));
         assert_eq!(snap.counter(CTR_CYCLES), Some(observed.cycles));
         assert_eq!(snap.counter(CTR_UNDERFLOWS), Some(observed.underflows));
-        // The phase histogram counts service *attempts*; a stream found
-        // over-provisioned returns early without a disk read, so the
-        // sample count can exceed `services` but never undershoot it.
-        assert!(snap.histogram(PHASE_SERVICE).expect("registered").count >= observed.services);
+        // One service sample per cycle that read something: never more
+        // than the cycles, and at least one.
+        let service = snap.histogram(PHASE_SERVICE).expect("registered").count;
+        assert!(0 < service && service <= observed.cycles, "{service}");
         assert_eq!(
             snap.histogram(PHASE_TABLE_BUILD).expect("registered").count,
             2,

@@ -147,13 +147,11 @@ pub fn run_latency_experiment_observed(
                 let obs = observer(seed);
                 scope.spawn(move || {
                     let started = std::time::Instant::now();
-                    let gen_timer = obs
+                    let workload = obs
                         .metrics()
                         .histogram(vod_obs::metrics::PHASE_WORKLOAD_GEN)
-                        .start_timer();
-                    let workload =
-                        generate(&wl_cfg, seed).expect("workload config validated above");
-                    gen_timer.stop();
+                        .time(|| generate(&wl_cfg, seed))
+                        .expect("workload config validated above");
                     let audit_counter = obs
                         .metrics()
                         .counter(vod_obs::metrics::CTR_AUDIT_VIOLATIONS);
@@ -390,7 +388,7 @@ mod tests {
 
         // Every instrumented phase recorded samples: workload gen once
         // per seed, table build twice per engine (sizer + admission
-        // controller), service once per disk read.
+        // controller), service at most once per cycle.
         assert_eq!(
             snap.histogram(PHASE_WORKLOAD_GEN)
                 .expect("registered")
@@ -401,9 +399,8 @@ mod tests {
             snap.histogram(PHASE_TABLE_BUILD).expect("registered").count,
             4
         );
-        // Service attempts can exceed completed services (early return
-        // for over-provisioned streams) but never undershoot them.
-        assert!(snap.histogram(PHASE_SERVICE).expect("registered").count >= stats.services);
+        let service = snap.histogram(PHASE_SERVICE).expect("registered").count;
+        assert!(0 < service && service <= stats.cycles, "{service}");
         assert!(snap.histogram(PHASE_CYCLE_PLAN).expect("registered").count > 0);
         assert!(snap.histogram(PHASE_ADMISSION).expect("registered").count > 0);
     }

@@ -46,7 +46,6 @@ macro_rules! forward_partial_ord_total {
 /// are given in bits/second. Use the `from_*`/`as_*` helpers to convert to
 /// human units.
 #[derive(Clone, Copy, Debug, Default, PartialEq, PartialOrd)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Bits(f64);
 
 forward_partial_ord_total!(Bits);
@@ -243,7 +242,6 @@ impl fmt::Display for Bits {
 
 /// A data rate, in bits per second.
 #[derive(Clone, Copy, Debug, Default, PartialEq, PartialOrd)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BitRate(f64);
 
 forward_partial_ord_total!(BitRate);
@@ -334,7 +332,6 @@ impl fmt::Display for BitRate {
 
 /// A duration, in seconds.
 #[derive(Clone, Copy, Debug, Default, PartialEq, PartialOrd)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Seconds(f64);
 
 forward_partial_ord_total!(Seconds);
@@ -505,7 +502,6 @@ impl fmt::Display for Seconds {
 /// Distinct from [`Seconds`] so that nonsensical operations
 /// (`Instant + Instant`) do not type-check.
 #[derive(Clone, Copy, Debug, Default, PartialEq, PartialOrd)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Instant(f64);
 
 forward_partial_ord_total!(Instant);

@@ -48,9 +48,7 @@ pub mod prelude {
         SystemParams,
     };
     pub use vod_disk::{Disk, DiskArray, DiskProfile, LatencyModel, ZonedProfile};
-    pub use vod_obs::{
-        Metrics, MetricsRegistry, MetricsServer, Obs, RecorderSink, Sink, StderrSink, Timed,
-    };
+    pub use vod_obs::{Metrics, MetricsRegistry, Obs, RecorderSink, Sink, StderrSink};
     pub use vod_sched::SchedulingMethod;
     pub use vod_sim::{run_multi_disk, CapacityConfig, CapacitySim, DiskEngine, EngineConfig};
     pub use vod_types::{BitRate, Bits, Instant, RequestId, Seconds, VideoId};
