@@ -11,9 +11,6 @@
 //! points above that drive the structures directly — the same code the
 //! engine runs, minus the simulation around it.)
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use vod_core::{AdmissionController, MinMultiset, SchemeKind, SizeTable, SystemParams};
 use vod_sched::SchedulingMethod;
@@ -175,35 +172,6 @@ fn bench_cycle_plan(c: &mut Criterion) {
     group.finish();
 }
 
-/// The idle engine's next-interesting-time computation (DESIGN §11): a
-/// peek at the departure/deferral-due heap head plus a min over the
-/// three event candidates. This is the whole per-jump cost the
-/// fast-forward path pays in place of a hop-by-hop idle scan, measured
-/// against the heap population it peeks over.
-fn bench_fast_forward(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fast_forward");
-    for n in [10usize, 100, 1000] {
-        // Same shape as the engine's departure heap: (instant, id, slot)
-        // min-heap via `Reverse`. The horizon only ever *peeks*.
-        let heap: BinaryHeap<Reverse<(Instant, u64, usize)>> = (0..n)
-            .map(|i| Reverse((Instant::from_secs(10.0 + i as f64 * 0.37), i as u64, i)))
-            .collect();
-        let next_arrival = Instant::from_secs(42.0);
-        let deferral_slot = Instant::from_secs(17.5);
-        group.bench_function(format!("next_event_horizon/{n}"), |b| {
-            b.iter(|| {
-                let mut horizon = black_box(next_arrival);
-                if let Some(&Reverse((due, _, _))) = heap.peek() {
-                    horizon = horizon.min(due);
-                }
-                horizon = horizon.min(black_box(deferral_slot));
-                black_box(horizon)
-            })
-        });
-    }
-    group.finish();
-}
-
 /// The shared BS_k table cache's hit path: n nodes of a cluster cell
 /// booting with identical `SystemParams` resolve n `Arc` clones of one
 /// memoized table instead of n `O(N²)` builds. n = 1000 models repeated
@@ -235,7 +203,6 @@ criterion_group!(
     bench_workload_generation,
     bench_admission_bound,
     bench_cycle_plan,
-    bench_fast_forward,
     bench_table_cache
 );
 criterion_main!(benches);

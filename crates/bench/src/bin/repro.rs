@@ -4,11 +4,15 @@
 //! repro [--quick] [--trace <file.jsonl>] [--flight <file.jsonl>]
 //!       [--summary-json <file>] [--metrics <file.prom>] <experiment>...
 //! repro [--quick] all
-//! repro bench [--smoke] [--jobs <n>] [--no-fast-forward] [--out <file>]
-//! repro cluster [--smoke] [--jobs <n>] [--no-fast-forward] [--trace <file.jsonl>] [--out <file>]
-//! repro chaos [--smoke] [--jobs <n>] [--trace <file.jsonl>] [--out <file>]
+//! repro bench [--smoke] [--jobs <n>] [--out <file>]
+//! repro cluster [--smoke] [--jobs <n>] [--out <file>] [--metrics <file.prom>]
+//!       [--trace <file.jsonl>] [--flight <file.jsonl>]
+//! repro chaos [--smoke] [--jobs <n>] [--out <file>] [--trace <file.jsonl>] [--flight <file.jsonl>]
+//! repro chaos (--seed <n> | --script <file>) [--nodes <n>] [--reseed-after <secs>]
+//!       [--flight <file.jsonl>]
 //! repro trace-analyze <file.jsonl> [--schema-only] [--top <k>]
 //! repro report <trace.jsonl> [--out <file.md>] [--series-csv <file.csv>]
+//! repro report --chaos-delta <old.json> <new.json> [--out <file.md>]
 //! repro compare <old.json> <new.json> [--tolerance <x>]
 //! repro --list
 //! ```
@@ -43,10 +47,6 @@
 //! `EXPERIMENTS.md`, “Benchmark methodology”). `--smoke` is the CI-sized
 //! subset; `--out` overrides the output path. Runs are gated by diffing
 //! the written document against a committed one with `repro compare`.
-//! `--no-fast-forward` (also accepted by `repro cluster`) is the escape
-//! hatch that makes every engine take the legacy hop-by-hop idle path
-//! instead of the event-driven jump (DESIGN §11) — deterministic
-//! counters are bit-identical either way, only throughput moves.
 //!
 //! `repro cluster --trace <file.jsonl>` runs the matrix sequentially with
 //! a per-cell span recorder and writes `{"kind":"cluster_cell"}` sections
@@ -56,17 +56,22 @@
 //! top-k slowest traces, and the invariant audit (admission spans vs
 //! admitted counts, hop chains vs redirection counters). It exits
 //! non-zero on schema errors or audit violations.
+//!
+//! Every subcommand reads its flags through one [`Args`] reader: an
+//! unknown option, or a value flag with a missing or malformed value,
+//! prints a one-line message and exits 1.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Instant;
 
 use vod_analysis::{write_csv, Table};
 use vod_bench::{
-    compare, fig10, fig11, fig12, fig13, fig14, fig6, fig7, fig8, fig9, gss_g, report,
-    run_bench_configured, run_cluster_bench_configured, run_cluster_bench_traced, tab3, tab4, tab5,
-    traceview, vcr, BenchMode, ClusterBenchMode, Scale,
+    compare, fig10, fig11, fig12, fig13, fig14, fig6, fig7, fig8, fig9, gss_g, report, run_bench,
+    run_cluster_bench, run_cluster_bench_traced, tab3, tab4, tab5, traceview, vcr, BenchMode,
+    ClusterBenchMode, Scale,
 };
 use vod_obs::metrics::{CTR_EVENTS_DROPPED, CTR_SPANS_DROPPED};
 use vod_obs::{
@@ -125,15 +130,18 @@ fn print_usage() {
         "usage: repro [--quick] [--trace <file.jsonl>] [--flight <file.jsonl>] \
          [--summary-json <file>] [--metrics <file.prom>] <experiment>... | all | --list"
     );
-    eprintln!("       repro bench [--smoke] [--jobs <n>] [--no-fast-forward] [--out <file>]");
+    eprintln!("       repro bench [--smoke] [--jobs <n>] [--out <file>]");
     eprintln!(
-        "       repro cluster [--smoke] [--jobs <n>] [--no-fast-forward] [--out <file>] \
+        "       repro cluster [--smoke] [--jobs <n>] [--out <file>] \
          [--metrics <file.prom>] [--trace <file.jsonl>] [--flight <file.jsonl>]"
     );
     eprintln!(
-        "       repro chaos [--smoke] [--jobs <n>] [--seed <n>] [--script <file>] \
-         [--nodes <n>] [--reseed-after <secs>] [--out <file>] [--trace <file.jsonl>] \
+        "       repro chaos [--smoke] [--jobs <n>] [--out <file>] [--trace <file.jsonl>] \
          [--flight <file.jsonl>]"
+    );
+    eprintln!(
+        "       repro chaos (--seed <n> | --script <file>) [--nodes <n>] \
+         [--reseed-after <secs>] [--flight <file.jsonl>]"
     );
     eprintln!("       repro trace-analyze <file.jsonl> [--schema-only] [--top <k>]");
     eprintln!("       repro report <trace.jsonl> [--out <file.md>] [--series-csv <file.csv>]");
@@ -159,6 +167,102 @@ fn print_usage() {
     );
 }
 
+/// What a subcommand returns. `Err` is an early stop — a bad argument, an
+/// unreadable or unwritable file — whose message is already printed;
+/// `Ok` carries a finished run's own exit code.
+type Run = Result<ExitCode, ExitCode>;
+
+/// Reads one subcommand's arguments in order. A value flag takes the
+/// argument after it; a missing or unacceptable value prints
+/// `<flag> requires <what>` and stops the run with exit 1.
+struct Args<'a> {
+    rest: std::slice::Iter<'a, String>,
+    /// The argument `next` returned last: the flag a value belongs to.
+    flag: &'a str,
+    /// Start of the message for an argument nobody accepts, e.g.
+    /// `unknown bench option`.
+    unknown: &'static str,
+}
+
+impl<'a> Args<'a> {
+    fn new(args: &'a [String], unknown: &'static str) -> Self {
+        Args {
+            rest: args.iter(),
+            flag: "",
+            unknown,
+        }
+    }
+
+    fn next(&mut self) -> Option<&'a str> {
+        self.flag = self.rest.next()?;
+        Some(self.flag)
+    }
+
+    /// The current flag's value, parsed as `T` and accepted by `ok`.
+    fn value<T: FromStr>(&mut self, what: &str, ok: impl Fn(&T) -> bool) -> Result<T, ExitCode> {
+        let parsed = self.rest.next().and_then(|v| v.parse::<T>().ok());
+        parsed.filter(|v| ok(v)).ok_or_else(|| {
+            eprintln!("{} requires {what}", self.flag);
+            ExitCode::FAILURE
+        })
+    }
+
+    fn path(&mut self) -> Result<PathBuf, ExitCode> {
+        self.value("a file argument", |_| true)
+    }
+
+    fn positive(&mut self) -> Result<usize, ExitCode> {
+        self.value("a positive integer", |&n| n > 0)
+    }
+
+    /// Rejects `arg`: prints the message and the usage, exit 1.
+    fn unknown<T>(&self, arg: &str) -> Result<T, ExitCode> {
+        eprintln!("{} `{arg}`", self.unknown);
+        print_usage();
+        Err(ExitCode::FAILURE)
+    }
+}
+
+/// The default `--jobs`: one worker per available core.
+fn all_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+fn read_file(path: &Path) -> Result<String, ExitCode> {
+    std::fs::read_to_string(path).map_err(|e| {
+        eprintln!("error: could not read {}: {e}", path.display());
+        ExitCode::FAILURE
+    })
+}
+
+/// Writes `body` to `path`. `what` (`"trace "`, `"metrics "`, … or `""`)
+/// names the file in the error message.
+fn write_file(what: &str, path: &Path, body: impl AsRef<[u8]>) -> Result<(), ExitCode> {
+    std::fs::write(path, body).map_err(|e| {
+        eprintln!("error: could not write {what}{}: {e}", path.display());
+        ExitCode::FAILURE
+    })
+}
+
+/// Reads the trace file `cmd` was given; an absent, unreadable or empty
+/// file stops the run.
+fn read_trace(cmd: &str, file: Option<PathBuf>) -> Result<(PathBuf, String), ExitCode> {
+    let Some(path) = file else {
+        eprintln!("{cmd} requires a trace file argument");
+        print_usage();
+        return Err(ExitCode::FAILURE);
+    };
+    let src = read_file(&path)?;
+    if traceview::is_empty_trace(&src) {
+        eprintln!(
+            "error: {} contains no trace lines (empty or truncated file)",
+            path.display()
+        );
+        return Err(ExitCode::FAILURE);
+    }
+    Ok((path, src))
+}
+
 /// Arms a flight recorder that appends anomaly dumps to `path`. Shared
 /// by every subcommand that accepts `--flight`.
 fn arm_flight(path: &Path) -> Arc<FlightRecorder> {
@@ -181,51 +285,22 @@ fn flight_report(flight: &FlightRecorder) {
 /// schema; unless `--schema-only`, also reconstructs span trees, prints
 /// per-stream latency breakdowns and the top-k slowest traces, and runs
 /// the invariant audit. Non-zero exit on schema errors or violations.
-fn trace_analyze_main(args: &[String]) -> ExitCode {
+fn trace_analyze_main(args: &[String]) -> Run {
     let mut file: Option<PathBuf> = None;
     let mut schema_only = false;
     let mut top_k = 3usize;
-    let mut iter = args.iter();
-    while let Some(a) = iter.next() {
-        match a.as_str() {
+    let mut args = Args::new(args, "unknown trace-analyze option");
+    while let Some(a) = args.next() {
+        match a {
             "--schema-only" => schema_only = true,
-            "--top" => {
-                let parsed = iter.next().and_then(|v| v.parse::<usize>().ok());
-                let Some(k) = parsed else {
-                    eprintln!("--top requires a non-negative integer");
-                    return ExitCode::FAILURE;
-                };
-                top_k = k;
-            }
+            "--top" => top_k = args.value("a non-negative integer", |_| true)?,
             other if !other.starts_with("--") && file.is_none() => {
                 file = Some(PathBuf::from(other));
             }
-            other => {
-                eprintln!("unknown trace-analyze option `{other}`");
-                print_usage();
-                return ExitCode::FAILURE;
-            }
+            other => return args.unknown(other),
         }
     }
-    let Some(path) = file else {
-        eprintln!("trace-analyze requires a trace file argument");
-        print_usage();
-        return ExitCode::FAILURE;
-    };
-    let src = match std::fs::read_to_string(&path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: could not read {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    if traceview::is_empty_trace(&src) {
-        eprintln!(
-            "error: {} contains no trace lines (empty or truncated file)",
-            path.display()
-        );
-        return ExitCode::FAILURE;
-    }
+    let (path, src) = read_trace("trace-analyze", file)?;
     let schema = match traceview::check_schema(&src) {
         Ok(s) => s,
         Err(errors) => {
@@ -236,7 +311,7 @@ fn trace_analyze_main(args: &[String]) -> ExitCode {
                 eprintln!("schema: ... and {} more", errors.len() - 20);
             }
             eprintln!("[trace-analyze: schema check FAILED on {}]", path.display());
-            return ExitCode::FAILURE;
+            return Err(ExitCode::FAILURE);
         }
     };
     eprintln!(
@@ -244,21 +319,18 @@ fn trace_analyze_main(args: &[String]) -> ExitCode {
         schema.lines, schema.markers, schema.events, schema.span_events
     );
     if schema_only {
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
-    let report = match traceview::analyze(&src, top_k) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let report = traceview::analyze(&src, top_k).map_err(|e| {
+        eprintln!("error: {e}");
+        ExitCode::FAILURE
+    })?;
     println!("{}", traceview::render(&report));
-    if report.audit_passed() {
+    Ok(if report.audit_passed() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
+    })
 }
 
 /// `repro report <trace.jsonl> [--out <file.md>] [--series-csv <file.csv>]`:
@@ -270,254 +342,138 @@ fn trace_analyze_main(args: &[String]) -> ExitCode {
 /// `repro report --chaos-delta <old.json> <new.json> [--out <file.md>]`
 /// instead renders the degradation-envelope delta table between two
 /// chaos documents (exit 1 when the candidate leaves the envelope).
-fn report_main(args: &[String]) -> ExitCode {
+fn report_main(args: &[String]) -> Run {
     let mut file: Option<PathBuf> = None;
     let mut out: Option<PathBuf> = None;
     let mut csv: Option<PathBuf> = None;
     let mut chaos_delta: Option<(PathBuf, PathBuf)> = None;
-    let mut iter = args.iter();
-    while let Some(a) = iter.next() {
-        match a.as_str() {
+    let mut args = Args::new(args, "unknown report option");
+    while let Some(a) = args.next() {
+        match a {
             "--chaos-delta" => {
-                let (Some(o), Some(n)) = (iter.next(), iter.next()) else {
-                    eprintln!(
-                        "--chaos-delta requires two document arguments: <old.json> <new.json>"
-                    );
-                    return ExitCode::FAILURE;
-                };
-                chaos_delta = Some((PathBuf::from(o), PathBuf::from(n)));
+                let what = "two document arguments: <old.json> <new.json>";
+                chaos_delta = Some((args.value(what, |_| true)?, args.value(what, |_| true)?));
             }
-            "--out" => {
-                let Some(p) = iter.next() else {
-                    eprintln!("--out requires a file argument");
-                    return ExitCode::FAILURE;
-                };
-                out = Some(PathBuf::from(p));
-            }
-            "--series-csv" => {
-                let Some(p) = iter.next() else {
-                    eprintln!("--series-csv requires a file argument");
-                    return ExitCode::FAILURE;
-                };
-                csv = Some(PathBuf::from(p));
-            }
+            "--out" => out = Some(args.path()?),
+            "--series-csv" => csv = Some(args.path()?),
             other if !other.starts_with("--") && file.is_none() => {
                 file = Some(PathBuf::from(other));
             }
-            other => {
-                eprintln!("unknown report option `{other}`");
-                print_usage();
-                return ExitCode::FAILURE;
-            }
+            other => return args.unknown(other),
         }
     }
     if let Some((old_path, new_path)) = chaos_delta {
         if file.is_some() || csv.is_some() {
             eprintln!("--chaos-delta takes two chaos documents, not a trace file");
-            return ExitCode::FAILURE;
+            return Err(ExitCode::FAILURE);
         }
-        let mut docs = Vec::with_capacity(2);
-        for path in [&old_path, &new_path] {
-            match std::fs::read_to_string(path) {
-                Ok(s) => docs.push(s),
-                Err(e) => {
-                    eprintln!("error: could not read {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
+        let (old, new) = (read_file(&old_path)?, read_file(&new_path)?);
+        let md = report::render_envelope_delta(&old, &new).map_err(|problems| {
+            for p in problems {
+                eprintln!("error: {p}");
             }
-        }
-        let md = match report::render_envelope_delta(&docs[0], &docs[1]) {
-            Ok(md) => md,
-            Err(problems) => {
-                for p in problems {
-                    eprintln!("error: {p}");
-                }
-                return ExitCode::from(2);
-            }
-        };
+            ExitCode::from(2)
+        })?;
         let within = md.contains("within envelope");
         match &out {
             Some(out_path) => {
-                if let Err(e) = std::fs::write(out_path, &md) {
-                    eprintln!("error: could not write {}: {e}", out_path.display());
-                    return ExitCode::FAILURE;
-                }
+                write_file("", out_path, &md)?;
                 eprintln!("[envelope delta -> {}]", out_path.display());
             }
             None => print!("{md}"),
         }
-        return if within {
+        return Ok(if within {
             ExitCode::SUCCESS
         } else {
             ExitCode::FAILURE
-        };
+        });
     }
-    let Some(path) = file else {
-        eprintln!("report requires a trace file argument");
-        print_usage();
-        return ExitCode::FAILURE;
-    };
-    let src = match std::fs::read_to_string(&path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: could not read {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    if traceview::is_empty_trace(&src) {
-        eprintln!(
-            "error: {} contains no trace lines (empty or truncated file)",
-            path.display()
-        );
-        return ExitCode::FAILURE;
-    }
-    let md = match report::render_run_report(&src) {
-        Ok(md) => md,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let (_, src) = read_trace("report", file)?;
+    let md = report::render_run_report(&src).map_err(|e| {
+        eprintln!("error: {e}");
+        ExitCode::FAILURE
+    })?;
     let inventory = report::series_inventory(&src);
     for (scope, names) in &inventory {
         eprintln!("series: scope `{scope}`: {}", names.join(", "));
     }
     if let Some(csv_path) = &csv {
-        if let Err(e) = std::fs::write(csv_path, report::series_csv(&src)) {
-            eprintln!("error: could not write {}: {e}", csv_path.display());
-            return ExitCode::FAILURE;
-        }
+        write_file("", csv_path, report::series_csv(&src))?;
         eprintln!("[series CSV -> {}]", csv_path.display());
     }
     match &out {
         Some(out_path) => {
-            if let Err(e) = std::fs::write(out_path, md) {
-                eprintln!("error: could not write {}: {e}", out_path.display());
-                return ExitCode::FAILURE;
-            }
+            write_file("", out_path, md)?;
             eprintln!("[report -> {}]", out_path.display());
         }
         None => print!("{md}"),
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `repro compare <old.json> <new.json> [--tolerance <x>]`: cross-run
 /// regression analytics over two saved bench documents. Exit 0 when the
 /// new run matches, 1 on regression, 2 when the documents are not
 /// comparable (different schema, fingerprint, or matrix shape).
-fn compare_main(args: &[String]) -> ExitCode {
+fn compare_main(args: &[String]) -> Run {
     let mut files: Vec<PathBuf> = Vec::new();
     let mut tolerance = compare::DEFAULT_TOLERANCE;
-    let mut iter = args.iter();
-    while let Some(a) = iter.next() {
-        match a.as_str() {
-            "--tolerance" => {
-                let parsed = iter.next().and_then(|v| v.parse::<f64>().ok());
-                let Some(x) = parsed.filter(|x| *x >= 1.0) else {
-                    eprintln!("--tolerance requires a factor >= 1.0");
-                    return ExitCode::FAILURE;
-                };
-                tolerance = x;
-            }
+    let mut args = Args::new(args, "unknown compare option");
+    while let Some(a) = args.next() {
+        match a {
+            "--tolerance" => tolerance = args.value("a factor >= 1.0", |x| *x >= 1.0)?,
             other if !other.starts_with("--") && files.len() < 2 => {
                 files.push(PathBuf::from(other));
             }
-            other => {
-                eprintln!("unknown compare option `{other}`");
-                print_usage();
-                return ExitCode::FAILURE;
-            }
+            other => return args.unknown(other),
         }
     }
-    if files.len() != 2 {
+    let [old_path, new_path] = files.as_slice() else {
         eprintln!("compare requires exactly two document arguments: <old.json> <new.json>");
         print_usage();
-        return ExitCode::FAILURE;
-    }
-    let mut docs = Vec::with_capacity(2);
-    for path in &files {
-        match std::fs::read_to_string(path) {
-            Ok(s) => docs.push(s),
-            Err(e) => {
-                eprintln!("error: could not read {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let result = compare::compare_documents(&docs[0], &docs[1], tolerance);
+        return Err(ExitCode::FAILURE);
+    };
+    let result =
+        compare::compare_documents(&read_file(old_path)?, &read_file(new_path)?, tolerance);
     for line in &result.info {
         eprintln!("compare: {line}");
     }
     for problem in &result.problems {
         eprintln!("compare PROBLEM: {problem}");
     }
-    match result.verdict {
+    let (old, new) = (old_path.display(), new_path.display());
+    Ok(match result.verdict {
         compare::CompareVerdict::Matches => {
-            eprintln!(
-                "[compare OK: {} matches {} (tolerance {tolerance}x)]",
-                files[1].display(),
-                files[0].display()
-            );
+            eprintln!("[compare OK: {new} matches {old} (tolerance {tolerance}x)]");
             ExitCode::SUCCESS
         }
         compare::CompareVerdict::Regression => {
-            eprintln!(
-                "[compare FAILED: {} regressed against {}]",
-                files[1].display(),
-                files[0].display()
-            );
+            eprintln!("[compare FAILED: {new} regressed against {old}]");
             ExitCode::FAILURE
         }
         compare::CompareVerdict::Incompatible => {
-            eprintln!(
-                "[compare REFUSED: {} and {} do not describe the same experiment]",
-                files[0].display(),
-                files[1].display()
-            );
+            eprintln!("[compare REFUSED: {old} and {new} do not describe the same experiment]");
             ExitCode::from(2)
         }
-    }
+    })
 }
 
-/// `repro bench [--smoke] [--jobs <n>] [--no-fast-forward] [--out <file>]`:
-/// the pinned performance matrix.
-fn bench_main(args: &[String]) -> ExitCode {
+/// `repro bench [--smoke] [--jobs <n>] [--out <file>]`: the pinned
+/// performance matrix.
+fn bench_main(args: &[String]) -> Run {
     let mut mode = BenchMode::Full;
     let mut out = PathBuf::from("BENCH_perf.json");
-    let mut fast_forward = true;
-    let mut jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut iter = args.iter();
-    while let Some(a) = iter.next() {
-        match a.as_str() {
+    let mut jobs = all_cores();
+    let mut args = Args::new(args, "unknown bench option");
+    while let Some(a) = args.next() {
+        match a {
             "--smoke" => mode = BenchMode::Smoke,
-            "--no-fast-forward" => fast_forward = false,
-            "--out" => {
-                let Some(p) = iter.next() else {
-                    eprintln!("--out requires a file argument");
-                    return ExitCode::FAILURE;
-                };
-                out = PathBuf::from(p);
-            }
-            "--jobs" => {
-                let parsed = iter.next().and_then(|v| v.parse::<usize>().ok());
-                let Some(n) = parsed.filter(|&n| n > 0) else {
-                    eprintln!("--jobs requires a positive integer");
-                    return ExitCode::FAILURE;
-                };
-                jobs = n;
-            }
-            other => {
-                eprintln!("unknown bench option `{other}`");
-                print_usage();
-                return ExitCode::FAILURE;
-            }
+            "--out" => out = args.path()?,
+            "--jobs" => jobs = args.positive()?,
+            other => return args.unknown(other),
         }
     }
-    if !fast_forward {
-        eprintln!("bench: fast-forward disabled; engines take the legacy hop-by-hop idle path");
-    }
-    let report = run_bench_configured(mode, jobs, fast_forward, &|line| eprintln!("{line}"));
+    let report = run_bench(mode, jobs, &|line| eprintln!("{line}"));
     for c in &report.cells {
         println!(
             "{:<14} {:<12} θ={:<4} {:>9} cycles  {:>10.0} cycles/s  {:>8.2} MiB peak  {:.2}s",
@@ -530,22 +486,17 @@ fn bench_main(args: &[String]) -> ExitCode {
             c.wall_clock_s,
         );
     }
-    let mut body = report.to_json();
-    body.push('\n');
-    if let Err(e) = std::fs::write(&out, body) {
-        eprintln!("error: could not write {}: {e}", out.display());
-        return ExitCode::FAILURE;
-    }
+    write_file("", &out, report.to_json() + "\n")?;
     eprintln!(
         "[bench {} done in {:.1}s -> {}]",
         report.mode.label(),
         report.total_wall_clock_s,
         out.display()
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-/// `repro cluster [--smoke] [--jobs <n>] [--no-fast-forward] [--out <file>]
+/// `repro cluster [--smoke] [--jobs <n>] [--out <file>]
 /// [--metrics <file.prom>] [--trace <file.jsonl>] [--flight <file.jsonl>]`:
 /// the `cluster_scaling` matrix (node count × placement × dispatch).
 ///
@@ -553,60 +504,23 @@ fn bench_main(args: &[String]) -> ExitCode {
 /// every cell) in Prometheus text. The committed smoke run is
 /// `BENCH_cluster_smoke.json`; CI diffs a fresh one against it with
 /// `repro compare`.
-fn cluster_main(args: &[String]) -> ExitCode {
+fn cluster_main(args: &[String]) -> Run {
     let mut mode = ClusterBenchMode::Full;
     let mut out = PathBuf::from("BENCH_cluster.json");
     let mut metrics_path: Option<PathBuf> = None;
     let mut trace_path: Option<PathBuf> = None;
     let mut flight_path: Option<PathBuf> = None;
-    let mut fast_forward = true;
-    let mut jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut iter = args.iter();
-    while let Some(a) = iter.next() {
-        match a.as_str() {
+    let mut jobs = all_cores();
+    let mut args = Args::new(args, "unknown cluster option");
+    while let Some(a) = args.next() {
+        match a {
             "--smoke" => mode = ClusterBenchMode::Smoke,
-            "--no-fast-forward" => fast_forward = false,
-            "--trace" => {
-                let Some(p) = iter.next() else {
-                    eprintln!("--trace requires a file argument");
-                    return ExitCode::FAILURE;
-                };
-                trace_path = Some(PathBuf::from(p));
-            }
-            "--flight" => {
-                let Some(p) = iter.next() else {
-                    eprintln!("--flight requires a file argument");
-                    return ExitCode::FAILURE;
-                };
-                flight_path = Some(PathBuf::from(p));
-            }
-            "--out" => {
-                let Some(p) = iter.next() else {
-                    eprintln!("--out requires a file argument");
-                    return ExitCode::FAILURE;
-                };
-                out = PathBuf::from(p);
-            }
-            "--metrics" => {
-                let Some(p) = iter.next() else {
-                    eprintln!("--metrics requires a file argument");
-                    return ExitCode::FAILURE;
-                };
-                metrics_path = Some(PathBuf::from(p));
-            }
-            "--jobs" => {
-                let parsed = iter.next().and_then(|v| v.parse::<usize>().ok());
-                let Some(n) = parsed.filter(|&n| n > 0) else {
-                    eprintln!("--jobs requires a positive integer");
-                    return ExitCode::FAILURE;
-                };
-                jobs = n;
-            }
-            other => {
-                eprintln!("unknown cluster option `{other}`");
-                print_usage();
-                return ExitCode::FAILURE;
-            }
+            "--trace" => trace_path = Some(args.path()?),
+            "--flight" => flight_path = Some(args.path()?),
+            "--out" => out = args.path()?,
+            "--metrics" => metrics_path = Some(args.path()?),
+            "--jobs" => jobs = args.positive()?,
+            other => return args.unknown(other),
         }
     }
 
@@ -617,29 +531,18 @@ fn cluster_main(args: &[String]) -> ExitCode {
         None => Obs::null(),
     }
     .with_metrics(Metrics::new(Arc::clone(&registry)));
-    if !fast_forward {
-        eprintln!(
-            "cluster: fast-forward disabled; node engines take the legacy hop-by-hop idle path"
-        );
-    }
     let report = if let Some(trace_file) = &trace_path {
         if jobs > 1 {
             eprintln!("note: --trace runs the matrix sequentially; --jobs ignored");
         }
-        if !fast_forward {
-            eprintln!("note: --trace always runs fast-forwarded; --no-fast-forward ignored");
-        }
         let mut trace_out = String::new();
         let report =
             run_cluster_bench_traced(mode, &obs, &mut trace_out, &|line| eprintln!("{line}"));
-        if let Err(e) = std::fs::write(trace_file, trace_out) {
-            eprintln!("error: could not write trace {}: {e}", trace_file.display());
-            return ExitCode::FAILURE;
-        }
+        write_file("trace ", trace_file, trace_out)?;
         eprintln!("[cluster trace -> {}]", trace_file.display());
         report
     } else {
-        run_cluster_bench_configured(mode, jobs, fast_forward, &obs, &|line| eprintln!("{line}"))
+        run_cluster_bench(mode, jobs, &obs, &|line| eprintln!("{line}"))
     };
     for c in &report.cells {
         println!(
@@ -657,17 +560,9 @@ fn cluster_main(args: &[String]) -> ExitCode {
         );
     }
     if let Some(path) = &metrics_path {
-        if let Err(e) = std::fs::write(path, prom::render(&registry.snapshot())) {
-            eprintln!("error: could not write metrics {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
+        write_file("metrics ", path, prom::render(&registry.snapshot()))?;
     }
-    let mut body = report.to_json();
-    body.push('\n');
-    if let Err(e) = std::fs::write(&out, body) {
-        eprintln!("error: could not write {}: {e}", out.display());
-        return ExitCode::FAILURE;
-    }
+    write_file("", &out, report.to_json() + "\n")?;
     eprintln!(
         "[cluster {} done in {:.1}s -> {}]",
         report.mode.label(),
@@ -677,27 +572,26 @@ fn cluster_main(args: &[String]) -> ExitCode {
     if let Some(f) = &flight {
         flight_report(f);
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-/// `repro chaos [--smoke] [--jobs <n>] [--seed <n>] [--script <file>]
-/// [--nodes <n>] [--reseed-after <secs>] [--out <file>] [--trace <file.jsonl>]
+/// `repro chaos [--smoke] [--jobs <n>] [--out <file>] [--trace <file.jsonl>]
 /// [--flight <file.jsonl>]`:
 /// the fault-injection matrix (scenario × failover policy × nodes) over
 /// the pinned replicated cluster shape, writing `BENCH_chaos.json`.
 /// `repro compare` gates it (counters and the degradation envelope);
 /// `repro report --chaos-delta` renders the envelope table.
 ///
-/// `--seed <n>` / `--script <file>` switch to a single ad-hoc episode
-/// (`--nodes <n>`, default 2) instead of the matrix: the schedule comes
-/// from
+/// `repro chaos (--seed <n> | --script <file>) [--nodes <n>]
+/// [--reseed-after <secs>] [--flight <file.jsonl>]` instead runs a
+/// single ad-hoc episode (`--nodes`, default 2): the schedule comes from
 /// [`vod_chaos::FaultSchedule::from_seed`] or a fault-script file
 /// (`domain <name> <node>...` declarations, then
 /// `<t_secs> <node|@domain> crash|slow:<f>|pressure:<f>|degrade:<d>:<f>|`
 /// `error:<r>|rejoin[:warm|:cold]` per line), `--reseed-after <secs>`
 /// arms fault-triggered re-replication, and the degradation summary
-/// prints to stdout.
-fn chaos_main(args: &[String]) -> ExitCode {
+/// prints to stdout. A flag of one mode given in the other is an error.
+fn chaos_main(args: &[String]) -> Run {
     let mut mode = vod_bench::ChaosBenchMode::Full;
     let mut out = PathBuf::from("BENCH_chaos.json");
     let mut trace_path: Option<PathBuf> = None;
@@ -706,77 +600,53 @@ fn chaos_main(args: &[String]) -> ExitCode {
     let mut script: Option<PathBuf> = None;
     let mut reseed_after: Option<f64> = None;
     let mut adhoc_nodes = 2usize;
-    let mut jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut iter = args.iter();
-    while let Some(a) = iter.next() {
-        match a.as_str() {
+    let mut jobs = all_cores();
+    // The first flag seen that only the matrix, or only an ad-hoc
+    // episode, reads.
+    let mut matrix_flag: Option<&str> = None;
+    let mut adhoc_flag: Option<&str> = None;
+    let mut args = Args::new(args, "unknown chaos option");
+    while let Some(a) = args.next() {
+        match a {
             "--smoke" => mode = vod_bench::ChaosBenchMode::Smoke,
             "--reseed-after" => {
-                let parsed = iter.next().and_then(|v| v.parse::<f64>().ok());
-                let Some(s) = parsed.filter(|s| *s >= 0.0) else {
-                    eprintln!("--reseed-after requires a non-negative number of seconds");
-                    return ExitCode::FAILURE;
-                };
-                reseed_after = Some(s);
+                let what = "a non-negative number of seconds";
+                reseed_after = Some(args.value(what, |s| *s >= 0.0)?);
             }
-            "--seed" => {
-                let parsed = iter.next().and_then(|v| v.parse::<u64>().ok());
-                let Some(s) = parsed else {
-                    eprintln!("--seed requires an unsigned integer");
-                    return ExitCode::FAILURE;
-                };
-                seed = Some(s);
-            }
-            "--nodes" => {
-                let parsed = iter.next().and_then(|v| v.parse::<usize>().ok());
-                let Some(n) = parsed.filter(|&n| n >= 1) else {
-                    eprintln!("--nodes requires a positive integer");
-                    return ExitCode::FAILURE;
-                };
-                adhoc_nodes = n;
-            }
-            "--script" => {
-                let Some(p) = iter.next() else {
-                    eprintln!("--script requires a file argument");
-                    return ExitCode::FAILURE;
-                };
-                script = Some(PathBuf::from(p));
-            }
-            "--out" => {
-                let Some(p) = iter.next() else {
-                    eprintln!("--out requires a file argument");
-                    return ExitCode::FAILURE;
-                };
-                out = PathBuf::from(p);
-            }
-            "--trace" => {
-                let Some(p) = iter.next() else {
-                    eprintln!("--trace requires a file argument");
-                    return ExitCode::FAILURE;
-                };
-                trace_path = Some(PathBuf::from(p));
-            }
-            "--flight" => {
-                let Some(p) = iter.next() else {
-                    eprintln!("--flight requires a file argument");
-                    return ExitCode::FAILURE;
-                };
-                flight_path = Some(PathBuf::from(p));
-            }
-            "--jobs" => {
-                let parsed = iter.next().and_then(|v| v.parse::<usize>().ok());
-                let Some(n) = parsed.filter(|&n| n > 0) else {
-                    eprintln!("--jobs requires a positive integer");
-                    return ExitCode::FAILURE;
-                };
-                jobs = n;
-            }
-            other => {
-                eprintln!("unknown chaos option `{other}`");
-                print_usage();
-                return ExitCode::FAILURE;
-            }
+            "--seed" => seed = Some(args.value("an unsigned integer", |_| true)?),
+            "--nodes" => adhoc_nodes = args.positive()?,
+            "--script" => script = Some(args.path()?),
+            "--out" => out = args.path()?,
+            "--trace" => trace_path = Some(args.path()?),
+            "--flight" => flight_path = Some(args.path()?),
+            "--jobs" => jobs = args.positive()?,
+            other => return args.unknown(other),
         }
+        match a {
+            "--smoke" | "--out" | "--trace" | "--jobs" => _ = matrix_flag.get_or_insert(a),
+            "--nodes" | "--reseed-after" => _ = adhoc_flag.get_or_insert(a),
+            _ => {}
+        }
+    }
+    let episode = match (seed, &script) {
+        (Some(_), Some(_)) => {
+            eprintln!("--seed and --script are mutually exclusive");
+            return Err(ExitCode::FAILURE);
+        }
+        (Some(_), None) => Some("--seed"),
+        (None, Some(_)) => Some("--script"),
+        (None, None) => None,
+    };
+    match (episode, matrix_flag, adhoc_flag) {
+        (Some(e), Some(m), _) => {
+            eprintln!("{e} and {m} are mutually exclusive");
+            return Err(ExitCode::FAILURE);
+        }
+        (None, _, Some(f)) => {
+            eprintln!("{f} applies only to an ad-hoc episode: add --seed or --script");
+            return Err(ExitCode::FAILURE);
+        }
+        _ => {}
     }
 
     let flight = flight_path.as_deref().map(arm_flight);
@@ -785,30 +655,15 @@ fn chaos_main(args: &[String]) -> ExitCode {
         None => Obs::null(),
     };
 
-    // Ad-hoc episode: one 2-node run with an explicit schedule.
-    if seed.is_some() || script.is_some() {
-        if seed.is_some() && script.is_some() {
-            eprintln!("--seed and --script are mutually exclusive");
-            return ExitCode::FAILURE;
-        }
+    if episode.is_some() {
         let nodes = adhoc_nodes;
         let horizon =
             vod_types::Seconds::from_hours(vod_bench::ChaosBenchMode::Smoke.horizon_hours());
         let schedule = if let Some(path) = &script {
-            let src = match std::fs::read_to_string(path) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("error: could not read {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-            };
-            match vod_chaos::FaultSchedule::from_script(&src) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("error: bad fault script {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-            }
+            vod_chaos::FaultSchedule::from_script(&read_file(path)?).map_err(|e| {
+                eprintln!("error: bad fault script {}: {e}", path.display());
+                ExitCode::FAILURE
+            })?
         } else {
             vod_chaos::FaultSchedule::from_seed(seed.unwrap_or(0), nodes, horizon)
         };
@@ -816,20 +671,18 @@ fn chaos_main(args: &[String]) -> ExitCode {
             "chaos: ad-hoc episode, {nodes} nodes, {} fault(s)",
             schedule.len()
         );
-        let report = match vod_bench::chaos::run_chaos_adhoc(
+        let report = vod_bench::chaos::run_chaos_adhoc(
             nodes,
             schedule,
             vod_chaos::FailoverPolicy::Migrate,
             vod_chaos::RecoveryPolicy::Warm,
             reseed_after.map(vod_types::Seconds::from_secs),
             &obs,
-        ) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        )
+        .map_err(|e| {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        })?;
         let s = &report.summary;
         println!(
             "faults {} ({} domain)  interrupted {}  migrated {}  parked {}  dropped {}  unplaceable {}",
@@ -856,7 +709,7 @@ fn chaos_main(args: &[String]) -> ExitCode {
         if let Some(f) = &flight {
             flight_report(f);
         }
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
 
     let report = if let Some(trace_file) = &trace_path {
@@ -867,10 +720,7 @@ fn chaos_main(args: &[String]) -> ExitCode {
         let report = vod_bench::run_chaos_bench_traced(mode, &obs, &mut trace_out, &|line| {
             eprintln!("{line}")
         });
-        if let Err(e) = std::fs::write(trace_file, trace_out) {
-            eprintln!("error: could not write trace {}: {e}", trace_file.display());
-            return ExitCode::FAILURE;
-        }
+        write_file("trace ", trace_file, trace_out)?;
         eprintln!("[chaos trace -> {}]", trace_file.display());
         report
     } else {
@@ -892,12 +742,7 @@ fn chaos_main(args: &[String]) -> ExitCode {
             c.wall_clock_s,
         );
     }
-    let mut body = report.to_json();
-    body.push('\n');
-    if let Err(e) = std::fs::write(&out, body) {
-        eprintln!("error: could not write {}: {e}", out.display());
-        return ExitCode::FAILURE;
-    }
+    write_file("", &out, report.to_json() + "\n")?;
     eprintln!(
         "[chaos {} done in {:.1}s -> {}]",
         report.mode.label(),
@@ -907,87 +752,38 @@ fn chaos_main(args: &[String]) -> ExitCode {
     if let Some(f) = &flight {
         flight_report(f);
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        print_usage();
-        return ExitCode::FAILURE;
-    }
-    if args[0] == "bench" {
-        return bench_main(&args[1..]);
-    }
-    if args[0] == "cluster" {
-        return cluster_main(&args[1..]);
-    }
-    if args[0] == "chaos" {
-        return chaos_main(&args[1..]);
-    }
-    if args[0] == "trace-analyze" {
-        return trace_analyze_main(&args[1..]);
-    }
-    if args[0] == "report" {
-        return report_main(&args[1..]);
-    }
-    if args[0] == "compare" {
-        return compare_main(&args[1..]);
-    }
+/// `repro [--quick] [--trace …] [--flight …] [--summary-json …]
+/// [--metrics …] <experiment>... | all | --list`: the paper's tables.
+fn experiments_main(args: &[String]) -> Run {
     let mut scale = Scale::Full;
     let mut names: Vec<String> = Vec::new();
     let mut trace_path: Option<PathBuf> = None;
     let mut flight_path: Option<PathBuf> = None;
     let mut summary_path: Option<PathBuf> = None;
     let mut metrics_path: Option<PathBuf> = None;
-    let mut iter = args.iter();
-    while let Some(a) = iter.next() {
-        match a.as_str() {
+    let mut args = Args::new(args, "unknown option");
+    while let Some(a) = args.next() {
+        match a {
             "--quick" => scale = Scale::Quick,
             "--list" => {
                 print_usage();
-                return ExitCode::SUCCESS;
+                return Ok(ExitCode::SUCCESS);
             }
-            "--trace" => {
-                let Some(p) = iter.next() else {
-                    eprintln!("--trace requires a file argument");
-                    return ExitCode::FAILURE;
-                };
-                trace_path = Some(PathBuf::from(p));
-            }
-            "--flight" => {
-                let Some(p) = iter.next() else {
-                    eprintln!("--flight requires a file argument");
-                    return ExitCode::FAILURE;
-                };
-                flight_path = Some(PathBuf::from(p));
-            }
-            "--summary-json" => {
-                let Some(p) = iter.next() else {
-                    eprintln!("--summary-json requires a file argument");
-                    return ExitCode::FAILURE;
-                };
-                summary_path = Some(PathBuf::from(p));
-            }
-            "--metrics" => {
-                let Some(p) = iter.next() else {
-                    eprintln!("--metrics requires a file argument");
-                    return ExitCode::FAILURE;
-                };
-                metrics_path = Some(PathBuf::from(p));
-            }
+            "--trace" => trace_path = Some(args.path()?),
+            "--flight" => flight_path = Some(args.path()?),
+            "--summary-json" => summary_path = Some(args.path()?),
+            "--metrics" => metrics_path = Some(args.path()?),
             "all" => names.extend(EXPERIMENTS.iter().map(|(n, _)| (*n).to_owned())),
-            other if other.starts_with("--") => {
-                eprintln!("unknown option `{other}`");
-                print_usage();
-                return ExitCode::FAILURE;
-            }
+            other if other.starts_with("--") => return args.unknown(other),
             other => names.push(other.to_owned()),
         }
     }
     if names.is_empty() {
         print_usage();
-        return ExitCode::FAILURE;
+        return Err(ExitCode::FAILURE);
     }
 
     // One registry shared by every simulated experiment of the run: the
@@ -1037,7 +833,7 @@ fn main() -> ExitCode {
         let Some(tables) = run_experiment(&name, scale, &obs) else {
             eprintln!("unknown experiment `{name}`");
             print_usage();
-            return ExitCode::FAILURE;
+            return Err(ExitCode::FAILURE);
         };
         let elapsed = started.elapsed();
         for (i, table) in tables.iter().enumerate() {
@@ -1100,16 +896,10 @@ fn main() -> ExitCode {
     }
 
     if let (Some(path), Some(reg)) = (&metrics_path, &registry) {
-        if let Err(e) = std::fs::write(path, prom::render(&reg.snapshot())) {
-            eprintln!("error: could not write metrics {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
+        write_file("metrics ", path, prom::render(&reg.snapshot()))?;
     }
     if let Some(path) = &trace_path {
-        if let Err(e) = std::fs::write(path, trace_out) {
-            eprintln!("error: could not write trace {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
+        write_file("trace ", path, trace_out)?;
     }
     if let Some(path) = &summary_path {
         let mut doc = json::Object::new();
@@ -1121,15 +911,29 @@ fn main() -> ExitCode {
             },
         );
         doc.raw("experiments", &summary_entries.finish());
-        let mut body = doc.finish();
-        body.push('\n');
-        if let Err(e) = std::fs::write(path, body) {
-            eprintln!("error: could not write summary {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
+        write_file("summary ", path, doc.finish() + "\n")?;
     }
     if let Some(f) = &flight {
         flight_report(f);
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Some(first) = args.first() else {
+        print_usage();
+        return ExitCode::FAILURE;
+    };
+    let rest = &args[1..];
+    let run = match first.as_str() {
+        "bench" => bench_main(rest),
+        "cluster" => cluster_main(rest),
+        "chaos" => chaos_main(rest),
+        "trace-analyze" => trace_analyze_main(rest),
+        "report" => report_main(rest),
+        "compare" => compare_main(rest),
+        _ => experiments_main(&args),
+    };
+    run.unwrap_or_else(|code| code)
 }

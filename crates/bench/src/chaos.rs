@@ -978,7 +978,7 @@ mod tests {
         let jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
         let failures: Vec<String> = map_indexed(specs.len(), jobs, |i| {
             let spec = specs[i];
-            let cfg = cell_config(mode, spec, true);
+            let cfg = cell_config(mode, spec);
             let wl = make_workload(
                 mode.movies(),
                 mode.arrivals_per_node() * spec.nodes as f64,

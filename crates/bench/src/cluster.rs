@@ -369,16 +369,10 @@ pub fn cluster_engine_config() -> EngineConfig {
     EngineConfig::paper(SchedulingMethod::RoundRobin, SchemeKind::Dynamic)
 }
 
-pub(crate) fn cell_config(
-    mode: ClusterBenchMode,
-    spec: ClusterCellSpec,
-    fast_forward: bool,
-) -> ClusterConfig {
-    let mut engine = cluster_engine_config();
-    engine.fast_forward = fast_forward;
+pub(crate) fn cell_config(mode: ClusterBenchMode, spec: ClusterCellSpec) -> ClusterConfig {
     ClusterConfig {
         nodes: spec.nodes,
-        engine,
+        engine: cluster_engine_config(),
         movies: mode.movies(),
         movie_theta: 0.271,
         placement: spec.placement,
@@ -467,12 +461,11 @@ fn run_cluster_cell(
     mode: ClusterBenchMode,
     spec: ClusterCellSpec,
     wl: &Workload,
-    fast_forward: bool,
     obs: &Obs,
     lifecycle_trace_only: bool,
     series: Option<&CellSeries>,
 ) -> ClusterCellResult {
-    let cfg = cell_config(mode, spec, fast_forward);
+    let cfg = cell_config(mode, spec);
     let t0 = WallInstant::now();
     let mut cluster = Cluster::with_observer(cfg.clone(), obs.clone()).unwrap_or_else(|e| {
         panic!(
@@ -558,21 +551,6 @@ pub fn run_cluster_bench(
     obs: &Obs,
     progress: &(dyn Fn(&str) + Sync),
 ) -> ClusterBenchReport {
-    run_cluster_bench_configured(mode, jobs, true, obs, progress)
-}
-
-/// [`run_cluster_bench`] with every node engine's event-driven
-/// fast-forward toggled explicitly (`repro cluster --no-fast-forward`).
-/// Deterministic fields are bit-identical either way — pinned by the
-/// equivalence tests below.
-#[must_use]
-pub fn run_cluster_bench_configured(
-    mode: ClusterBenchMode,
-    jobs: usize,
-    fast_forward: bool,
-    obs: &Obs,
-    progress: &(dyn Fn(&str) + Sync),
-) -> ClusterBenchReport {
     let specs = mode.cells();
     let total = specs.len();
     let t0 = WallInstant::now();
@@ -592,15 +570,7 @@ pub fn run_cluster_bench_configured(
     let cells = map_indexed(total, jobs, |i| {
         let spec = specs[i];
         announce(i, spec);
-        run_cluster_cell(
-            mode,
-            spec,
-            traces.for_nodes(spec.nodes),
-            fast_forward,
-            obs,
-            false,
-            None,
-        )
+        run_cluster_cell(mode, spec, traces.for_nodes(spec.nodes), obs, false, None)
     });
 
     ClusterBenchReport {
@@ -676,7 +646,6 @@ pub fn run_cluster_bench_traced(
             mode,
             spec,
             traces.for_nodes(spec.nodes),
-            true,
             &obs,
             true,
             Some(&series),
@@ -878,70 +847,6 @@ mod tests {
         }
     }
 
-    fn assert_cluster_cells_bit_identical(fast: &ClusterBenchReport, slow: &ClusterBenchReport) {
-        assert_eq!(fast.cells.len(), slow.cells.len());
-        for (a, b) in fast.cells.iter().zip(&slow.cells) {
-            let label = format!("{}n/{}/{}", a.nodes, a.placement, a.dispatch);
-            assert_eq!(a.nodes, b.nodes, "{label}");
-            assert_eq!(a.placement, b.placement, "{label}");
-            assert_eq!(a.dispatch, b.dispatch, "{label}");
-            assert_eq!(a.dispatched, b.dispatched, "{label}: dispatched");
-            assert_eq!(a.admitted, b.admitted, "{label}: admitted");
-            assert_eq!(a.deferred, b.deferred, "{label}: deferred");
-            assert_eq!(a.rejected, b.rejected, "{label}: rejected");
-            assert_eq!(a.redirected, b.redirected, "{label}: redirected");
-            assert_eq!(
-                a.overflow_queued, b.overflow_queued,
-                "{label}: overflow_queued"
-            );
-            assert_eq!(a.underflows, b.underflows, "{label}: underflows");
-            assert_eq!(
-                a.peak_memory_mib.to_bits(),
-                b.peak_memory_mib.to_bits(),
-                "{label}: peak memory"
-            );
-            assert_eq!(
-                a.imbalance_ratio.to_bits(),
-                b.imbalance_ratio.to_bits(),
-                "{label}: imbalance"
-            );
-            for (na, nb) in a.per_node.iter().zip(&b.per_node) {
-                assert_eq!(na.dispatched, nb.dispatched, "{label} node {}", na.node);
-                assert_eq!(na.admitted, nb.admitted, "{label} node {}", na.node);
-                assert_eq!(na.deferred, nb.deferred, "{label} node {}", na.node);
-                assert_eq!(
-                    na.peak_memory_mib.to_bits(),
-                    nb.peak_memory_mib.to_bits(),
-                    "{label} node {}",
-                    na.node
-                );
-            }
-        }
-    }
-
-    /// The tentpole contract, cluster edition at smoke scale: every node
-    /// engine's fast-forward path matches the legacy path bit for bit.
-    #[test]
-    fn fast_forward_smoke_cluster_matches_legacy_bit_for_bit() {
-        let obs = Obs::null();
-        let fast = run_cluster_bench_configured(ClusterBenchMode::Smoke, 1, true, &obs, &|_| {});
-        let slow = run_cluster_bench_configured(ClusterBenchMode::Smoke, 1, false, &obs, &|_| {});
-        assert_cluster_cells_bit_identical(&fast, &slow);
-    }
-
-    /// The full 45-cell cluster matrix, both paths. `#[ignore]`d out of
-    /// tier-1 (expensive, doubly so in debug); CI runs it with
-    /// `--ignored` in a release job.
-    #[test]
-    #[ignore = "full 45-cell cluster matrix twice; run in release with --ignored"]
-    fn fast_forward_full_cluster_matrix_matches_legacy_bit_for_bit() {
-        let obs = Obs::null();
-        let jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let fast = run_cluster_bench_configured(ClusterBenchMode::Full, jobs, true, &obs, &|_| {});
-        let slow = run_cluster_bench_configured(ClusterBenchMode::Full, jobs, false, &obs, &|_| {});
-        assert_cluster_cells_bit_identical(&fast, &slow);
-    }
-
     /// Golden per-node estimator audits of the saturated replicated-hot
     /// smoke cell, recorded before the audit was scored as a stream. Its
     /// overflow retries offer parked arrivals' older instants.
@@ -954,7 +859,7 @@ mod tests {
             PlacementPolicy::ReplicatedHot { .. }
         ));
         let wl = cell_workload(mode, spec.nodes);
-        let report = Cluster::with_observer(cell_config(mode, spec, true), Obs::null())
+        let report = Cluster::with_observer(cell_config(mode, spec), Obs::null())
             .expect("valid cell")
             .run(&wl.arrivals);
         assert_eq!(report.overflow_queued, 87);

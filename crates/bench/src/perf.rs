@@ -264,13 +264,11 @@ fn run_cell(
     scheme: SchemeKind,
     method: SchedulingMethod,
     theta: f64,
-    fast_forward: bool,
 ) -> CellResult {
     let registry = Arc::new(MetricsRegistry::new());
     let obs = Obs::null().with_metrics(Metrics::new(Arc::clone(&registry)));
     let mut exp = experiment(mode.scale(), method, scheme, theta);
     exp.seeds = mode.seeds();
-    exp.engine.fast_forward = fast_forward;
     let t0 = WallInstant::now();
     let out = run_latency_experiment_observed(&exp, &|_| obs.clone()).unwrap_or_else(|e| {
         panic!(
@@ -309,21 +307,6 @@ fn run_cell(
 /// With `jobs > 1` the lines interleave in claim order.
 #[must_use]
 pub fn run_bench(mode: BenchMode, jobs: usize, progress: &(dyn Fn(&str) + Sync)) -> BenchReport {
-    run_bench_configured(mode, jobs, true, progress)
-}
-
-/// [`run_bench`] with the engine's event-driven fast-forward toggled
-/// explicitly. `fast_forward = false` is the `repro bench
-/// --no-fast-forward` escape hatch: every engine takes the legacy
-/// hop-by-hop idle path. Deterministic fields are bit-identical either
-/// way (pinned by the equivalence tests below); only throughput moves.
-#[must_use]
-pub fn run_bench_configured(
-    mode: BenchMode,
-    jobs: usize,
-    fast_forward: bool,
-    progress: &(dyn Fn(&str) + Sync),
-) -> BenchReport {
     let cells_spec = mode.cells();
     let total = cells_spec.len();
     let t0 = WallInstant::now();
@@ -341,7 +324,7 @@ pub fn run_bench_configured(
     let cells = map_indexed(total, jobs, |i| {
         let (scheme, method, theta) = cells_spec[i];
         announce(i, scheme, method, theta);
-        run_cell(mode, scheme, method, theta, fast_forward)
+        run_cell(mode, scheme, method, theta)
     });
 
     BenchReport {
@@ -419,48 +402,5 @@ mod tests {
                 "peak memory must be bit-identical across job counts"
             );
         }
-    }
-
-    fn assert_cells_bit_identical(fast: &BenchReport, slow: &BenchReport) {
-        assert_eq!(fast.cells.len(), slow.cells.len());
-        for (a, b) in fast.cells.iter().zip(&slow.cells) {
-            let label = format!("{}/{}/θ={}", a.scheme, a.method.label(), a.theta);
-            assert_eq!(a.scheme, b.scheme, "{label}");
-            assert_eq!(a.method, b.method, "{label}");
-            assert_eq!(a.cycles, b.cycles, "{label}: cycles");
-            assert_eq!(a.services, b.services, "{label}: services");
-            assert_eq!(a.admitted, b.admitted, "{label}: admitted");
-            assert_eq!(a.deferred, b.deferred, "{label}: deferred");
-            assert_eq!(a.rejected, b.rejected, "{label}: rejected");
-            assert_eq!(a.underflows, b.underflows, "{label}: underflows");
-            assert_eq!(
-                a.peak_memory_mib.to_bits(),
-                b.peak_memory_mib.to_bits(),
-                "{label}: peak memory must be bit-identical across paths"
-            );
-        }
-    }
-
-    /// The tentpole contract at smoke scale: the fast-forward path and
-    /// the `--no-fast-forward` legacy path produce bit-identical
-    /// deterministic fields.
-    #[test]
-    fn fast_forward_smoke_matrix_matches_legacy_bit_for_bit() {
-        let fast = run_bench_configured(BenchMode::Smoke, 1, true, &|_| {});
-        let slow = run_bench_configured(BenchMode::Smoke, 1, false, &|_| {});
-        assert_cells_bit_identical(&fast, &slow);
-    }
-
-    /// The tentpole contract at paper scale: all 18 full-matrix cells,
-    /// seeds 1–3, both paths, compared field by field. Minutes of work
-    /// in release mode (far worse in debug), so `#[ignore]`d out of
-    /// tier-1; CI runs it with `--ignored` in a release job.
-    #[test]
-    #[ignore = "full 18-cell matrix twice; run in release with --ignored"]
-    fn fast_forward_full_matrix_matches_legacy_bit_for_bit() {
-        let jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let fast = run_bench_configured(BenchMode::Full, jobs, true, &|_| {});
-        let slow = run_bench_configured(BenchMode::Full, jobs, false, &|_| {});
-        assert_cells_bit_identical(&fast, &slow);
     }
 }

@@ -74,17 +74,6 @@ pub struct EngineConfig {
     /// Seed for the sampled-latency rotation draw (ignored under
     /// [`LatencyModel::WorstCase`]).
     pub latency_seed: u64,
-    /// Event-driven fast-forward (default on): idle stretches advance in
-    /// one jump to the next interesting time — the minimum over the next
-    /// arrival, the earliest *live* departure (dead heap entries are
-    /// swept in the same pass), and the deferral queue's next slot
-    /// boundary — instead of hopping event-by-event through stale heap
-    /// entries. Provably equivalent: every skipped hop mutates only the
-    /// clock, so `DiskRunStats` is bit-identical either way (pinned by
-    /// the `fastforward` tests and proptest). `false` is the
-    /// `--no-fast-forward` escape hatch taking the legacy hop-by-hop
-    /// path.
-    pub fast_forward: bool,
     /// Number of physical disks the node's capacity is striped over
     /// (≥ 1). Purely an admission-side partition: each disk carries an
     /// equal share of the stream bound `N`, and a chaos `DiskDegrade`
@@ -111,7 +100,6 @@ impl EngineConfig {
             video_length: Seconds::from_minutes(120.0),
             latency_model: LatencyModel::WorstCase,
             latency_seed: 0x5eed,
-            fast_forward: true,
             disks: 1,
         }
     }
@@ -651,17 +639,7 @@ impl DiskEngine {
                     self.m.plan_done(boundary);
                     // Idle: jump to the next external event (arrival,
                     // departure, or a queued request's slot boundary).
-                    let next = if self.cfg.fast_forward {
-                        self.next_event_horizon(next_arrival)
-                    } else {
-                        let candidates = [
-                            next_arrival,
-                            self.earliest_departure(),
-                            self.pending.front().map(|p| p.eligible_at),
-                        ];
-                        candidates.iter().flatten().copied().min()
-                    };
-                    match next {
+                    match self.next_event_horizon(next_arrival) {
                         Some(target) => self.t = target.max(self.t),
                         None => {
                             if self.pending.is_empty() {
@@ -1778,11 +1756,9 @@ impl DiskEngine {
     /// The next *interesting* time for an idle engine (no stream needs
     /// service right now): the minimum over the caller's next workload
     /// arrival, the earliest departure on the heap, and the deferral
-    /// queue's next slot boundary. This is the fast-forward target — the
-    /// clock advances across the whole idle stretch in one O(1) jump,
-    /// and every quantity consulted is exactly what the legacy hop-by-hop
-    /// path consults, so the jump lands on the identical instant.
-    fn next_event_horizon(&mut self, next_arrival: Option<Instant>) -> Option<Instant> {
+    /// queue's next slot boundary. The clock crosses the whole idle
+    /// stretch in one jump to it.
+    fn next_event_horizon(&self, next_arrival: Option<Instant>) -> Option<Instant> {
         [
             next_arrival,
             self.earliest_departure(),
@@ -2273,20 +2249,28 @@ mod tests {
             .map(|i| arrival(1.0 + f64::from(i) * 0.01, 120.0))
             .collect();
         let stats = run(SchemeKind::Dynamic, SchedulingMethod::RoundRobin, &trace);
-        eprintln!(
-            "PROBE underflows={} deficit={} deferrals={} admitted={} rejected={}",
-            stats.underflows,
-            stats.underflow_deficit,
-            stats.deferrals,
-            stats.admitted,
-            stats.rejected
-        );
         assert_eq!(stats.underflows, 0);
         assert!(stats.deferrals > 0, "burst must trigger deferrals");
         assert_eq!(
             stats.admitted, 40,
             "deferred requests are eventually admitted"
         );
+
+        // 100 arrivals 50 ms apart overrun the paper's N = 79 disk: the
+        // tail defers (or rejects) and drains as the 60 s viewings end.
+        let trace: Vec<Arrival> = (0..100)
+            .map(|i| arrival(f64::from(i) * 0.05, 60.0))
+            .collect();
+        for method in [SchedulingMethod::RoundRobin, SchedulingMethod::Sweep] {
+            for scheme in [SchemeKind::Static, SchemeKind::Dynamic] {
+                let stats = run(scheme, method, &trace);
+                assert!(
+                    stats.deferrals > 0 || stats.rejected > 0,
+                    "burst must overrun admission for {method:?}/{scheme:?}"
+                );
+                assert_eq!(stats.underflows, 0, "{method:?}/{scheme:?}");
+            }
+        }
     }
 
     #[test]
@@ -2338,10 +2322,15 @@ mod tests {
 
     #[test]
     fn empty_trace_is_a_clean_noop() {
-        let stats = run(SchemeKind::Dynamic, SchedulingMethod::Sweep, &[]);
-        assert_eq!(stats.admitted, 0);
-        assert_eq!(stats.services, 0);
-        assert_eq!(stats.max_concurrent(), 0);
+        for method in SchedulingMethod::paper_methods() {
+            for scheme in SchemeKind::ALL {
+                let stats = run(scheme, method, &[]);
+                assert_eq!(stats.admitted, 0, "{method:?}/{scheme:?}");
+                assert_eq!(stats.services, 0, "{method:?}/{scheme:?}");
+                assert_eq!(stats.cycles, 0, "{method:?}/{scheme:?}");
+                assert_eq!(stats.max_concurrent(), 0, "{method:?}/{scheme:?}");
+            }
+        }
     }
 
     #[test]
