@@ -94,14 +94,26 @@ fn bench_admission_path(c: &mut Criterion) {
         })
     });
 
-    // The k_log sliding-window estimator under a loaded history.
+    // The k_log sliding-window estimator as `CapacitySim` drives it:
+    // every query follows a new arrival and the period moves with the
+    // load. Uneven gaps averaging 1.7 s, and `T_log` = 1000 × 1.7 s, keep
+    // about 1000 arrivals retained, so nearly every query also prunes.
     c.bench_function("k_log_1000_arrivals", |b| {
-        let mut log = ArrivalLog::new(Seconds::from_minutes(40.0));
-        for i in 0..1000u32 {
-            log.record(Instant::from_secs(f64::from(i) * 1.7));
+        const GAPS: [f64; 8] = [0.4, 2.9, 1.1, 0.2, 3.3, 1.7, 0.9, 3.1];
+        let mut log = ArrivalLog::new(Seconds::from_secs(1000.0 * 1.7));
+        let mut at = 0.0;
+        let mut i = 0usize;
+        let mut step = || {
+            i += 1;
+            at += GAPS[i % GAPS.len()];
+            let now = Instant::from_secs(at);
+            log.record(now);
+            log.k_log(now, Seconds::from_secs(2.0 + (i % 7) as f64))
+        };
+        for _ in 0..2000 {
+            step();
         }
-        let now = Instant::from_secs(1000.0 * 1.7);
-        b.iter(|| black_box(log.k_log(now, Seconds::from_secs(5.0))))
+        b.iter(|| black_box(step()))
     });
 }
 

@@ -121,6 +121,8 @@ struct Record {
 #[derive(Clone, Debug)]
 pub struct AdmissionController {
     params: SystemParams,
+    /// `N`, the disk's stream bound, read on every admission check.
+    big_n: usize,
     table: Arc<SizeTable>,
     log: ArrivalLog,
     records: HashMap<RequestId, Record, BuildHasherDefault<IdHasher>>,
@@ -162,6 +164,7 @@ impl AdmissionController {
         }
         let table = SizeTable::shared_instrumented(&params, metrics);
         Ok(AdmissionController {
+            big_n: params.max_requests(),
             params,
             table,
             log: ArrivalLog::new(t_log),
@@ -211,7 +214,7 @@ impl AdmissionController {
     #[must_use]
     pub fn can_admit(&mut self) -> bool {
         let n = self.records.len();
-        if n >= self.params.max_requests() {
+        if n >= self.big_n {
             return false;
         }
         let bound = self.assumption1_bound();
@@ -290,9 +293,10 @@ impl AdmissionController {
         Self::clamp_k(&mut self.log, &self.params, &self.obs, k_cap, now, period)
     }
 
-    /// Assumption 2's cap: `k_c ≤ k_i + α` for every in-service stream,
-    /// so `min_i(k_i) + α` (`usize::MAX` when no allocation constrains).
-    /// The minimum over `k_i` is maintained incrementally (O(1) here).
+    /// The cap on `k_c`: Assumption 2's `k_c ≤ k_i + α` for every
+    /// in-service stream, and the disk bound `N`, so
+    /// `min(min_i(k_i) + α, N)`. The minimum over `k_i` is maintained
+    /// incrementally (O(1) here).
     fn k_cap(&mut self) -> usize {
         let alpha = self.params.alpha as usize;
         let k_cap = self.k_agg.min().map_or(usize::MAX, |k| k + alpha);
@@ -306,10 +310,10 @@ impl AdmissionController {
                 .unwrap_or(usize::MAX),
             "incremental Assumption-2 clamp diverged from the record scan"
         );
-        k_cap
+        k_cap.min(self.big_n)
     }
 
-    /// Step 4 of Fig. 5 given the cap: `k_c = min(k_log + α, k_cap, N)`.
+    /// Step 4 of Fig. 5 given the cap: `k_c = min(k_log + α, k_cap)`.
     /// Takes the fields it reads rather than `self`, so `allocate` can
     /// hold its one record lookup across the call.
     fn clamp_k(
@@ -322,13 +326,13 @@ impl AdmissionController {
     ) -> (usize, usize) {
         let k_log = log.k_log(now, period);
         let alpha = params.alpha as usize;
-        let k_c = (k_log + alpha).min(k_cap).min(params.max_requests());
+        let k_c = (k_log + alpha).min(k_cap);
         if k_c < k_log + alpha {
             obs.emit_with(EventKind::EstimatorClamped, || Event::EstimatorClamped {
                 at: now,
                 k_log,
                 k_clamped: k_c,
-                cap: k_cap.min(params.max_requests()),
+                cap: k_cap,
             });
         }
         (k_c, k_log)
@@ -371,8 +375,7 @@ impl AdmissionController {
     /// only to advance the min-aggregate cursor.)
     #[must_use]
     pub fn admission_bound(&mut self) -> usize {
-        let n = self.params.max_requests();
-        self.assumption1_bound().min(n)
+        self.assumption1_bound().min(self.big_n)
     }
 
     /// Which limit currently binds admission, with its value — the
@@ -382,11 +385,10 @@ impl AdmissionController {
     #[must_use]
     pub fn binding_constraint(&mut self) -> AdmissionConstraint {
         let a1 = self.assumption1_bound();
-        let n = self.params.max_requests();
-        if a1 < n {
+        if a1 < self.big_n {
             AdmissionConstraint::Assumption1 { bound: a1 }
         } else {
-            AdmissionConstraint::DiskBound { bound: n }
+            AdmissionConstraint::DiskBound { bound: self.big_n }
         }
     }
 

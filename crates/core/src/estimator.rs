@@ -10,6 +10,28 @@
 //!
 //! §5.1 studies the choice of `T_log` (Fig. 7): the paper settles on
 //! 40 minutes for Round-Robin and 20 minutes for Sweep\*/GSS\*.
+//!
+//! # How `k_log` is answered
+//!
+//! Let `t[0] ≤ … ≤ t[len−1]` be the retained arrivals and
+//! `D_m = min_i (t[i+m−1] − t[i])` the narrowest span of `m` consecutive
+//! ones, so `D_1 = 0`. `D_m` never decreases as `m` grows, hence
+//! `k_log(P) = max{m : D_m < P}`. That is the same `f64` subtraction and
+//! the same `<` as a sweep over the windows anchored at each arrival, so
+//! the answer is the sweep's bit for bit.
+//!
+//! [`ArrivalLog`] keeps each `D_m` a query has needed, together with the
+//! latest anchor `i` that attains it, and keeps them exact as the log
+//! changes. With `c` cached widths:
+//!
+//! * `record` is O(c): the one new window of each cached width ends at
+//!   the new arrival, one subtraction each.
+//! * A prune that pops `p` arrivals is O(p + c): it drops the `D_m` whose
+//!   anchor it popped. No later anchor attains those, so they must be
+//!   recomputed; every other `D_m` still stands.
+//! * `k_log` walks from the previous answer to the new one, O(1) per
+//!   step. A `D_m` the walk needs but has not cached costs one O(len)
+//!   pass. Repeated queries between arrivals are O(1).
 
 use std::collections::VecDeque;
 
@@ -18,20 +40,28 @@ use vod_types::{Instant, Seconds};
 /// A sliding log of request arrival times, answering "what is the largest
 /// number of arrivals in any window of length `period` within the last
 /// `T_log`?".
+///
+/// Invariant: every cached span `spans[m − 1]` is `D_m` over the retained
+/// arrivals, and its anchor is retained (see the module docs).
 #[derive(Clone, Debug)]
 pub struct ArrivalLog {
     t_log: Seconds,
     arrivals: VecDeque<Instant>,
-    /// Bumped whenever the retained set changes (a record or a prune
-    /// pop). The sweep in [`ArrivalLog::k_log`] depends only on the
-    /// retained arrivals and `period` — `now` enters only through
-    /// pruning — so `(generation, period)` fully keys its result.
-    generation: u64,
-    /// `(generation, period, k)` of the last sweep, reused verbatim
-    /// while the retained set and period are unchanged. In steady state
-    /// many services run between arrivals, so this turns the O(len)
-    /// sweep into an O(1) lookup without changing a single bit.
-    memo: Option<(u64, Seconds, usize)>,
+    /// Sequence number of `arrivals[0]`: how many arrivals prunes popped.
+    head: u64,
+    /// `spans[m − 1]` is `D_m`, or `None` until a query needs it.
+    spans: Vec<Option<Span>>,
+    /// The previous answer, where the next query's walk starts.
+    last_k: usize,
+}
+
+/// The narrowest span of `m` consecutive retained arrivals.
+#[derive(Clone, Copy, Debug)]
+struct Span {
+    width: Seconds,
+    /// Sequence number of the first arrival of the latest window that
+    /// is this narrow.
+    anchor: u64,
 }
 
 impl ArrivalLog {
@@ -41,8 +71,9 @@ impl ArrivalLog {
         ArrivalLog {
             t_log,
             arrivals: VecDeque::new(),
-            generation: 0,
-            memo: None,
+            head: 0,
+            spans: Vec::new(),
+            last_k: 0,
         }
     }
 
@@ -61,7 +92,21 @@ impl ArrivalLog {
             _ => at,
         };
         self.arrivals.push_back(at);
-        self.generation += 1;
+        let len = self.arrivals.len();
+        for (m, slot) in (1..).zip(&mut self.spans) {
+            if let Some(span) = slot {
+                // The one new window of `m` arrivals ends at `at`; `<=`
+                // keeps the latest anchor on a tie.
+                let i = len - m;
+                let width = at - self.arrivals[i];
+                if width <= span.width {
+                    *span = Span {
+                        width,
+                        anchor: self.head + i as u64,
+                    };
+                }
+            }
+        }
     }
 
     /// `k_log`: the maximum number of arrivals in any window of length
@@ -76,33 +121,27 @@ impl ArrivalLog {
     /// calibration in EXPERIMENTS.md is done with this convention.
     ///
     /// Returns 0 when no arrivals are retained or `period` is
-    /// non-positive.
+    /// non-positive or NaN.
     pub fn k_log(&mut self, now: Instant, period: Seconds) -> usize {
         self.prune(now);
-        if self.arrivals.is_empty() || period <= Seconds::ZERO {
+        let len = self.arrivals.len();
+        if len == 0 || period <= Seconds::ZERO {
             return 0;
         }
-        if let Some((gen, p, k)) = self.memo {
-            if gen == self.generation && p == period {
-                return k;
+        // `k_log = max{m : D_m < period}`, walked to from the last answer.
+        let mut k = self.last_k.clamp(1, len);
+        if self.fits(k, period) {
+            while k < len && self.fits(k + 1, period) {
+                k += 1;
+            }
+        } else {
+            k -= 1;
+            while k > 0 && !self.fits(k, period) {
+                k -= 1;
             }
         }
-        // Max over windows anchored at each retained arrival: the densest
-        // window starts at an arrival. Two-pointer sweep, O(len).
-        let times = self.arrivals.make_contiguous();
-        let mut best = 0usize;
-        let mut j = 0usize;
-        for i in 0..times.len() {
-            if j < i {
-                j = i;
-            }
-            while j < times.len() && times[j] - times[i] < period {
-                j += 1;
-            }
-            best = best.max(j - i);
-        }
-        self.memo = Some((self.generation, period, best));
-        best
+        self.last_k = k;
+        k
     }
 
     /// Number of retained arrivals (after the last prune).
@@ -117,14 +156,60 @@ impl ArrivalLog {
         self.arrivals.is_empty()
     }
 
+    /// Whether some `m` consecutive retained arrivals span less than
+    /// `period`: `D_m < period`.
+    fn fits(&mut self, m: usize, period: Seconds) -> bool {
+        self.span(m) < period
+    }
+
+    /// `D_m` for `1 ≤ m ≤ len`, from the cache or by one pass over the
+    /// `len − m + 1` windows of `m` arrivals.
+    fn span(&mut self, m: usize) -> Seconds {
+        if let Some(Some(span)) = self.spans.get(m - 1) {
+            return span.width;
+        }
+        let times = self.arrivals.make_contiguous();
+        let mut best = Span {
+            width: times[m - 1] - times[0],
+            anchor: 0,
+        };
+        for (i, (&first, &last)) in times.iter().zip(&times[m - 1..]).enumerate().skip(1) {
+            let width = last - first;
+            if width <= best.width {
+                best = Span {
+                    width,
+                    anchor: i as u64,
+                };
+            }
+        }
+        best.anchor += self.head;
+        if self.spans.len() < m {
+            self.spans.resize(m, None);
+        }
+        self.spans[m - 1] = Some(best);
+        best.width
+    }
+
     fn prune(&mut self, now: Instant) {
         let horizon = now - self.t_log;
+        let head = self.head;
         while let Some(&front) = self.arrivals.front() {
             if front < horizon {
                 self.arrivals.pop_front();
-                self.generation += 1;
+                self.head += 1;
             } else {
                 break;
+            }
+        }
+        if self.head != head {
+            // A popped anchor was the latest window that narrow, so no
+            // retained window attains its width any more. Widths longer
+            // than the log have no window left at all.
+            self.spans.truncate(self.arrivals.len());
+            for slot in &mut self.spans {
+                if slot.is_some_and(|span| span.anchor < self.head) {
+                    *slot = None;
+                }
             }
         }
     }
@@ -204,32 +289,6 @@ mod tests {
             prev = k;
         }
         assert_eq!(prev, 6);
-    }
-
-    #[test]
-    fn memoized_k_log_matches_fresh_sweep() {
-        // Interleave records, repeated queries (memo hits), and queries
-        // that force pruning; every answer must match a fresh log's.
-        let arrivals = [3.0, 9.0, 14.0, 15.0, 33.0, 50.0, 70.0, 70.0, 90.0];
-        let mut live = ArrivalLog::new(Seconds::from_secs(45.0));
-        // Queries use a monotone clock so the fresh log's single prune
-        // reaches the same horizon as the live log's prune history.
-        let mut clock = 0.0f64;
-        for (i, &a) in arrivals.iter().enumerate() {
-            live.record(t(a));
-            for q in 0..4 {
-                clock = clock.max(a + f64::from(q) * 7.0);
-                let now = t(clock);
-                let period = Seconds::from_secs(if q % 2 == 0 { 10.0 } else { 25.0 });
-                let mut fresh = ArrivalLog::new(Seconds::from_secs(45.0));
-                for &b in &arrivals[..=i] {
-                    fresh.record(t(b));
-                }
-                // A fresh log has no memo; compare against its sweep.
-                let want = fresh.k_log(now, period);
-                assert_eq!(live.k_log(now, period), want, "at={a} q={q}");
-            }
-        }
     }
 
     #[test]

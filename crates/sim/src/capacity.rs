@@ -12,7 +12,7 @@
 use std::collections::BinaryHeap;
 
 use vod_core::scheme::Sizer;
-use vod_core::{memory, ArrivalLog, SchemeKind, SizeTable, SystemParams};
+use vod_core::{memory, ArrivalLog, SchemeKind, SystemParams};
 use vod_obs::{Event, EventKind, Obs, RejectReason};
 use vod_types::{Bits, ConfigError, Instant, RequestId, Seconds};
 use vod_workload::Workload;
@@ -72,12 +72,14 @@ impl PartialOrd for Departure {
 pub struct CapacitySim {
     cfg: CapacityConfig,
     sizer: Sizer,
-    table: Option<SizeTable>,
+    /// `N`, the per-disk stream bound.
+    big_n: usize,
     obs: Obs,
 }
 
 impl CapacitySim {
-    /// Builds the simulator, precomputing the scheme's size table.
+    /// Builds the simulator. The dynamic scheme's size table comes from
+    /// the process-wide [`vod_core::SizeTable::shared`] cache.
     ///
     /// # Errors
     ///
@@ -103,14 +105,10 @@ impl CapacitySim {
             return Err(ConfigError::new("total_memory", "must be positive"));
         }
         let sizer = Sizer::new(cfg.scheme, &cfg.params)?;
-        let table = match cfg.scheme {
-            SchemeKind::Dynamic => Some(SizeTable::build(&cfg.params)),
-            _ => None,
-        };
         Ok(CapacitySim {
+            big_n: cfg.params.max_requests(),
             cfg,
             sizer,
-            table,
             obs,
         })
     }
@@ -120,7 +118,6 @@ impl CapacitySim {
     #[must_use]
     pub fn run(&self, workload: &Workload) -> CapacityResult {
         let d = self.cfg.disks;
-        let big_n = self.cfg.params.max_requests();
         let alpha = self.cfg.params.alpha as usize;
         let mut n = vec![0usize; d];
         let mut k_last = vec![alpha; d];
@@ -169,7 +166,7 @@ impl CapacitySim {
                 continue;
             }
             logs[disk].record(a.at);
-            if n[disk] >= big_n {
+            if n[disk] >= self.big_n {
                 result.rejected += 1;
                 self.obs
                     .emit_with(EventKind::RequestRejected, || Event::RequestRejected {
@@ -235,7 +232,9 @@ impl CapacitySim {
         }
         match self.cfg.scheme {
             SchemeKind::Static | SchemeKind::StaticMaxUse => {
-                memory::min_memory_static(&self.cfg.params, n)
+                // `memory::min_memory_static` with `BS(N)` read from the sizer.
+                let n = n.min(self.big_n);
+                memory::min_memory_with(&self.cfg.params, self.sizer.max_size(), n, self.big_n - n)
             }
             SchemeKind::NaiveDynamic => {
                 let bs = self.sizer.size(n, k);
@@ -243,7 +242,7 @@ impl CapacitySim {
             }
             SchemeKind::Dynamic => memory::min_memory_dynamic(
                 &self.cfg.params,
-                self.table.as_ref().expect("dynamic builds a table"),
+                self.sizer.table().expect("the dynamic sizer holds a table"),
                 n,
                 k,
             ),
@@ -265,7 +264,7 @@ impl CapacitySim {
         let slot = dl + self.sizer.size(n_eff, k_prev) / self.cfg.params.tr();
         let period = slot * (n_eff + k_prev) as f64;
         let alpha = self.cfg.params.alpha as usize;
-        (log.k_log(now, period) + alpha).min(self.cfg.params.max_requests())
+        (log.k_log(now, period) + alpha).min(self.big_n)
     }
 }
 
