@@ -69,9 +69,8 @@ use std::time::Instant;
 
 use vod_analysis::{write_csv, Table};
 use vod_bench::{
-    compare, fig10, fig11, fig12, fig13, fig14, fig6, fig7, fig8, fig9, gss_g, report, run_bench,
-    run_cluster_bench, run_cluster_bench_traced, tab3, tab4, tab5, traceview, vcr, BenchMode,
-    ClusterBenchMode, Scale,
+    compare, fig10, fig11, fig12, fig13, fig14, fig6, fig7, fig8, fig9, gss_g, report, run_matrix,
+    tab3, tab4, tab5, traceview, vcr, BenchMode, ChaosBenchMode, ClusterBenchMode, Matrix, Scale,
 };
 use vod_obs::metrics::{CTR_EVENTS_DROPPED, CTR_SPANS_DROPPED};
 use vod_obs::{
@@ -458,6 +457,45 @@ fn compare_main(args: &[String]) -> Run {
     })
 }
 
+/// Runs `mode`'s matrix (sequentially and traced into `trace`, if
+/// given), prints `line` for each cell with its wall-clock seconds, and
+/// writes the document to `out`.
+fn run_matrix_main<M: Matrix>(
+    mode: M,
+    jobs: usize,
+    obs: &Obs,
+    trace: Option<&Path>,
+    out: &Path,
+    line: impl Fn(&M::Cell, f64) -> String,
+) -> Result<(), ExitCode> {
+    let progress = |line: &str| eprintln!("{line}");
+    let report = match trace {
+        Some(path) => {
+            if jobs > 1 {
+                eprintln!("note: --trace runs the matrix sequentially; --jobs ignored");
+            }
+            let mut trace_out = String::new();
+            let report = run_matrix(mode, jobs, obs, Some(&mut trace_out), &progress);
+            write_file("trace ", path, trace_out)?;
+            eprintln!("[{} trace -> {}]", M::KIND, path.display());
+            report
+        }
+        None => run_matrix(mode, jobs, obs, None, &progress),
+    };
+    for (cell, &wall) in report.cells.iter().zip(&report.wall_clock_s) {
+        println!("{}", line(cell, wall));
+    }
+    write_file("", out, report.to_json() + "\n")?;
+    eprintln!(
+        "[{} {} done in {:.1}s -> {}]",
+        M::KIND,
+        mode.label(),
+        report.total_wall_clock_s,
+        out.display()
+    );
+    Ok(())
+}
+
 /// `repro bench [--smoke] [--jobs <n>] [--out <file>]`: the pinned
 /// performance matrix.
 fn bench_main(args: &[String]) -> Run {
@@ -473,26 +511,17 @@ fn bench_main(args: &[String]) -> Run {
             other => return args.unknown(other),
         }
     }
-    let report = run_bench(mode, jobs, &|line| eprintln!("{line}"));
-    for c in &report.cells {
-        println!(
-            "{:<14} {:<12} θ={:<4} {:>9} cycles  {:>10.0} cycles/s  {:>8.2} MiB peak  {:.2}s",
+    run_matrix_main(mode, jobs, &Obs::null(), None, &out, |c, wall| {
+        format!(
+            "{:<14} {:<12} θ={:<4} {:>9} cycles  {:>10.0} cycles/s  {:>8.2} MiB peak  {wall:.2}s",
             format!("{:?}", c.scheme),
             c.method.label(),
             c.theta,
-            c.cycles,
-            c.cycles_per_sec(),
-            c.peak_memory_mib,
-            c.wall_clock_s,
-        );
-    }
-    write_file("", &out, report.to_json() + "\n")?;
-    eprintln!(
-        "[bench {} done in {:.1}s -> {}]",
-        report.mode.label(),
-        report.total_wall_clock_s,
-        out.display()
-    );
+            c.stats.cycles,
+            c.cycles_per_sec(wall),
+            c.stats.peak_memory.as_mebibytes(),
+        )
+    })?;
     Ok(ExitCode::SUCCESS)
 }
 
@@ -531,44 +560,23 @@ fn cluster_main(args: &[String]) -> Run {
         None => Obs::null(),
     }
     .with_metrics(Metrics::new(Arc::clone(&registry)));
-    let report = if let Some(trace_file) = &trace_path {
-        if jobs > 1 {
-            eprintln!("note: --trace runs the matrix sequentially; --jobs ignored");
-        }
-        let mut trace_out = String::new();
-        let report =
-            run_cluster_bench_traced(mode, &obs, &mut trace_out, &|line| eprintln!("{line}"));
-        write_file("trace ", trace_file, trace_out)?;
-        eprintln!("[cluster trace -> {}]", trace_file.display());
-        report
-    } else {
-        run_cluster_bench(mode, jobs, &obs, &|line| eprintln!("{line}"))
-    };
-    for c in &report.cells {
-        println!(
+    run_matrix_main(mode, jobs, &obs, trace_path.as_deref(), &out, |c, wall| {
+        format!(
             "{:>2} nodes  {:<14} {:<13} {:>6} arrivals  {:>5} deferred  {:>5} redirected  \
-             imbalance {:>5.2}  {:>8.2} MiB peak  {:.2}s",
-            c.nodes,
-            c.placement,
-            c.dispatch,
-            c.dispatched,
-            c.deferred,
-            c.redirected,
-            c.imbalance_ratio,
-            c.peak_memory_mib,
-            c.wall_clock_s,
-        );
-    }
+             imbalance {:>5.2}  {:>8.2} MiB peak  {wall:.2}s",
+            c.spec.nodes,
+            c.spec.placement.label(),
+            c.spec.dispatch.label(),
+            c.report.dispatched,
+            c.report.deferrals(),
+            c.report.redirected,
+            c.report.imbalance_ratio(),
+            c.report.peak_memory_bits() / (8.0 * 1024.0 * 1024.0),
+        )
+    })?;
     if let Some(path) = &metrics_path {
         write_file("metrics ", path, prom::render(&registry.snapshot()))?;
     }
-    write_file("", &out, report.to_json() + "\n")?;
-    eprintln!(
-        "[cluster {} done in {:.1}s -> {}]",
-        report.mode.label(),
-        report.total_wall_clock_s,
-        out.display()
-    );
     if let Some(f) = &flight {
         flight_report(f);
     }
@@ -592,7 +600,7 @@ fn cluster_main(args: &[String]) -> Run {
 /// arms fault-triggered re-replication, and the degradation summary
 /// prints to stdout. A flag of one mode given in the other is an error.
 fn chaos_main(args: &[String]) -> Run {
-    let mut mode = vod_bench::ChaosBenchMode::Full;
+    let mut mode = ChaosBenchMode::Full;
     let mut out = PathBuf::from("BENCH_chaos.json");
     let mut trace_path: Option<PathBuf> = None;
     let mut flight_path: Option<PathBuf> = None;
@@ -608,7 +616,7 @@ fn chaos_main(args: &[String]) -> Run {
     let mut args = Args::new(args, "unknown chaos option");
     while let Some(a) = args.next() {
         match a {
-            "--smoke" => mode = vod_bench::ChaosBenchMode::Smoke,
+            "--smoke" => mode = ChaosBenchMode::Smoke,
             "--reseed-after" => {
                 let what = "a non-negative number of seconds";
                 reseed_after = Some(args.value(what, |s| *s >= 0.0)?);
@@ -658,7 +666,7 @@ fn chaos_main(args: &[String]) -> Run {
     if episode.is_some() {
         let nodes = adhoc_nodes;
         let horizon =
-            vod_types::Seconds::from_hours(vod_bench::ChaosBenchMode::Smoke.horizon_hours());
+            vod_types::Seconds::from_hours(ChaosBenchMode::Smoke.cluster().horizon_hours());
         let schedule = if let Some(path) = &script {
             vod_chaos::FaultSchedule::from_script(&read_file(path)?).map_err(|e| {
                 eprintln!("error: bad fault script {}: {e}", path.display());
@@ -712,43 +720,22 @@ fn chaos_main(args: &[String]) -> Run {
         return Ok(ExitCode::SUCCESS);
     }
 
-    let report = if let Some(trace_file) = &trace_path {
-        if jobs > 1 {
-            eprintln!("note: --trace runs the matrix sequentially; --jobs ignored");
-        }
-        let mut trace_out = String::new();
-        let report = vod_bench::run_chaos_bench_traced(mode, &obs, &mut trace_out, &|line| {
-            eprintln!("{line}")
-        });
-        write_file("trace ", trace_file, trace_out)?;
-        eprintln!("[chaos trace -> {}]", trace_file.display());
-        report
-    } else {
-        vod_bench::run_chaos_bench(mode, jobs, &obs, &|line| eprintln!("{line}"))
-    };
-    for c in &report.cells {
-        println!(
+    run_matrix_main(mode, jobs, &obs, trace_path.as_deref(), &out, |c, wall| {
+        let s = &c.report.summary;
+        format!(
             "{:>2} nodes  {:<9} {:<8} {:>6} arrivals  {:>4} interrupted  {:>4} migrated  \
-             {:>4} dropped  avail {:>6.4}  {:>2} underflows  {:.2}s",
-            c.nodes,
-            c.scenario,
-            c.failover,
-            c.dispatched,
-            c.interrupted,
-            c.migrated,
-            c.dropped,
-            c.availability,
-            c.underflows,
-            c.wall_clock_s,
-        );
-    }
-    write_file("", &out, report.to_json() + "\n")?;
-    eprintln!(
-        "[chaos {} done in {:.1}s -> {}]",
-        report.mode.label(),
-        report.total_wall_clock_s,
-        out.display()
-    );
+             {:>4} dropped  avail {:>6.4}  {:>2} underflows  {wall:.2}s",
+            c.spec.nodes,
+            c.spec.scenario.label(),
+            c.spec.failover.label(),
+            c.report.cluster.dispatched,
+            s.interrupted,
+            s.migrated,
+            s.dropped,
+            s.availability,
+            c.report.cluster.underflows(),
+        )
+    })?;
     if let Some(f) = &flight {
         flight_report(f);
     }

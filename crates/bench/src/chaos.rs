@@ -20,23 +20,27 @@
 //! lost its process, so its rejoin is warm.
 //!
 //! Determinism matches the cluster matrix: each cell is a pure function
-//! of `(mode, cell spec)`, results collect by matrix index, and the
-//! document is byte-identical at any `--jobs`.
-
-use std::time::Instant as WallInstant;
+//! of `(mode, cell spec)`, and [`ChaosBenchMode`] is a [`Matrix`], so the
+//! shared runner ([`crate::matrix::run_matrix`]) collects cells by matrix
+//! index and the document is byte-identical at any `--jobs` once the
+//! wall-clock fields are set aside. The workload (seed, catalog,
+//! arrivals per node, horizon) is the cluster matrix's
+//! ([`ChaosBenchMode::cluster`]).
 
 use vod_chaos::{
-    run_chaos_on, ChaosConfig, DomainEvent, DomainFault, DomainMap, FailoverPolicy, Fault,
-    FaultEvent, FaultSchedule, RecoveryPolicy,
+    run_chaos_on, ChaosConfig, ChaosReport, DomainEvent, DomainFault, DomainMap, FailoverPolicy,
+    Fault, FaultEvent, FaultSchedule, RecoveryPolicy,
 };
-use vod_cluster::{map_indexed, Cluster, ClusterConfig, DispatchPolicy, PlacementPolicy};
+use vod_cluster::{Cluster, ClusterConfig, DispatchPolicy, PlacementPolicy};
 use vod_core::memory::min_memory_static;
-use vod_obs::json::{Array, Object};
-use vod_obs::Obs;
+use vod_obs::json::Object;
+use vod_obs::{EventKind, Obs};
 use vod_types::{Instant, Seconds};
-use vod_workload::Workload;
 
-use crate::cluster::{cluster_engine_config, make_workload};
+use crate::cluster::{
+    cluster_engine_config, redirects, stamp_cluster_doc, write_front_end, ClusterBenchMode,
+};
+use crate::matrix::{Matrix, SharedTraces};
 
 /// Node counts of the full chaos sweep.
 pub const CHAOS_NODE_COUNTS: [usize; 3] = [2, 4, 8];
@@ -228,56 +232,46 @@ pub struct ChaosCellSpec {
 }
 
 impl ChaosBenchMode {
-    /// Mode tag used in the JSON document. The `cluster_` prefix keeps
-    /// `repro compare` using the cluster comparer (same exact-counter
-    /// rules) for chaos documents.
+    /// The cluster mode whose pinned workload (seed, catalog, arrivals
+    /// per node, horizon) every chaos cell replays, so a chaos cell's
+    /// arrivals match the cluster cell's at the same shape.
     #[must_use]
-    pub fn label(self) -> &'static str {
+    pub fn cluster(self) -> ClusterBenchMode {
+        match self {
+            ChaosBenchMode::Full => ClusterBenchMode::Full,
+            ChaosBenchMode::Smoke => ClusterBenchMode::Smoke,
+        }
+    }
+}
+
+impl Matrix for ChaosBenchMode {
+    type Spec = ChaosCellSpec;
+    type Cell = ChaosCellResult;
+    const KIND: &'static str = "chaos";
+    /// The cluster matrix's kinds plus the fault and recovery events,
+    /// which appear as generic timestamped events inside the section.
+    const TRACE_KINDS: &'static [EventKind] = &[
+        EventKind::SpanStart,
+        EventKind::SpanAnnotate,
+        EventKind::SpanEnd,
+        EventKind::RequestAdmitted,
+        EventKind::RequestDeferred,
+        EventKind::RequestRejected,
+        EventKind::Underflow,
+        EventKind::FaultInjected,
+        EventKind::NodeRecovered,
+    ];
+
+    /// The `cluster_` prefix is historical: it keeps these labels, and
+    /// with them the committed `BENCH_chaos.json`, comparable.
+    fn label(self) -> &'static str {
         match self {
             ChaosBenchMode::Full => "cluster_chaos_full",
             ChaosBenchMode::Smoke => "cluster_chaos_smoke",
         }
     }
 
-    /// The pinned workload/policy seed every cell uses (the cluster
-    /// matrix's seed, so traces match at equal shape).
-    #[must_use]
-    pub fn seed(self) -> u64 {
-        1
-    }
-
-    /// Catalog size.
-    #[must_use]
-    pub fn movies(self) -> usize {
-        match self {
-            ChaosBenchMode::Full => 64,
-            ChaosBenchMode::Smoke => 16,
-        }
-    }
-
-    /// Expected arrivals per node (total scales with the cell's node
-    /// count, as in the cluster matrix).
-    #[must_use]
-    pub fn arrivals_per_node(self) -> f64 {
-        match self {
-            ChaosBenchMode::Full => 240.0,
-            ChaosBenchMode::Smoke => 200.0,
-        }
-    }
-
-    /// Simulated horizon in hours (peak at the midpoint; the strike
-    /// lands before the peak, the rejoin after it).
-    #[must_use]
-    pub fn horizon_hours(self) -> f64 {
-        match self {
-            ChaosBenchMode::Full => 6.0,
-            ChaosBenchMode::Smoke => 2.0,
-        }
-    }
-
-    /// The cells of this mode, in run order.
-    #[must_use]
-    pub fn cells(self) -> Vec<ChaosCellSpec> {
+    fn cells(self) -> Vec<ChaosCellSpec> {
         match self {
             ChaosBenchMode::Full => {
                 let mut out = Vec::new();
@@ -336,16 +330,15 @@ impl ChaosBenchMode {
         }
     }
 
-    /// Fingerprint over everything that pins this mode's matrix.
-    #[must_use]
-    pub fn config_fingerprint(self) -> String {
+    fn fingerprint_parts(self) -> Vec<String> {
+        let workload = self.cluster();
         let mut parts = vec![
             "chaos".to_owned(),
             self.label().to_owned(),
-            format!("seed={}", self.seed()),
-            format!("movies={}", self.movies()),
-            format!("arrivals_per_node={}", self.arrivals_per_node()),
-            format!("horizon_hours={}", self.horizon_hours()),
+            format!("seed={}", workload.seed()),
+            format!("movies={}", workload.movies()),
+            format!("arrivals_per_node={}", workload.arrivals_per_node()),
+            format!("horizon_hours={}", workload.horizon_hours()),
             "strike=0.25/rejoin=0.60/node=0".to_owned(),
             "disks=2/zone=rack0-of-2/reseed_after=0.10".to_owned(),
         ];
@@ -357,158 +350,125 @@ impl ChaosBenchMode {
                 spec.failover.label()
             ));
         }
-        crate::compare::fingerprint(parts)
+        parts
     }
-}
 
-/// Measurements from one `(nodes, scenario, failover)` cell: the
-/// cluster counters (same keys as a cluster cell, so the comparer's
-/// exact rules apply unchanged) plus the chaos degradation accounting.
-#[derive(Clone, Debug)]
-pub struct ChaosCellResult {
-    /// Node count.
-    pub nodes: usize,
-    /// Scenario label.
-    pub scenario: &'static str,
-    /// Failover-policy label.
-    pub failover: &'static str,
-    /// Wall-clock seconds spent running the cell.
-    pub wall_clock_s: f64,
-    /// Arrivals dispatched (the trace length).
-    pub dispatched: u64,
-    /// Streams admitted across the cluster.
-    pub admitted: u64,
-    /// Requests deferred across the cluster.
-    pub deferred: u64,
-    /// Requests rejected across the cluster.
-    pub rejected: u64,
-    /// Arrivals accepted by a non-primary replica.
-    pub redirected: u64,
-    /// Arrivals that overflowed every replica into the cluster queue.
-    pub overflow_queued: u64,
-    /// Buffer underflows across the cluster (must stay 0 under chaos).
-    pub underflows: u64,
-    /// Aggregate peak buffer memory across nodes, in mebibytes.
-    pub peak_memory_mib: f64,
-    /// Faults applied in the cell.
-    pub faults_injected: u64,
-    /// Streams interrupted by the strike (0 for throttle scenarios).
-    pub interrupted: u64,
-    /// Interrupted streams re-admitted on a sibling.
-    pub migrated: u64,
-    /// Interrupted streams parked in the overflow FIFO.
-    pub parked_failover: u64,
-    /// Interrupted streams dropped at failover time.
-    pub dropped: u64,
-    /// Parked entries unplaceable at end of run (every candidate down).
-    pub unplaceable: u64,
-    /// Rejoin faults applied.
-    pub recoveries: u64,
-    /// Rejoins that rebuilt tables cold.
-    pub cold_rebuilds: u64,
-    /// Domain-level events the schedule expanded from (0 for flat
-    /// schedules).
-    pub domain_faults: u64,
-    /// Disk-degrade faults applied.
-    pub disk_degradations: u64,
-    /// Disk-error faults applied.
-    pub disk_errors: u64,
-    /// Movies re-replicated onto survivors by fault-triggered reseeds.
-    pub rereplications: u64,
-    /// Parked streams re-admitted through a rebuilt replica.
-    pub rereplicated_streams: u64,
-    /// Mean seconds from down to rejoin (None if nothing went down).
-    pub mean_time_to_recover_s: Option<f64>,
-    /// Fraction of node-time available over the run.
-    pub availability: f64,
-    /// Per-node `(node, redirected_in, redirected_out)` counters — the
-    /// traced summary lists them so `trace-analyze` can reconcile hop
-    /// spans per node, exactly as in a cluster cell.
-    pub per_node_redirects: Vec<(usize, u64, u64)>,
-}
+    fn stamp(self, doc: &mut Object) {
+        let nodes: Vec<usize> = self.cells().iter().map(|c| c.nodes).collect();
+        stamp_cluster_doc(self.cluster(), &self.config_fingerprint(), &nodes, doc);
+    }
 
-impl ChaosCellResult {
-    fn to_json(&self) -> String {
+    fn describe(spec: &ChaosCellSpec) -> String {
+        format!(
+            "{} nodes / {} / {}",
+            spec.nodes,
+            spec.scenario.label(),
+            spec.failover.label()
+        )
+    }
+
+    fn traces(self) -> SharedTraces {
+        let workload = self.cluster();
+        SharedTraces::generate(self.cells().iter().map(|c| c.nodes), |n| {
+            workload.workload(n)
+        })
+    }
+
+    /// Runs one chaos episode over the shared trace. The inner run is
+    /// single-threaded: the chaos runner interleaves faults with
+    /// arrivals, which is inherently sequential, and only the end-of-run
+    /// drain parallelizes, which at bench-cell node counts is not worth
+    /// a pool. A traced cell keeps lifecycle spans only and has no
+    /// trailer.
+    fn run_cell(
+        self,
+        spec: &ChaosCellSpec,
+        traces: &SharedTraces,
+        obs: &Obs,
+        trailer: Option<&mut String>,
+    ) -> ChaosCellResult {
+        let cfg = cell_chaos_config(self, *spec);
+        let mut cluster =
+            Cluster::with_observer(cfg.cluster.clone(), obs.clone()).unwrap_or_else(|e| {
+                panic!(
+                    "chaos bench cell ({} nodes, {}/{}) must validate: {e}",
+                    spec.nodes,
+                    spec.scenario.label(),
+                    spec.failover.label()
+                )
+            });
+        if trailer.is_some() {
+            cluster.set_per_cycle_tracing(false);
+        }
+        ChaosCellResult {
+            spec: *spec,
+            report: run_chaos_on(cluster, &cfg, &traces.for_nodes(spec.nodes).arrivals, 1),
+        }
+    }
+
+    /// The cell's shape, the front end's counters (the same keys as a
+    /// cluster cell), then the degradation accounting.
+    fn cell_json(c: &ChaosCellResult, wall_clock_s: f64) -> String {
+        let s = &c.report.summary;
         let mut o = Object::new();
-        o.uint("nodes", self.nodes as u64);
-        o.str("scenario", self.scenario);
-        o.str("failover", self.failover);
-        // Pinned shape, spelled out so the comparer's cluster cell
-        // labels stay unambiguous.
+        o.uint("nodes", c.spec.nodes as u64);
+        o.str("scenario", c.spec.scenario.label());
+        o.str("failover", c.spec.failover.label());
+        // The pinned shape, spelled out like a cluster cell's.
         o.str("placement", "replicated_hot");
         o.str("dispatch", "least_loaded");
-        o.num("wall_clock_s", self.wall_clock_s);
-        o.uint("dispatched", self.dispatched);
-        o.uint("admitted", self.admitted);
-        o.uint("deferred", self.deferred);
-        o.uint("rejected", self.rejected);
-        o.uint("redirected", self.redirected);
-        o.uint("overflow_queued", self.overflow_queued);
-        o.uint("underflows", self.underflows);
-        o.num("peak_memory_mib", self.peak_memory_mib);
-        o.uint("faults_injected", self.faults_injected);
-        o.uint("interrupted", self.interrupted);
-        o.uint("migrated", self.migrated);
-        o.uint("parked_failover", self.parked_failover);
-        o.uint("dropped", self.dropped);
-        o.uint("unplaceable", self.unplaceable);
-        o.uint("recoveries", self.recoveries);
-        o.uint("cold_rebuilds", self.cold_rebuilds);
-        o.uint("domain_faults", self.domain_faults);
-        o.uint("disk_degradations", self.disk_degradations);
-        o.uint("disk_errors", self.disk_errors);
-        o.uint("rereplications", self.rereplications);
-        o.uint("rereplicated_streams", self.rereplicated_streams);
-        match self.mean_time_to_recover_s {
+        o.num("wall_clock_s", wall_clock_s);
+        write_front_end(&c.report.cluster, &mut o);
+        o.uint("faults_injected", s.faults_injected);
+        o.uint("interrupted", s.interrupted);
+        o.uint("migrated", s.migrated);
+        o.uint("parked_failover", s.parked);
+        o.uint("dropped", s.dropped);
+        o.uint("unplaceable", s.unplaceable);
+        o.uint("recoveries", s.recoveries);
+        o.uint("cold_rebuilds", s.cold_rebuilds);
+        o.uint("domain_faults", s.domain_faults);
+        o.uint("disk_degradations", s.disk_degradations);
+        o.uint("disk_errors", s.disk_errors);
+        o.uint("rereplications", s.rereplications);
+        o.uint("rereplicated_streams", s.rereplicated);
+        match s.mean_time_to_recover_s {
             Some(x) => o.num("mean_time_to_recover_s", x),
             None => o.null("mean_time_to_recover_s"),
         }
-        o.num("availability", self.availability);
+        o.num("availability", s.availability);
         o.finish()
+    }
+
+    fn trace_header(spec: &ChaosCellSpec, header: &mut Object) {
+        header.uint("nodes", spec.nodes as u64);
+        header.str("placement", "replicated_hot");
+        header.str("dispatch", "least_loaded");
+        header.str("scenario", spec.scenario.label());
+        header.str("failover", spec.failover.label());
+    }
+
+    fn redirects(c: &ChaosCellResult) -> (u64, Vec<(usize, u64, u64)>) {
+        redirects(&c.report.cluster)
+    }
+
+    fn summary_fields(c: &ChaosCellResult, summary: &mut Object) {
+        let s = &c.report.summary;
+        summary.uint("faults_injected", s.faults_injected);
+        summary.uint("interrupted", s.interrupted);
+        summary.uint("migrated", s.migrated);
+        summary.uint("dropped", s.dropped);
     }
 }
 
-/// A full chaos bench run: every cell of the mode, plus totals.
+/// One `(nodes, scenario, failover)` cell: its spec and the chaos run's
+/// report (the cluster's own report plus the degradation accounting).
 #[derive(Clone, Debug)]
-pub struct ChaosBenchReport {
-    /// The mode that was run.
-    pub mode: ChaosBenchMode,
-    /// The pinned seed every cell used.
-    pub seed: u64,
-    /// Per-cell measurements, in matrix order.
-    pub cells: Vec<ChaosCellResult>,
-    /// Wall-clock seconds for the whole matrix.
-    pub total_wall_clock_s: f64,
-}
-
-impl ChaosBenchReport {
-    /// Renders the `BENCH_chaos.json` document (schema-versioned, same
-    /// envelope as the cluster document so `repro compare` accepts it).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut o = Object::new();
-        o.uint("version", crate::compare::BENCH_SCHEMA_VERSION);
-        o.str("mode", self.mode.label());
-        o.uint("seed", self.seed);
-        o.uint("movies", self.mode.movies() as u64);
-        o.num("arrivals_per_node", self.mode.arrivals_per_node());
-        o.str("config_fingerprint", &self.mode.config_fingerprint());
-        let mut matrix = Object::new();
-        matrix.uint("cells", self.cells.len() as u64);
-        let mut node_counts = Array::new();
-        for c in &self.cells {
-            node_counts.raw(&c.nodes.to_string());
-        }
-        matrix.raw("nodes", &node_counts.finish());
-        o.raw("matrix", &matrix.finish());
-        let mut cells = Array::new();
-        for c in &self.cells {
-            cells.raw(&c.to_json());
-        }
-        o.raw("cells", &cells.finish());
-        o.num("total_wall_clock_s", self.total_wall_clock_s);
-        o.finish()
-    }
+pub struct ChaosCellResult {
+    /// The cell's shape, fault and failover policy.
+    pub spec: ChaosCellSpec,
+    /// The run's report.
+    pub report: ChaosReport,
 }
 
 /// The pinned cluster shape every chaos cell runs: the cluster matrix's
@@ -518,6 +478,7 @@ impl ChaosBenchReport {
 /// placement and least-loaded dispatch (the shape failover needs:
 /// without a sibling replica there is nowhere to migrate).
 fn chaos_cluster_config(mode: ChaosBenchMode, nodes: usize) -> ClusterConfig {
+    let workload = mode.cluster();
     let mut engine = cluster_engine_config();
     engine.memory_budget = Some(min_memory_static(
         &engine.params,
@@ -530,125 +491,25 @@ fn chaos_cluster_config(mode: ChaosBenchMode, nodes: usize) -> ClusterConfig {
     ClusterConfig {
         nodes,
         engine,
-        movies: mode.movies(),
+        movies: workload.movies(),
         movie_theta: 0.271,
         placement: PlacementPolicy::ReplicatedHot {
             replicas: 2.min(nodes),
-            hot_movies: (mode.movies() / 4).max(1),
+            hot_movies: (workload.movies() / 4).max(1),
         },
         dispatch: DispatchPolicy::LeastLoaded,
-        seed: mode.seed(),
+        seed: workload.seed(),
     }
 }
 
 fn cell_chaos_config(mode: ChaosBenchMode, spec: ChaosCellSpec) -> ChaosConfig {
-    let horizon = Seconds::from_hours(mode.horizon_hours());
+    let horizon = Seconds::from_hours(mode.cluster().horizon_hours());
     ChaosConfig {
         cluster: chaos_cluster_config(mode, spec.nodes),
         schedule: spec.scenario.schedule(spec.nodes, horizon),
         failover: spec.failover,
         recovery: spec.scenario.recovery(),
         reseed_after: spec.scenario.reseed_after(horizon),
-    }
-}
-
-/// Workloads shared across cells with the same node count (the trace is
-/// independent of scenario and failover policy).
-struct SharedTraces {
-    by_nodes: Vec<(usize, Workload)>,
-}
-
-impl SharedTraces {
-    fn generate(mode: ChaosBenchMode, specs: &[ChaosCellSpec]) -> Self {
-        let mut node_counts: Vec<usize> = specs.iter().map(|s| s.nodes).collect();
-        node_counts.sort_unstable();
-        node_counts.dedup();
-        SharedTraces {
-            by_nodes: node_counts
-                .into_iter()
-                .map(|n| {
-                    (
-                        n,
-                        make_workload(
-                            mode.movies(),
-                            mode.arrivals_per_node() * n as f64,
-                            mode.horizon_hours(),
-                            mode.seed(),
-                        ),
-                    )
-                })
-                .collect(),
-        }
-    }
-
-    fn for_nodes(&self, nodes: usize) -> &Workload {
-        self.by_nodes
-            .iter()
-            .find(|(n, _)| *n == nodes)
-            .map(|(_, wl)| wl)
-            .expect("every cell's node count was generated up front")
-    }
-}
-
-/// Runs one chaos cell over the hoisted trace.
-fn run_chaos_cell(
-    mode: ChaosBenchMode,
-    spec: ChaosCellSpec,
-    wl: &Workload,
-    obs: &Obs,
-    lifecycle_trace_only: bool,
-) -> ChaosCellResult {
-    let cfg = cell_chaos_config(mode, spec);
-    let t0 = WallInstant::now();
-    let mut cluster =
-        Cluster::with_observer(cfg.cluster.clone(), obs.clone()).unwrap_or_else(|e| {
-            panic!(
-                "chaos bench cell ({} nodes, {}/{}) must validate: {e}",
-                spec.nodes,
-                spec.scenario.label(),
-                spec.failover.label()
-            )
-        });
-    if lifecycle_trace_only {
-        cluster.set_per_cycle_tracing(false);
-    }
-    let report = run_chaos_on(cluster, &cfg, &wl.arrivals, 1);
-    let wall_clock_s = t0.elapsed().as_secs_f64();
-
-    ChaosCellResult {
-        nodes: spec.nodes,
-        scenario: spec.scenario.label(),
-        failover: spec.failover.label(),
-        wall_clock_s,
-        dispatched: report.cluster.dispatched,
-        admitted: report.cluster.admitted(),
-        deferred: report.cluster.deferrals(),
-        rejected: report.cluster.rejected(),
-        redirected: report.cluster.redirected,
-        overflow_queued: report.cluster.overflow_queued,
-        underflows: report.cluster.underflows(),
-        peak_memory_mib: report.cluster.peak_memory_bits() / (8.0 * 1024.0 * 1024.0),
-        faults_injected: report.summary.faults_injected,
-        interrupted: report.summary.interrupted,
-        migrated: report.summary.migrated,
-        parked_failover: report.summary.parked,
-        dropped: report.summary.dropped,
-        unplaceable: report.summary.unplaceable,
-        recoveries: report.summary.recoveries,
-        cold_rebuilds: report.summary.cold_rebuilds,
-        domain_faults: report.summary.domain_faults,
-        disk_degradations: report.summary.disk_degradations,
-        disk_errors: report.summary.disk_errors,
-        rereplications: report.summary.rereplications,
-        rereplicated_streams: report.summary.rereplicated,
-        mean_time_to_recover_s: report.summary.mean_time_to_recover_s,
-        availability: report.summary.availability,
-        per_node_redirects: report
-            .cluster
-            .nodes
-            .iter()
-            .map(|n| (n.node, n.redirected_in, n.redirected_out))
-            .collect(),
     }
 }
 
@@ -669,12 +530,7 @@ pub fn run_chaos_adhoc(
     obs: &Obs,
 ) -> Result<vod_chaos::ChaosReport, vod_types::ConfigError> {
     let mode = ChaosBenchMode::Smoke;
-    let wl = make_workload(
-        mode.movies(),
-        mode.arrivals_per_node() * nodes as f64,
-        mode.horizon_hours(),
-        mode.seed(),
-    );
+    let wl = mode.cluster().workload(nodes);
     let cfg = ChaosConfig {
         cluster: chaos_cluster_config(mode, nodes),
         schedule,
@@ -685,147 +541,12 @@ pub fn run_chaos_adhoc(
     vod_chaos::run_chaos(&cfg, &wl.arrivals, 1, obs.clone())
 }
 
-/// Runs the chaos matrix for `mode` on up to `jobs` worker threads.
-/// Cells collect by matrix index, so every deterministic field is
-/// byte-identical whatever the job count; each cell's inner run is
-/// single-threaded (the chaos runner interleaves faults with arrivals,
-/// which is inherently sequential — only the end-of-run drain
-/// parallelizes, and at bench-cell node counts it is not worth a pool).
-#[must_use]
-pub fn run_chaos_bench(
-    mode: ChaosBenchMode,
-    jobs: usize,
-    obs: &Obs,
-    progress: &(dyn Fn(&str) + Sync),
-) -> ChaosBenchReport {
-    let specs = mode.cells();
-    let total = specs.len();
-    let t0 = WallInstant::now();
-    let traces = SharedTraces::generate(mode, &specs);
-
-    let announce = |i: usize, spec: ChaosCellSpec| {
-        progress(&format!(
-            "chaos [{}/{}] {} nodes / {} / {}",
-            i + 1,
-            total,
-            spec.nodes,
-            spec.scenario.label(),
-            spec.failover.label(),
-        ));
-    };
-
-    let cells = map_indexed(total, jobs, |i| {
-        let spec = specs[i];
-        announce(i, spec);
-        run_chaos_cell(mode, spec, traces.for_nodes(spec.nodes), obs, false)
-    });
-
-    ChaosBenchReport {
-        mode,
-        seed: mode.seed(),
-        cells,
-        total_wall_clock_s: t0.elapsed().as_secs_f64(),
-    }
-}
-
-/// Runs the chaos matrix with span tracing on, appending one traced
-/// section per cell to `trace_out` as JSONL. The section markers reuse
-/// the cluster kinds (`cluster_cell` / `cluster_summary`) with the
-/// chaos fields added, so `repro trace-analyze` and `repro report`
-/// consume chaos traces unchanged; fault and recovery events appear as
-/// generic timestamped events inside the section.
-#[must_use]
-pub fn run_chaos_bench_traced(
-    mode: ChaosBenchMode,
-    base_obs: &Obs,
-    trace_out: &mut String,
-    progress: &(dyn Fn(&str) + Sync),
-) -> ChaosBenchReport {
-    let specs = mode.cells();
-    let total = specs.len();
-    let t0 = WallInstant::now();
-    let traces = SharedTraces::generate(mode, &specs);
-
-    let mut cells = Vec::with_capacity(total);
-    for (i, &spec) in specs.iter().enumerate() {
-        progress(&format!(
-            "chaos [{}/{}] {} nodes / {} / {} (traced)",
-            i + 1,
-            total,
-            spec.nodes,
-            spec.scenario.label(),
-            spec.failover.label(),
-        ));
-        let recorder = std::sync::Arc::new(vod_obs::RecorderSink::new().with_kinds(&[
-            vod_obs::EventKind::SpanStart,
-            vod_obs::EventKind::SpanAnnotate,
-            vod_obs::EventKind::SpanEnd,
-            vod_obs::EventKind::RequestAdmitted,
-            vod_obs::EventKind::RequestDeferred,
-            vod_obs::EventKind::RequestRejected,
-            vod_obs::EventKind::Underflow,
-            vod_obs::EventKind::FaultInjected,
-            vod_obs::EventKind::NodeRecovered,
-        ]));
-        let cell_sink: std::sync::Arc<dyn vod_obs::Sink> = match base_obs.sink() {
-            Some(base) => std::sync::Arc::new(vod_obs::TeeSink::new(
-                std::sync::Arc::clone(&recorder) as std::sync::Arc<dyn vod_obs::Sink>,
-                base,
-            )),
-            None => std::sync::Arc::clone(&recorder) as std::sync::Arc<dyn vod_obs::Sink>,
-        };
-        let obs = Obs::new(cell_sink).with_metrics(base_obs.metrics().clone());
-        let cell = run_chaos_cell(mode, spec, traces.for_nodes(spec.nodes), &obs, true);
-        let snap = recorder.snapshot();
-
-        let mut header = Object::new();
-        header.str("kind", "cluster_cell");
-        header.uint("nodes", spec.nodes as u64);
-        header.str("placement", "replicated_hot");
-        header.str("dispatch", "least_loaded");
-        header.str("scenario", spec.scenario.label());
-        header.str("failover", spec.failover.label());
-        trace_out.push_str(&header.finish());
-        trace_out.push('\n');
-        trace_out.push_str(&snap.export_jsonl());
-
-        let mut summary = Object::new();
-        summary.str("kind", "cluster_summary");
-        summary.uint("redirected", cell.redirected);
-        summary.uint("events", snap.events().len() as u64);
-        summary.uint("events_dropped", snap.events_dropped());
-        summary.uint("spans_dropped", snap.spans_dropped());
-        summary.uint("faults_injected", cell.faults_injected);
-        summary.uint("interrupted", cell.interrupted);
-        summary.uint("migrated", cell.migrated);
-        summary.uint("dropped", cell.dropped);
-        let mut nodes = Array::new();
-        for &(node, rin, rout) in &cell.per_node_redirects {
-            let mut no = Object::new();
-            no.uint("node", node as u64);
-            no.uint("redirected_in", rin);
-            no.uint("redirected_out", rout);
-            nodes.raw(&no.finish());
-        }
-        summary.raw("per_node", &nodes.finish());
-        trace_out.push_str(&summary.finish());
-        trace_out.push('\n');
-
-        cells.push(cell);
-    }
-
-    ChaosBenchReport {
-        mode,
-        seed: mode.seed(),
-        cells,
-        total_wall_clock_s: t0.elapsed().as_secs_f64(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::run_matrix;
     use vod_chaos::run_chaos;
+    use vod_cluster::map_indexed;
 
     #[test]
     fn full_matrix_sweeps_every_shape_once() {
@@ -848,56 +569,60 @@ mod tests {
 
     #[test]
     fn smoke_matrix_runs_serializes_and_degrades_gracefully() {
-        let report = run_chaos_bench(ChaosBenchMode::Smoke, 1, &Obs::null(), &|_| {});
+        let report = run_matrix(ChaosBenchMode::Smoke, 1, &Obs::null(), None, &|_| {});
         assert_eq!(report.cells.len(), 4);
         for cell in &report.cells {
-            assert!(cell.dispatched > 0);
-            assert_eq!(cell.underflows, 0, "chaos must never underflow");
-            assert!(cell.availability <= 1.0);
+            assert!(cell.report.cluster.dispatched > 0);
+            assert_eq!(
+                cell.report.cluster.underflows(),
+                0,
+                "chaos must never underflow"
+            );
+            assert!(cell.report.summary.availability <= 1.0);
         }
         // The crash/migrate cell interrupts streams and recovers them.
         let crash = &report.cells[0];
-        assert_eq!(crash.scenario, "crash");
-        assert_eq!(crash.nodes, 2);
-        assert_eq!(crash.faults_injected, 2, "strike + rejoin");
-        assert_eq!(crash.recoveries, 1);
-        assert!(crash.interrupted > 0);
-        assert_eq!(
-            crash.interrupted,
-            crash.migrated + crash.parked_failover + crash.dropped
-        );
-        assert_eq!(crash.cold_rebuilds, 1);
-        assert!(crash.availability < 1.0);
-        assert!(crash.mean_time_to_recover_s.is_some());
+        assert_eq!(crash.spec.scenario, ChaosScenario::Crash);
+        assert_eq!(crash.spec.nodes, 2);
+        let s = &crash.report.summary;
+        assert_eq!(s.faults_injected, 2, "strike + rejoin");
+        assert_eq!(s.recoveries, 1);
+        assert!(s.interrupted > 0);
+        assert_eq!(s.interrupted, s.migrated + s.parked + s.dropped);
+        assert_eq!(s.cold_rebuilds, 1);
+        assert!(s.availability < 1.0);
+        assert!(s.mean_time_to_recover_s.is_some());
         // The slow/drop cell throttles without evicting anything.
         let slow = &report.cells[1];
-        assert_eq!(slow.scenario, "slow");
-        assert_eq!(slow.interrupted, 0);
-        assert_eq!(slow.cold_rebuilds, 0);
+        assert_eq!(slow.spec.scenario, ChaosScenario::Slow);
+        assert_eq!(slow.report.summary.interrupted, 0);
+        assert_eq!(slow.report.summary.cold_rebuilds, 0);
         // The zone_crash_reseed/migrate cell downs rack0 = {0, 2} of 4
         // nodes (2 domain events → 4 per-node faults) and rebuilds the
         // lost replicas onto the survivors before the rack rejoins.
         let zone = &report.cells[2];
-        assert_eq!(zone.scenario, "zone_crash_reseed");
-        assert_eq!(zone.nodes, 4);
-        assert_eq!(zone.domain_faults, 2);
-        assert_eq!(zone.faults_injected, 4);
-        assert_eq!(zone.recoveries, 2);
-        assert!(zone.interrupted > 0);
+        assert_eq!(zone.spec.scenario, ChaosScenario::ZoneCrashReseed);
+        assert_eq!(zone.spec.nodes, 4);
+        let s = &zone.report.summary;
+        assert_eq!(s.domain_faults, 2);
+        assert_eq!(s.faults_injected, 4);
+        assert_eq!(s.recoveries, 2);
+        assert!(s.interrupted > 0);
         assert!(
-            zone.rereplications > 0,
+            s.rereplications > 0,
             "the reseed horizon elapses while rack0 is down"
         );
-        assert!(zone.rereplicated_streams <= zone.parked_failover);
-        assert!(zone.availability < 1.0);
+        assert!(s.rereplicated <= s.parked);
+        assert!(s.availability < 1.0);
         // The disk_degrade/park cell throttles one disk's sub-budget
         // without downing the node.
         let disk = &report.cells[3];
-        assert_eq!(disk.scenario, "disk_degrade");
-        assert_eq!(disk.nodes, 4);
-        assert_eq!(disk.disk_degradations, 1);
-        assert_eq!(disk.interrupted, 0, "partial faults keep the node up");
-        assert!((disk.availability - 1.0).abs() < f64::EPSILON);
+        assert_eq!(disk.spec.scenario, ChaosScenario::DiskDegrade);
+        assert_eq!(disk.spec.nodes, 4);
+        let s = &disk.report.summary;
+        assert_eq!(s.disk_degradations, 1);
+        assert_eq!(s.interrupted, 0, "partial faults keep the node up");
+        assert!((s.availability - 1.0).abs() < f64::EPSILON);
 
         let json = report.to_json();
         assert!(json.contains("\"mode\":\"cluster_chaos_smoke\""));
@@ -905,41 +630,36 @@ mod tests {
         assert!(json.contains("\"scenario\":\"zone_crash_reseed\""));
         assert!(json.contains("\"rereplications\""));
         assert!(json.contains("\"availability\""));
+        // The committed chaos document still describes this run, to the
+        // last deterministic bit, and its envelope holds.
+        let committed = include_str!("../../../BENCH_chaos.json");
+        let r = crate::compare::compare_documents(committed, &json, f64::INFINITY);
+        assert_eq!(
+            r.verdict,
+            crate::compare::CompareVerdict::Matches,
+            "{:?}",
+            r.problems
+        );
     }
 
-    /// The acceptance bar: `repro chaos` output is byte-identical at
-    /// any `--jobs`.
-    #[test]
-    fn parallel_chaos_bench_is_byte_identical_to_sequential() {
-        let seq = run_chaos_bench(ChaosBenchMode::Smoke, 1, &Obs::null(), &|_| {});
-        let par = run_chaos_bench(ChaosBenchMode::Smoke, 2, &Obs::null(), &|_| {});
-        let strip = |mut r: ChaosBenchReport| {
-            for c in &mut r.cells {
-                c.wall_clock_s = 0.0;
-            }
-            r.total_wall_clock_s = 0.0;
-            r.to_json()
-        };
-        assert_eq!(strip(seq), strip(par));
-    }
-
-    /// The traced chaos matrix produces identical deterministic
-    /// counters, and its trace passes the schema check and the
+    /// The traced chaos matrix writes the same document as the untraced
+    /// run, and its trace passes the schema check and the
     /// `trace-analyze` invariant audit.
     #[test]
     fn traced_smoke_matrix_is_identical_and_audits_clean() {
-        let plain = run_chaos_bench(ChaosBenchMode::Smoke, 1, &Obs::null(), &|_| {});
+        let plain = run_matrix(ChaosBenchMode::Smoke, 1, &Obs::null(), None, &|_| {});
         let mut trace = String::new();
-        let traced =
-            run_chaos_bench_traced(ChaosBenchMode::Smoke, &Obs::null(), &mut trace, &|_| {});
-        for (a, b) in plain.cells.iter().zip(&traced.cells) {
-            assert_eq!(a.dispatched, b.dispatched);
-            assert_eq!(a.admitted, b.admitted);
-            assert_eq!(a.interrupted, b.interrupted);
-            assert_eq!(a.migrated, b.migrated);
-            assert_eq!(a.dropped, b.dropped);
-            assert_eq!(a.peak_memory_mib.to_bits(), b.peak_memory_mib.to_bits());
-        }
+        let traced = run_matrix(
+            ChaosBenchMode::Smoke,
+            1,
+            &Obs::null(),
+            Some(&mut trace),
+            &|_| {},
+        );
+        assert_eq!(
+            plain.without_wall_clock().to_json(),
+            traced.without_wall_clock().to_json()
+        );
         assert!(
             trace.contains("\"kind\":\"fault_injected\""),
             "fault events must appear in the trace"
@@ -967,24 +687,19 @@ mod tests {
     /// matrix: every cell's plain `Cluster::run` equals the chaos
     /// runner with no faults, bit for bit (`DiskRunStats` and `to_bits`
     /// peak memory included via `ClusterReport`'s `PartialEq`).
-    /// `#[ignore]`d out of tier-1 (runs the full matrix twice); CI runs
-    /// it with `--ignored` in the release chaos job.
+    /// `#[ignore]`d out of tier-1 (runs the full matrix twice); CI's
+    /// release chaos job runs it with `--include-ignored`.
     #[test]
-    #[ignore = "full 45-cell matrix twice; run in release with --ignored"]
+    #[ignore = "full 45-cell matrix twice; run in release with --include-ignored"]
     fn empty_schedule_is_identity_across_full_cluster_matrix() {
-        use crate::cluster::{cell_config, ClusterBenchMode};
+        use crate::cluster::cell_config;
         let mode = ClusterBenchMode::Full;
         let specs = mode.cells();
         let jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
         let failures: Vec<String> = map_indexed(specs.len(), jobs, |i| {
             let spec = specs[i];
             let cfg = cell_config(mode, spec);
-            let wl = make_workload(
-                mode.movies(),
-                mode.arrivals_per_node() * spec.nodes as f64,
-                mode.horizon_hours(),
-                mode.seed(),
-            );
+            let wl = mode.workload(spec.nodes);
             let plain = Cluster::new(cfg.clone())
                 .expect("valid config")
                 .run(&wl.arrivals);
@@ -1017,12 +732,7 @@ mod tests {
     #[test]
     fn empty_schedule_matches_plain_cluster_at_bench_shape() {
         let mode = ChaosBenchMode::Smoke;
-        let wl = make_workload(
-            mode.movies(),
-            mode.arrivals_per_node() * 2.0,
-            mode.horizon_hours(),
-            mode.seed(),
-        );
+        let wl = mode.cluster().workload(2);
         let cluster_cfg = chaos_cluster_config(mode, 2);
         let plain = Cluster::new(cluster_cfg.clone())
             .expect("valid config")
@@ -1059,10 +769,9 @@ mod tests {
             failover: FailoverPolicy::Migrate,
         };
         assert_eq!(spec.scenario.recovery(), RecoveryPolicy::Cold);
-        let traces = SharedTraces::generate(mode, &[spec]);
         let cfg = cell_chaos_config(mode, spec);
-        let report =
-            run_chaos(&cfg, &traces.for_nodes(4).arrivals, 1, Obs::null()).expect("valid cell");
+        let wl = mode.cluster().workload(4);
+        let report = run_chaos(&cfg, &wl.arrivals, 1, Obs::null()).expect("valid cell");
         assert_eq!(report.summary.parked, 28);
         assert_eq!(report.cluster.overflow_queued, 466);
         let audits: Vec<(usize, usize)> = report

@@ -3,10 +3,12 @@
 //!
 //! `compare` diffs any two saved engine (`BENCH_perf.json`), cluster
 //! (`BENCH_cluster.json`) or chaos (`BENCH_chaos.json`) documents, most
-//! often a committed one against a fresh run: exact equality on every
-//! deterministic counter and bitwise equality on `peak_memory_mib`,
-//! tolerance-gated deltas on the host-dependent ones (wall-clock,
-//! cycles/second, per-phase p95), and for chaos documents the
+//! often a committed one against a fresh run. One rule covers every
+//! kind: each key of each cell must match exactly — numbers by their
+//! `f64` bits, nested `per_node` arrays included — except the three
+//! host-dependent keys [`HOST_KEYS`] (`wall_clock_s`, `cycles_per_sec`,
+//! `phases`). Those get tolerance-gated deltas instead (wall-clock,
+//! cycles/second, per-phase p95), and chaos documents also get the
 //! degradation envelope ([`envelope_delta`]). Non-zero exit on
 //! regression makes it the CI gate.
 //!
@@ -23,8 +25,7 @@
 use vod_obs::json::{parse, Json};
 
 /// Schema version stamped into bench documents by this revision of the
-/// writers ([`crate::perf::BenchReport::to_json`],
-/// [`crate::cluster::ClusterBenchReport::to_json`]).
+/// writer ([`crate::matrix::Report::to_json`]).
 pub const BENCH_SCHEMA_VERSION: u64 = 2;
 
 /// Default wall-clock / throughput slowdown factor tolerated before a
@@ -83,40 +84,21 @@ pub struct CompareReport {
     pub info: Vec<String>,
 }
 
-/// Which matrix a bench document describes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum DocKind {
-    Engine,
-    Cluster,
-}
-
-fn doc_kind(doc: &Json) -> Option<DocKind> {
-    let mode = doc.get("mode").and_then(Json::as_str)?;
-    if mode.starts_with("cluster_") {
-        Some(DocKind::Cluster)
-    } else {
-        Some(DocKind::Engine)
-    }
-}
-
 /// Checks the metadata stamps agree; returns refusal reasons otherwise.
 fn compatibility_problems(old: &Json, new: &Json) -> Vec<String> {
     let mut problems = Vec::new();
 
-    let (old_kind, new_kind) = (doc_kind(old), doc_kind(new));
-    match (old_kind, new_kind) {
+    match (
+        old.get("mode").and_then(Json::as_str),
+        new.get("mode").and_then(Json::as_str),
+    ) {
         (Some(a), Some(b)) if a != b => {
-            problems.push(format!("document kinds differ: old is {a:?}, new is {b:?}"))
+            problems.push(format!("mode mismatch: old `{a}`, new `{b}`"));
         }
         (None, _) | (_, None) => {
             problems.push("a document carries no `mode` — not a bench report".into());
         }
         _ => {}
-    }
-    let old_mode = old.get("mode").and_then(Json::as_str).unwrap_or("?");
-    let new_mode = new.get("mode").and_then(Json::as_str).unwrap_or("?");
-    if old_mode != new_mode {
-        problems.push(format!("mode mismatch: old `{old_mode}`, new `{new_mode}`"));
     }
 
     for (key, kind) in [
@@ -181,77 +163,78 @@ fn render_short(v: &Json) -> String {
     }
 }
 
-/// The deterministic per-cell counters diffed exactly, per kind.
-fn exact_counters(kind: DocKind) -> &'static [&'static str] {
-    match kind {
-        DocKind::Engine => &[
-            "cycles",
-            "services",
-            "admitted",
-            "deferred",
-            "rejected",
-            "underflows",
-        ],
-        DocKind::Cluster => &[
-            "dispatched",
-            "admitted",
-            "deferred",
-            "rejected",
-            "redirected",
-            "overflow_queued",
-            "underflows",
-            // Chaos-cell degradation counters (`BENCH_chaos.json`); plain
-            // cluster cells lack the keys, and `None == None` passes.
-            "faults_injected",
-            "interrupted",
-            "migrated",
-            "parked_failover",
-            "dropped",
-            "unplaceable",
-            "recoveries",
-            "domain_faults",
-            "disk_degradations",
-            "disk_errors",
-            "rereplications",
-            "rereplicated_streams",
-        ],
-    }
+/// The cell keys whose values time the host rather than the
+/// simulation. Every other key is diffed exactly.
+pub const HOST_KEYS: [&str; 3] = ["wall_clock_s", "cycles_per_sec", "phases"];
+
+/// Labels a cell by its matrix position and its string-valued fields
+/// (scheme and method, placement and dispatch, scenario and failover).
+fn cell_label(index: usize, cell: &Json) -> String {
+    format!("cell {} ({})", index + 1, cell_identity(cell))
 }
 
-fn cell_label(kind: DocKind, cell: &Json) -> String {
-    match kind {
-        DocKind::Engine => format!(
-            "{}/{}/θ={}",
-            cell.get("scheme").and_then(Json::as_str).unwrap_or("?"),
-            cell.get("method").and_then(Json::as_str).unwrap_or("?"),
-            cell.get("theta").and_then(Json::as_f64).unwrap_or(f64::NAN),
-        ),
-        DocKind::Cluster => {
-            let mut label = format!(
-                "{}n/{}/{}",
-                cell.get("nodes")
-                    .and_then(Json::as_u64)
-                    .map_or_else(|| "?".into(), |n| n.to_string()),
-                cell.get("placement").and_then(Json::as_str).unwrap_or("?"),
-                cell.get("dispatch").and_then(Json::as_str).unwrap_or("?"),
-            );
-            // Chaos cells vary by scenario/failover at fixed shape.
-            if let Some(s) = cell.get("scenario").and_then(Json::as_str) {
-                label.push('/');
-                label.push_str(s);
+/// The cell's string-valued fields, in key order, joined by `/`.
+fn cell_identity(cell: &Json) -> String {
+    let Json::Obj(fields) = cell else {
+        return String::new();
+    };
+    let names: Vec<&str> = fields.values().filter_map(Json::as_str).collect();
+    names.join("/")
+}
+
+/// Pushes one problem per leaf at which `old` and `new` differ: numbers
+/// by their `f64` bits, objects key by key (skipping `skip`), arrays
+/// element by element. `path` names the value in the messages.
+fn diff_exact(
+    label: &str,
+    path: &str,
+    old: Option<&Json>,
+    new: Option<&Json>,
+    skip: &[&str],
+    problems: &mut Vec<String>,
+) {
+    match (old, new) {
+        (Some(Json::Obj(o)), Some(Json::Obj(n))) => {
+            let added = n.keys().filter(|k| !o.contains_key(*k));
+            for key in o.keys().chain(added) {
+                if skip.contains(&key.as_str()) {
+                    continue;
+                }
+                let sub = if path.is_empty() {
+                    key.clone()
+                } else {
+                    format!("{path}.{key}")
+                };
+                diff_exact(label, &sub, o.get(key), n.get(key), &[], problems);
             }
-            if let Some(f) = cell.get("failover").and_then(Json::as_str) {
-                label.push('/');
-                label.push_str(f);
+        }
+        (Some(Json::Arr(o)), Some(Json::Arr(n))) if o.len() == n.len() => {
+            for (i, (a, b)) in o.iter().zip(n).enumerate() {
+                diff_exact(
+                    label,
+                    &format!("{path}[{i}]"),
+                    Some(a),
+                    Some(b),
+                    &[],
+                    problems,
+                );
             }
-            label
+        }
+        (Some(Json::Num(a)), Some(Json::Num(b))) if a.to_bits() == b.to_bits() => {}
+        (Some(a @ (Json::Null | Json::Bool(_) | Json::Str(_))), Some(b)) if a == b => {}
+        _ => {
+            let show = |v: Option<&Json>| v.map_or_else(|| "(absent)".into(), render_short);
+            problems.push(format!(
+                "{label}: {path} old {} != new {} (deterministic; must match exactly)",
+                show(old),
+                show(new)
+            ));
         }
     }
 }
 
 /// Diffs one pair of cells; pushes problems/info in place.
 fn compare_cell(
-    kind: DocKind,
     label: &str,
     old: &Json,
     new: &Json,
@@ -259,20 +242,7 @@ fn compare_cell(
     problems: &mut Vec<String>,
     info: &mut Vec<String>,
 ) {
-    for key in exact_counters(kind) {
-        let o = old.get(key).and_then(Json::as_u64);
-        let n = new.get(key).and_then(Json::as_u64);
-        if o != n {
-            problems.push(format!("{label}: {key} old {o:?} != new {n:?}"));
-        }
-    }
-    let o_peak = old.get("peak_memory_mib").and_then(Json::as_f64);
-    let n_peak = new.get("peak_memory_mib").and_then(Json::as_f64);
-    if o_peak.map(f64::to_bits) != n_peak.map(f64::to_bits) {
-        problems.push(format!(
-            "{label}: peak_memory_mib old {o_peak:?} != new {n_peak:?} (deterministic; must be bit-identical)"
-        ));
-    }
+    diff_exact(label, "", Some(old), Some(new), &HOST_KEYS, problems);
 
     let o_wall = old
         .get("wall_clock_s")
@@ -293,54 +263,52 @@ fn compare_cell(
             o_wall / n_wall
         ));
     }
-    if kind == DocKind::Engine {
-        let o_cps = old
-            .get("cycles_per_sec")
-            .and_then(Json::as_f64)
-            .unwrap_or(0.0);
-        let n_cps = new
-            .get("cycles_per_sec")
-            .and_then(Json::as_f64)
-            .unwrap_or(0.0);
-        if o_cps > 0.0 && n_cps > 0.0 && n_cps < o_cps / tolerance {
-            problems.push(format!(
-                "{label}: throughput fell to {n_cps:.0} cycles/s from {o_cps:.0} (more than {tolerance}x)"
-            ));
-        } else if o_cps > 0.0 && n_cps > 0.0 {
-            info.push(format!(
-                "{label}: throughput {:.2}x old ({n_cps:.0} vs {o_cps:.0} cycles/s)",
-                n_cps / o_cps
-            ));
-        }
+    let o_cps = old
+        .get("cycles_per_sec")
+        .and_then(Json::as_f64)
+        .unwrap_or(0.0);
+    let n_cps = new
+        .get("cycles_per_sec")
+        .and_then(Json::as_f64)
+        .unwrap_or(0.0);
+    if o_cps > 0.0 && n_cps > 0.0 && n_cps < o_cps / tolerance {
+        problems.push(format!(
+            "{label}: throughput fell to {n_cps:.0} cycles/s from {o_cps:.0} (more than {tolerance}x)"
+        ));
+    } else if o_cps > 0.0 && n_cps > 0.0 {
+        info.push(format!(
+            "{label}: throughput {:.2}x old ({n_cps:.0} vs {o_cps:.0} cycles/s)",
+            n_cps / o_cps
+        ));
+    }
 
-        // Per-phase p95 drift: phase timings are host wall-clock, so
-        // drift is tolerance-gated like the cell wall-clock — but only
-        // when both histograms have enough samples for a stable p95. A
-        // 3-sample histogram's p95 IS its max, and a single scheduling
-        // hiccup (smoke cells time some phases a handful of times) swings
-        // it by orders of magnitude; below the floor it is info-only.
-        // Engine phases are sampled per cycle: the service p95 is that
-        // of a cycle's average per-service cost (see `perf`).
-        const PHASE_P95_MIN_COUNT: u64 = 16;
-        if let (Some(Json::Obj(op)), Some(Json::Obj(np))) = (old.get("phases"), new.get("phases")) {
-            for (phase, o_hist) in op {
-                let Some(n_hist) = np.get(phase) else {
-                    continue;
-                };
-                let o95 = o_hist.get("p95").and_then(Json::as_f64).unwrap_or(0.0);
-                let n95 = n_hist.get("p95").and_then(Json::as_f64).unwrap_or(0.0);
-                let samples = o_hist
-                    .get("count")
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0)
-                    .min(n_hist.get("count").and_then(Json::as_u64).unwrap_or(0));
-                if o95 > 0.0 && n95 > o95 * tolerance && samples >= PHASE_P95_MIN_COUNT {
-                    problems.push(format!(
-                        "{label}: phase {phase} p95 {n95:.3e}s is more than {tolerance}x the old {o95:.3e}s"
-                    ));
-                } else if o95 > 0.0 && n95 > 0.0 {
-                    info.push(format!("{label}: phase {phase} p95 {:.2}x old", n95 / o95));
-                }
+    // Per-phase p95 drift: phase timings are host wall-clock, so drift
+    // is tolerance-gated like the cell wall-clock — but only when both
+    // histograms have enough samples for a stable p95. A 3-sample
+    // histogram's p95 IS its max, and a single scheduling hiccup (smoke
+    // cells time some phases a handful of times) swings it by orders of
+    // magnitude; below the floor it is info-only. Engine phases are
+    // sampled per cycle: the service p95 is that of a cycle's average
+    // per-service cost (see `perf`).
+    const PHASE_P95_MIN_COUNT: u64 = 16;
+    if let (Some(Json::Obj(op)), Some(Json::Obj(np))) = (old.get("phases"), new.get("phases")) {
+        for (phase, o_hist) in op {
+            let Some(n_hist) = np.get(phase) else {
+                continue;
+            };
+            let o95 = o_hist.get("p95").and_then(Json::as_f64).unwrap_or(0.0);
+            let n95 = n_hist.get("p95").and_then(Json::as_f64).unwrap_or(0.0);
+            let samples = o_hist
+                .get("count")
+                .and_then(Json::as_u64)
+                .unwrap_or(0)
+                .min(n_hist.get("count").and_then(Json::as_u64).unwrap_or(0));
+            if o95 > 0.0 && n95 > o95 * tolerance && samples >= PHASE_P95_MIN_COUNT {
+                problems.push(format!(
+                    "{label}: phase {phase} p95 {n95:.3e}s is more than {tolerance}x the old {o95:.3e}s"
+                ));
+            } else if o95 > 0.0 && n95 > 0.0 {
+                info.push(format!("{label}: phase {phase} p95 {:.2}x old", n95 / o95));
             }
         }
     }
@@ -379,7 +347,7 @@ pub struct EnvelopeMetric {
 /// Envelope deltas for one chaos cell.
 #[derive(Clone, Debug)]
 pub struct EnvelopeCellDelta {
-    /// Cell label (`4n/replicated_hot/least_loaded/zone_crash/migrate`).
+    /// Cell label (`cell 3 (least_loaded/migrate/replicated_hot/zone_crash)`).
     pub label: String,
     /// The gated metrics, in stable order.
     pub metrics: Vec<EnvelopeMetric>,
@@ -463,19 +431,26 @@ fn cell_envelope(cell: &Json) -> Vec<(&'static str, Option<f64>, f64)> {
 pub fn envelope_delta(old_src: &str, new_src: &str) -> Result<EnvelopeReport, Vec<String>> {
     let old = parse(old_src).map_err(|e| vec![format!("old document does not parse: {e}")])?;
     let new = parse(new_src).map_err(|e| vec![format!("new document does not parse: {e}")])?;
-    if !is_chaos_doc(&old) || !is_chaos_doc(&new) {
+    envelope_of(&old, &new)
+}
+
+/// [`envelope_delta`] over documents already parsed.
+///
+/// # Errors
+///
+/// As [`envelope_delta`], less the parse failures.
+pub fn envelope_of(old: &Json, new: &Json) -> Result<EnvelopeReport, Vec<String>> {
+    if !is_chaos_doc(old) || !is_chaos_doc(new) {
         return Err(vec![
             "degradation envelopes exist only for chaos documents (mode `cluster_chaos_*`)".into(),
         ]);
     }
-    let problems = compatibility_problems(&old, &new);
+    let problems = compatibility_problems(old, new);
     if !problems.is_empty() {
         return Err(problems);
     }
 
-    let empty: Vec<Json> = Vec::new();
-    let old_cells = old.get("cells").and_then(Json::as_arr).unwrap_or(&empty);
-    let new_cells = new.get("cells").and_then(Json::as_arr).unwrap_or(&empty);
+    let (old_cells, new_cells) = (cells(old), cells(new));
     if old_cells.len() != new_cells.len() {
         return Err(vec![format!(
             "cell count mismatch: old {}, new {}",
@@ -486,14 +461,15 @@ pub fn envelope_delta(old_src: &str, new_src: &str) -> Result<EnvelopeReport, Ve
 
     let mut cells = Vec::with_capacity(old_cells.len());
     let mut problems = Vec::new();
-    for (o, n) in old_cells.iter().zip(new_cells) {
-        let label = cell_label(DocKind::Cluster, n);
-        if cell_label(DocKind::Cluster, o) != label {
+    for (i, (o, n)) in old_cells.iter().zip(new_cells).enumerate() {
+        if cell_identity(o) != cell_identity(n) {
             return Err(vec![format!(
-                "cell order mismatch: old {} vs new {label}",
-                cell_label(DocKind::Cluster, o)
+                "cell order mismatch: old {} vs new {}",
+                cell_label(i, o),
+                cell_label(i, n)
             )]);
         }
+        let label = cell_label(i, n);
         let mut metrics = Vec::new();
         for ((name, old_v, tol), (_, new_v, _)) in
             cell_envelope(o).into_iter().zip(cell_envelope(n))
@@ -530,8 +506,13 @@ pub fn envelope_delta(old_src: &str, new_src: &str) -> Result<EnvelopeReport, Ve
     Ok(EnvelopeReport { cells, problems })
 }
 
-/// Diffs two bench documents (both `BENCH_perf.json`-shaped or both
-/// `BENCH_cluster.json`-shaped). See the module docs for the rules.
+/// A document's `cells` array (empty when absent).
+fn cells(doc: &Json) -> &[Json] {
+    doc.get("cells").and_then(Json::as_arr).unwrap_or(&[])
+}
+
+/// Diffs two bench documents of the same kind. See the module docs for
+/// the rules.
 #[must_use]
 pub fn compare_documents(old_src: &str, new_src: &str, tolerance: f64) -> CompareReport {
     let incompatible = |problems: Vec<String>| CompareReport {
@@ -553,11 +534,8 @@ pub fn compare_documents(old_src: &str, new_src: &str, tolerance: f64) -> Compar
     if !problems.is_empty() {
         return incompatible(problems);
     }
-    let kind = doc_kind(&old).expect("compatibility check verified the mode");
 
-    let empty: Vec<Json> = Vec::new();
-    let old_cells = old.get("cells").and_then(Json::as_arr).unwrap_or(&empty);
-    let new_cells = new.get("cells").and_then(Json::as_arr).unwrap_or(&empty);
+    let (old_cells, new_cells) = (cells(&old), cells(&new));
     if old_cells.len() != new_cells.len() {
         return incompatible(vec![format!(
             "cell count mismatch despite matching matrix stamp: old {}, new {}",
@@ -568,24 +546,17 @@ pub fn compare_documents(old_src: &str, new_src: &str, tolerance: f64) -> Compar
 
     let mut problems = Vec::new();
     let mut info = Vec::new();
-    for (o, n) in old_cells.iter().zip(new_cells) {
-        let label = cell_label(kind, n);
-        if cell_label(kind, o) != label {
-            problems.push(format!(
-                "cell order mismatch: old {} vs new {label}",
-                cell_label(kind, o)
-            ));
-            continue;
-        }
-        compare_cell(kind, &label, o, n, tolerance, &mut problems, &mut info);
+    for (i, (o, n)) in old_cells.iter().zip(new_cells).enumerate() {
+        let label = cell_label(i, n);
+        compare_cell(&label, o, n, tolerance, &mut problems, &mut info);
     }
 
     // Chaos documents additionally get the degradation-envelope view:
     // one info line per cell summarizing the envelope drift, and any
     // out-of-tolerance envelope metric counts as a regression (on top
-    // of the exact-counter rules above).
+    // of the exact rule above).
     if is_chaos_doc(&old) && is_chaos_doc(&new) {
-        if let Ok(env) = envelope_delta(old_src, new_src) {
+        if let Ok(env) = envelope_of(&old, &new) {
             for cell in &env.cells {
                 let deltas: Vec<String> = cell
                     .metrics
@@ -624,7 +595,8 @@ mod tests {
     }
 
     fn smoke_json() -> String {
-        crate::perf::run_bench(crate::perf::BenchMode::Smoke, 1, &|_| {}).to_json()
+        let mode = crate::perf::BenchMode::Smoke;
+        crate::matrix::run_matrix(mode, 1, &vod_obs::Obs::null(), None, &|_| {}).to_json()
     }
 
     #[test]
@@ -635,39 +607,46 @@ mod tests {
         assert!(!r.info.is_empty(), "per-cell speed lines expected");
     }
 
-    /// Bumps the first `"key":<n>` counter of `doc` by one.
-    fn bump_first(doc: &str, key: &str) -> String {
-        let parsed = parse(doc).expect("parses");
-        let n = parsed.get("cells").and_then(Json::as_arr).unwrap()[0]
-            .get(key)
-            .and_then(Json::as_u64)
-            .expect("counter present");
-        let broken = doc.replacen(
-            &format!("\"{key}\":{n}"),
-            &format!("\"{key}\":{}", n + 1),
-            1,
-        );
-        assert_ne!(doc, broken, "perturbation must hit");
-        broken
+    const BASELINE: &str = include_str!("../../../BENCH_baseline.json");
+    const CLUSTER: &str = include_str!("../../../BENCH_cluster_smoke.json");
+    const CHAOS: &str = include_str!("../../../BENCH_chaos.json");
+
+    /// Rewrites the first `"key":<number>` after `anchor` to another
+    /// number: an integer plus one, any other number 9.0.
+    fn perturb(doc: &str, anchor: &str, key: &str) -> String {
+        let from = doc.find(anchor).expect("anchor present");
+        let needle = format!("\"{key}\":");
+        let start = from + doc[from..].find(&needle).expect("key present") + needle.len();
+        let end = start + doc[start..].find([',', '}']).expect("value ends");
+        let value = &doc[start..end];
+        let other = value
+            .parse::<u64>()
+            .map_or_else(|_| "9.0".to_owned(), |n| (n + 1).to_string());
+        assert_ne!(value, other, "perturbation must change the value");
+        format!("{}{other}{}", &doc[..start], &doc[end..])
     }
 
+    /// The exact rule covers every deterministic field of every document
+    /// kind, the ones no counter list named included: chaos
+    /// `cold_rebuilds`, cluster `imbalance_ratio` and the nested
+    /// `per_node` counters.
     #[test]
-    fn injected_counter_mismatch_is_a_regression() {
-        let engine = smoke_json();
-        let cluster = crate::cluster::run_cluster_bench(
-            crate::cluster::ClusterBenchMode::Smoke,
-            1,
-            &vod_obs::Obs::null(),
-            &|_| {},
-        )
-        .to_json();
-        for (doc, key) in [(engine, "cycles"), (cluster, "admitted")] {
-            let r = compare_documents(&doc, &doc, DEFAULT_TOLERANCE);
+    fn any_deterministic_field_drift_is_a_regression() {
+        for (doc, anchor, key, path) in [
+            (BASELINE, "\"cells\"", "cycles", "cycles"),
+            (CLUSTER, "\"cells\"", "admitted", "admitted"),
+            (CLUSTER, "\"cells\"", "imbalance_ratio", "imbalance_ratio"),
+            (CLUSTER, "\"per_node\"", "admitted", "per_node[0].admitted"),
+            (CHAOS, "\"cells\"", "cold_rebuilds", "cold_rebuilds"),
+        ] {
+            let r = compare_documents(doc, doc, DEFAULT_TOLERANCE);
             assert_eq!(r.verdict, CompareVerdict::Matches, "{:?}", r.problems);
-            let r = compare_documents(&doc, &bump_first(&doc, key), DEFAULT_TOLERANCE);
-            assert_eq!(r.verdict, CompareVerdict::Regression);
+            let r = compare_documents(doc, &perturb(doc, anchor, key), DEFAULT_TOLERANCE);
+            assert_eq!(r.verdict, CompareVerdict::Regression, "{path}");
             assert!(
-                r.problems.iter().any(|p| p.contains(key)),
+                r.problems
+                    .iter()
+                    .any(|p| p.contains(&format!(": {path} old"))),
                 "{:?}",
                 r.problems
             );

@@ -12,20 +12,19 @@ pub mod chaos;
 pub mod cluster;
 pub mod compare;
 pub mod experiments;
+pub mod matrix;
 pub mod perf;
 pub mod report;
 pub mod scale;
 pub mod traceview;
 
-pub use chaos::{run_chaos_bench, run_chaos_bench_traced, ChaosBenchMode, ChaosBenchReport};
-pub use cluster::{
-    run_cluster_bench, run_cluster_bench_traced, ClusterBenchMode, ClusterBenchReport,
-    ClusterCellResult,
-};
+pub use chaos::{ChaosBenchMode, ChaosCellResult};
+pub use cluster::{ClusterBenchMode, ClusterCellResult};
 pub use compare::{compare_documents, CompareReport, CompareVerdict};
 pub use experiments::{
     fig10, fig11, fig12, fig13, fig14, fig6, fig7, fig8, fig9, gss_g, tab3, tab4, tab5, vcr,
 };
-pub use perf::{run_bench, BenchMode, BenchReport, CellResult};
+pub use matrix::{run_matrix, Matrix, Report};
+pub use perf::{BenchMode, CellResult};
 pub use report::render_run_report;
 pub use scale::Scale;

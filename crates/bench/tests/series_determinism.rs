@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use vod_bench::cluster::cluster_engine_config;
-use vod_bench::BenchMode;
+use vod_bench::{BenchMode, Matrix};
 use vod_cluster::{Cluster, ClusterConfig, DispatchPolicy, PlacementPolicy};
 use vod_obs::timeseries::{engine_series, SeriesRecorder};
 use vod_sim::DiskEngine;

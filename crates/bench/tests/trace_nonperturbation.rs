@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use vod_bench::BenchMode;
+use vod_bench::{BenchMode, Matrix};
 use vod_obs::{EventKind, Obs, RecorderSink, Sink};
 use vod_sim::{DiskEngine, EngineConfig};
 use vod_workload::{generate, WorkloadConfig};
