@@ -9,16 +9,13 @@
 //!   predict-and-enforce under a rising load (the naive runs *and*
 //!   underflows; this times the runs, the integration tests check the
 //!   underflows).
-//! * `ablation_page_granularity` — bit-granular vs. page-granular pool
-//!   accounting (§2.1's idealization).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use vod_buffer::{BufferPool, Granularity, PoolConfig};
 use vod_core::closed_form::buffer_size_closed_form;
 use vod_core::{SchemeKind, SizeTable, SystemParams};
 use vod_sched::SchedulingMethod;
 use vod_sim::{DiskEngine, EngineConfig};
-use vod_types::{Bits, DiskId, Instant, RequestId, Seconds, VideoId};
+use vod_types::{DiskId, Instant, Seconds, VideoId};
 use vod_workload::Arrival;
 
 fn rising_load() -> Vec<Arrival> {
@@ -92,39 +89,6 @@ fn bench_naive_vs_dynamic(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_page_granularity(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_page_granularity");
-    let configs = [
-        ("variable", PoolConfig::unbounded()),
-        (
-            "pages_4kib",
-            PoolConfig {
-                capacity: None,
-                granularity: Granularity::Pages {
-                    page: Bits::from_bytes(4096.0),
-                },
-            },
-        ),
-    ];
-    for (name, cfg) in configs {
-        group.bench_function(name, |b| {
-            let pool = BufferPool::new(cfg).expect("valid pool config");
-            for i in 0..64u64 {
-                pool.register(RequestId::new(i)).expect("fresh ids");
-            }
-            b.iter(|| {
-                for i in 0..64u64 {
-                    let id = RequestId::new(i);
-                    pool.fill(id, Bits::from_megabits(1.0)).expect("unbounded");
-                    pool.consume(id, Bits::from_megabits(1.0)).expect("filled");
-                }
-                black_box(pool.used())
-            })
-        });
-    }
-    group.finish();
-}
-
 fn bench_seek_model(c: &mut Criterion) {
     // DESIGN.md's `ablation_seek_model`: worst-case DL (the paper's
     // modelling assumption) vs. sampled head movement.
@@ -152,7 +116,6 @@ criterion_group!(
     bench_table_vs_direct,
     bench_alpha,
     bench_naive_vs_dynamic,
-    bench_page_granularity,
     bench_seek_model
 );
 criterion_main!(benches);

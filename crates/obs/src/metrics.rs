@@ -59,8 +59,6 @@ pub const CTR_DEFERRED: &str = "vod_requests_deferred_total";
 pub const CTR_REJECTED: &str = "vod_requests_rejected_total";
 /// Counter: buffer underflow events.
 pub const CTR_UNDERFLOWS: &str = "vod_underflows_total";
-/// Counter: buffer-pool fill operations.
-pub const CTR_POOL_FILLS: &str = "vod_pool_fills_total";
 /// Counter: non-span events dropped by a bounded recorder.
 pub const CTR_EVENTS_DROPPED: &str = "vod_events_dropped_total";
 /// Counter: span records dropped by a bounded recorder.
@@ -69,10 +67,6 @@ pub const CTR_SPANS_DROPPED: &str = "vod_spans_dropped_total";
 /// fell short of the actual count (see `vod-sim`'s `audit` module).
 pub const CTR_AUDIT_VIOLATIONS: &str = "vod_audit_violations_total";
 
-/// Gauge: current buffer-pool occupancy in bits.
-pub const GAUGE_POOL_USED: &str = "vod_pool_used_bits";
-/// Gauge: peak buffer-pool occupancy in bits.
-pub const GAUGE_POOL_PEAK: &str = "vod_pool_peak_bits";
 /// Gauge: entries in the most recently built `BS_k(n)` size table.
 pub const GAUGE_TABLE_ENTRIES: &str = "vod_size_table_entries";
 
@@ -775,7 +769,7 @@ mod tests {
         let c = m.counter(CTR_CYCLES);
         c.inc();
         assert_eq!(c.get(), 0);
-        let g = m.gauge(GAUGE_POOL_USED);
+        let g = m.gauge(GAUGE_TABLE_ENTRIES);
         g.set(5.0);
         assert_eq!(g.get(), 0.0);
         let h = m.histogram(PHASE_SERVICE);

@@ -26,6 +26,7 @@ use std::time::Instant as WallInstant;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use vod_core::scheme::Sizer;
+use vod_core::AdmissionConstraint;
 use vod_core::{memory, AdmissionController, ArrivalLog, SchemeKind, SystemParams};
 use vod_disk::{Disk, LatencyModel};
 use vod_obs::metrics::{
@@ -132,8 +133,8 @@ struct Pending {
     trace: TraceId,
 }
 
-/// Aggregate-memory accounting: `used(t) = levels − CR·(draining·t − Σ tᵢ)`
-/// over all viewing streams, updated incrementally (O(1) per event).
+/// §2.1's shared pool (the crate docs' memory model): `used(t) = levels −
+/// CR·(draining·t − Σ tᵢ)` over all viewing streams, updated in O(1).
 #[derive(Debug, Default, Clone, Copy)]
 struct MemTracker {
     levels: f64,
@@ -581,7 +582,7 @@ impl DiskEngine {
             // slots until the cycle boundary.
             self.process_due_departures();
             while ai < arrivals.len() && arrivals[ai].at <= self.t {
-                self.ingest(&arrivals[ai]);
+                self.ingest(&arrivals[ai], TraceId::NONE);
                 ai += 1;
                 self.settle_arrivals_before(floor(ai));
             }
@@ -801,7 +802,7 @@ impl DiskEngine {
             };
             if let Some(d) = s.departs_at() {
                 if d <= self.t {
-                    self.depart(slot, d);
+                    self.retire(slot, d, false);
                     return Step::Progressed;
                 }
             }
@@ -986,20 +987,14 @@ impl DiskEngine {
     /// Panics if `a.at` is in the engine's future — offering early would
     /// leak estimator knowledge backwards in time.
     pub fn offer(&mut self, a: &Arrival) {
-        assert!(
-            a.at <= self.t,
-            "arrival at {} offered before the engine reached it (now {})",
-            a.at,
-            self.t
-        );
-        self.process_due_departures();
-        self.ingest_traced(a, None);
+        self.offer_traced(a, TraceId::NONE);
     }
 
     /// [`Self::offer`], but continuing an externally minted trace (a
     /// cluster front end dispatching a request threads the dispatch
-    /// trace through the node engine). Observability only: the engine's
-    /// admission and scheduling behave exactly as [`Self::offer`].
+    /// trace through the node engine; [`TraceId::NONE`] derives one as
+    /// [`Self::offer`] does). Observability only: the engine's admission
+    /// and scheduling behave exactly as [`Self::offer`].
     pub fn offer_traced(&mut self, a: &Arrival, trace: TraceId) {
         assert!(
             a.at <= self.t,
@@ -1008,7 +1003,7 @@ impl DiskEngine {
             self.t
         );
         self.process_due_departures();
-        self.ingest_traced(a, Some(trace));
+        self.ingest(a, trace);
     }
 
     /// Runs all internal work — services, departures, node-local
@@ -1068,16 +1063,15 @@ impl DiskEngine {
     /// deterministic admission-ring order) and every queued request
     /// (FIFO), closing their lifecycle spans `Refused` with an
     /// `"evicted"` annotation, and returns descriptors a failover policy
-    /// can re-dispatch. Departed-stream bookkeeping follows the normal
-    /// departure path — memory released, concurrency decremented, the
-    /// controller notified — so the run stays internally consistent; the
+    /// can re-dispatch. An evicted stream leaves through the same retire
+    /// path as a departure — memory released, concurrency decremented,
+    /// the controller notified — so the run stays internally consistent; the
     /// evictions are *not* counted as departures-with-service or as
     /// rejections (chaos accounting owns those outcomes). The engine
     /// survives empty: it can be advanced, rejoined, and offered new
     /// arrivals, with its estimator log and cumulative stats intact.
     pub fn evict_all(&mut self) -> Vec<EvictedStream> {
         let at = self.t;
-        let cr = self.cfg.params.cr();
         // The in-flight cycle dies with the node.
         if let Some((tr, sp)) = self.cycle_span.take() {
             self.obs.span_end(at, tr, sp, SpanStatus::Ok);
@@ -1090,37 +1084,9 @@ impl DiskEngine {
         let mut out = Vec::with_capacity(self.streams.len() + self.pending.len());
         let ring = std::mem::take(&mut self.base_order);
         for slot in ring {
-            let Some(mut s) = self.streams.remove(slot) else {
+            let Some(s) = self.retire(slot, at, true) else {
                 continue; // stale ring entry (stream already departed)
             };
-            let id = s.id;
-            let started = s.viewing_started();
-            let old_time = s.level_at_time();
-            let upd = s.advance_to(at, cr);
-            if started {
-                self.mem
-                    .on_materialize(old_time, s.level_at_time(), upd.consumed);
-            }
-            self.note_deficit(id, at, upd.deficit);
-            if started {
-                self.mem.on_depart(s.level(), s.level_at_time());
-            }
-            self.obs
-                .emit_with(EventKind::BufferFreed, || Event::BufferFreed {
-                    at,
-                    id,
-                    released: s.level(),
-                });
-            if self.obs.tracing() && !s.trace.is_none() {
-                let root = SpanId::derive(s.trace, span::SEQ_REQUEST);
-                self.obs
-                    .span_annotate(at, s.trace, root, "evicted", AnnoValue::Str("node_crash"));
-                self.obs.span_end(at, s.trace, root, SpanStatus::Refused);
-            }
-            self.conc_events.push((at, -1));
-            if let SchemeState::Dynamic(ctl) = &mut self.scheme {
-                let _ = ctl.depart(id);
-            }
             let viewing_left = match s.first_data_at {
                 Some(first) => {
                     let watched = at - first;
@@ -1190,20 +1156,16 @@ impl DiskEngine {
 
     // ---------- arrival / admission ----------
 
-    fn ingest(&mut self, a: &Arrival) {
-        self.ingest_traced(a, None);
-    }
-
-    fn ingest_traced(&mut self, a: &Arrival, trace: Option<TraceId>) {
+    fn ingest(&mut self, a: &Arrival, trace: TraceId) {
         let id = RequestId::new(self.next_request_id);
         self.next_request_id += 1;
         // The request's lifecycle trace: continue the caller's (cluster
-        // dispatch) or derive one from the scope seed and the request
-        // id. Derivation is unconditional and pure, so attaching a sink
-        // can never change the id sequence.
+        // dispatch) or, given `NONE`, derive one from the scope seed and
+        // the request id. Derivation is unconditional and pure, so
+        // attaching a sink can never change the id sequence.
         let trace = match trace {
-            Some(t) if !t.is_none() => t,
-            _ => TraceId::derive(self.trace_seed, id.raw()),
+            TraceId::NONE => TraceId::derive(self.trace_seed, id.raw()),
+            t => t,
         };
         let root = SpanId::derive(trace, span::SEQ_REQUEST);
         if self.obs.tracing() {
@@ -1388,30 +1350,7 @@ impl DiskEngine {
                         });
                     if self.obs.tracing() && !head.trace.is_none() {
                         // Name the BS_k(n) constraint that deferred it.
-                        let (label, bound) = match &mut self.scheme {
-                            SchemeState::Dynamic(ctl) => {
-                                let c = ctl.binding_constraint();
-                                (c.label(), c.bound())
-                            }
-                            SchemeState::Static | SchemeState::Naive(_) => {
-                                ("disk_bound", self.cfg.params.max_requests())
-                            }
-                        };
-                        let adm = SpanId::derive(head.trace, span::SEQ_ADMISSION);
-                        self.obs.span_annotate(
-                            self.t,
-                            head.trace,
-                            adm,
-                            "constraint",
-                            AnnoValue::Str(label),
-                        );
-                        self.obs.span_annotate(
-                            self.t,
-                            head.trace,
-                            adm,
-                            "bound",
-                            AnnoValue::U64(bound as u64),
-                        );
+                        self.annotate_constraint(head.trace);
                     }
                 }
                 return;
@@ -1419,6 +1358,30 @@ impl DiskEngine {
             self.pending.pop_front();
             self.admit_stream(head);
         }
+    }
+
+    /// Annotates `trace`'s admission span, now, with the bound that
+    /// decides its request: the controller's binding `BS_k(n)`
+    /// constraint, or the disk bound `N` for the schemes that admit on
+    /// `n < N` alone. Returns the admission span.
+    fn annotate_constraint(&mut self, trace: TraceId) -> SpanId {
+        let c = match &mut self.scheme {
+            SchemeState::Dynamic(ctl) => ctl.binding_constraint(),
+            SchemeState::Static | SchemeState::Naive(_) => AdmissionConstraint::DiskBound {
+                bound: self.cfg.params.max_requests(),
+            },
+        };
+        let adm = SpanId::derive(trace, span::SEQ_ADMISSION);
+        self.obs
+            .span_annotate(self.t, trace, adm, "constraint", AnnoValue::Str(c.label()));
+        self.obs.span_annotate(
+            self.t,
+            trace,
+            adm,
+            "bound",
+            AnnoValue::U64(c.bound() as u64),
+        );
+        adm
     }
 
     /// The virtual service-grid granularity the admitted request must
@@ -1435,12 +1398,9 @@ impl DiskEngine {
             .params
             .method
             .worst_disk_latency(&self.cfg.params.disk, n);
-        let size = match self.cfg.scheme {
-            SchemeKind::Static | SchemeKind::StaticMaxUse => self.sizer.max_size(),
-            _ => self
-                .sizer
-                .size(n, self.last_k.max(self.cfg.params.alpha as usize)),
-        };
+        let size = self
+            .sizer
+            .size(n, self.last_k.max(self.cfg.params.alpha as usize));
         let delta = dl + size / self.cfg.params.tr();
         match self.cfg.params.method.admission_timing() {
             AdmissionTiming::AfterCurrentService => delta,
@@ -1470,20 +1430,7 @@ impl DiskEngine {
         if self.obs.tracing() && !p.trace.is_none() {
             // The bound that *allowed* the admission (mirrors the
             // deferral annotation so traces always name the decider).
-            let (label, bound) = match &mut self.scheme {
-                SchemeState::Dynamic(ctl) => {
-                    let c = ctl.binding_constraint();
-                    (c.label(), c.bound())
-                }
-                SchemeState::Static | SchemeState::Naive(_) => {
-                    ("disk_bound", self.cfg.params.max_requests())
-                }
-            };
-            let adm = SpanId::derive(p.trace, span::SEQ_ADMISSION);
-            self.obs
-                .span_annotate(self.t, p.trace, adm, "constraint", AnnoValue::Str(label));
-            self.obs
-                .span_annotate(self.t, p.trace, adm, "bound", AnnoValue::U64(bound as u64));
+            let adm = self.annotate_constraint(p.trace);
             self.obs
                 .span_end(self.t, p.trace, adm, SpanStatus::Admitted);
         }
@@ -1566,10 +1513,7 @@ impl DiskEngine {
         };
         self.last_k = k_c;
 
-        let mut size = match self.cfg.scheme {
-            SchemeKind::Static | SchemeKind::StaticMaxUse => self.sizer.max_size(),
-            _ => self.sizer.size(n_c, k_c),
-        };
+        let mut size = self.sizer.size(n_c, k_c);
         // StaticMaxUse: spread unused budget over in-service streams.
         if self.cfg.scheme == SchemeKind::StaticMaxUse {
             if let Some(budget) = self.cfg.memory_budget {
@@ -1933,10 +1877,7 @@ impl DiskEngine {
         let h = headroom.saturating_sub(n);
         let slot = dl + size_bound / tr;
         let k_fb = self.last_k.max(alpha);
-        let base_sz = match self.cfg.scheme {
-            SchemeKind::Static | SchemeKind::StaticMaxUse => self.sizer.max_size(),
-            _ => self.sizer.size(n, k_fb),
-        };
+        let base_sz = self.sizer.size(n, k_fb);
 
         // The stream at service position p completes no later than
         // `start + (p + inserted)·slot` with `inserted ≤ h`; it must be
@@ -2063,21 +2004,24 @@ impl DiskEngine {
             }
             self.departures.pop();
             // Entries outlive their stream only if it already departed
-            // through another path; `depart` is a no-op then (the slab
+            // through another path; `retire` is a no-op then (the slab
             // generation check makes a stale slot miss).
-            self.depart(slot, at);
+            self.retire(slot, at, false);
         }
     }
 
-    fn depart(&mut self, slot: SlotId, at: Instant) {
-        let cr = self.cfg.params.cr();
-        let Some(mut s) = self.streams.remove(slot) else {
-            return;
-        };
+    /// The one exit path of a stream, departing at `at` or, `evicted`, cut
+    /// off by a node crash: consumption up to `at` is materialized (an
+    /// underflow noted), the buffer released to the pool, the
+    /// concurrency slot freed and the controller told. The root span
+    /// closes `Ok`, or `Refused` with an `"evicted"` annotation. Returns
+    /// the retired stream; `None` when `slot` is already gone.
+    fn retire(&mut self, slot: SlotId, at: Instant, evicted: bool) -> Option<Stream> {
+        let mut s = self.streams.remove(slot)?;
         let id = s.id;
         let started = s.viewing_started();
         let old_time = s.level_at_time();
-        let upd = s.advance_to(at, cr);
+        let upd = s.advance_to(at, self.cfg.params.cr());
         if started {
             self.mem
                 .on_materialize(old_time, s.level_at_time(), upd.consumed);
@@ -2094,12 +2038,19 @@ impl DiskEngine {
             });
         if self.obs.tracing() && !s.trace.is_none() {
             let root = SpanId::derive(s.trace, span::SEQ_REQUEST);
-            self.obs.span_end(at, s.trace, root, SpanStatus::Ok);
+            if evicted {
+                self.obs
+                    .span_annotate(at, s.trace, root, "evicted", AnnoValue::Str("node_crash"));
+                self.obs.span_end(at, s.trace, root, SpanStatus::Refused);
+            } else {
+                self.obs.span_end(at, s.trace, root, SpanStatus::Ok);
+            }
         }
         self.conc_events.push((at, -1));
         if let SchemeState::Dynamic(ctl) = &mut self.scheme {
             let _ = ctl.depart(id);
         }
+        Some(s)
     }
 
     // ---------- finish ----------
@@ -2535,7 +2486,7 @@ mod tests {
                     evicted = true;
                 }
                 while ai < trace.len() && trace[ai].at <= eng.t {
-                    eng.ingest(&trace[ai]);
+                    eng.ingest(&trace[ai], TraceId::NONE);
                     ai += 1;
                 }
                 let step = eng.step_body(trace.get(ai).map(|a| a.at));

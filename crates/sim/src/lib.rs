@@ -9,8 +9,9 @@
 //!   estimation success, memory occupancy, deferrals, and — crucially —
 //!   **buffer underflows**, the invariant the predict-and-enforce
 //!   strategy must never violate. Pool occupancy comes from the engine's
-//!   own running sum over buffer levels, not from a [`vod_buffer`] pool.
-//!   Figures 6, 7, 8, and 11 come from this engine.
+//!   own running sum over buffer levels (see [the memory
+//!   model](#the-memory-model)). Figures 6, 7, 8, and 11 come from this
+//!   engine.
 //! * [`capacity::CapacitySim`] — an **admission-level, multi-disk**
 //!   simulator for the capacity experiments (Fig. 14, Table 5): requests
 //!   arrive per the Zipf disk-load model and are admitted against a
@@ -35,6 +36,26 @@
 //! the allocated size, so a stream's occupancy never exceeds its
 //! allocation and released memory is immediately reusable — the
 //! use-it-and-toss-it policy of §2.1.
+//!
+//! # The memory model
+//!
+//! §2.1 of the paper fixes the memory model, and the engine keeps exactly
+//! one account of it:
+//!
+//! * every active stream owns one logical buffer, filled once per service
+//!   period by the server;
+//! * streams consume at their consumption rate `CR` and release memory the
+//!   moment data is consumed (*use-it-and-toss-it*), so buffers share one
+//!   physical pool;
+//! * memory is handed out by the **page**, but pages need not be physically
+//!   contiguous (a buffer is a logically contiguous chain of pages), so
+//!   sharing causes no fragmentation. The paper's analysis then idealizes
+//!   pages to **variable-length** (bit-granular) allocation, noting the
+//!   difference is negligible because pages are much smaller than buffers.
+//!
+//! The engine keeps the idealized pool as one O(1) running sum over the
+//! viewing streams' levels; its high-water mark is
+//! [`DiskRunStats::peak_memory`], behind every peak-memory figure.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

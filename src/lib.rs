@@ -31,7 +31,6 @@
 #![warn(missing_docs)]
 
 pub use vod_analysis as analysis;
-pub use vod_buffer as buffer;
 pub use vod_core as core;
 pub use vod_disk as disk;
 pub use vod_obs as obs;
@@ -42,7 +41,6 @@ pub use vod_workload as workload;
 
 /// The most commonly used items, re-exported flat.
 pub mod prelude {
-    pub use vod_buffer::{BufferPool, PoolConfig};
     pub use vod_core::{
         AdmissionController, ArrivalLog, MultiRateSystem, RateAdaptation, SchemeKind, SizeTable,
         SystemParams,

@@ -5,6 +5,8 @@
 use vod::analysis::{fig13_capacity, fig9_buffer_sizes};
 use vod::core::{static_scheme, SchemeKind};
 use vod::prelude::*;
+use vod::types::DiskId;
+use vod::workload::Arrival;
 
 #[test]
 fn table3_constants() {
@@ -71,18 +73,32 @@ fn table5_improvement_band() {
 }
 
 #[test]
-fn buffer_pool_round_trips_a_service_period() {
-    // The buffer substrate in one breath: register, fill a Theorem-1
-    // sized buffer, consume it, verify the pool drains.
+fn one_viewer_round_trips_a_service_period() {
+    // §2.1's memory model on the engine: a lone 10-minute viewer is
+    // admitted, fills and drains without underflow, and departs. Its
+    // peak occupancy is at most BS(N), and under Theorem 1 a sliver of
+    // the static peak.
     let params = SystemParams::paper_defaults(SchedulingMethod::RoundRobin);
-    let table = SizeTable::build(&params);
-    let pool = BufferPool::new(PoolConfig::unbounded()).expect("valid");
-    let id = RequestId::new(1);
-    pool.register(id).expect("fresh");
-    let bs = table.size(10, 2);
-    pool.fill(id, bs).expect("unbounded");
-    assert_eq!(pool.used(), bs);
-    pool.consume(id, bs).expect("exactly drained");
-    assert_eq!(pool.used(), Bits::ZERO);
-    assert_eq!(pool.stats().underflows, 0);
+    let bs_n = static_scheme::static_allocated_size(&params);
+    let viewer = Arrival {
+        at: Instant::from_secs(1.0),
+        disk: DiskId::new(0),
+        video: VideoId::new(0),
+        viewing: Seconds::from_minutes(10.0),
+    };
+    let peaks = SchemeKind::ALL.map(|scheme| {
+        let cfg = EngineConfig::paper(SchedulingMethod::RoundRobin, scheme);
+        let stats = DiskEngine::new(cfg).expect("valid").run(&[viewer]);
+        assert_eq!((stats.admitted, stats.underflows), (1, 0), "{scheme}");
+        assert_eq!(stats.concurrency.last().map(|c| c.1), Some(0), "{scheme}");
+        let peak = stats.peak_memory;
+        assert!(
+            peak > Bits::ZERO && peak <= bs_n,
+            "{scheme}: {peak} vs {bs_n}"
+        );
+        (scheme, peak)
+    });
+    let of = |kind| peaks.iter().find(|p| p.0 == kind).expect("ran").1;
+    let ratio = of(SchemeKind::Dynamic) / of(SchemeKind::Static);
+    assert!(ratio < 1e-3, "dynamic/static peak = {ratio}");
 }
