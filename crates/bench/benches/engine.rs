@@ -9,14 +9,16 @@
 //! order repair behind the per-cycle position sort. (A real controller
 //! tops out at the paper's N = 79 concurrent streams, so the scaling
 //! points above that drive the structures directly — the same code the
-//! engine runs, minus the simulation around it.)
+//! engine runs, minus the simulation around it.) `cycle_plan`'s
+//! `sweep_cycle_n79` runs the real engine instead: one `advance_to`
+//! window of Sweep\* cycles at full load.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use vod_core::{AdmissionController, MinMultiset, SchemeKind, SizeTable, SystemParams};
 use vod_sched::SchedulingMethod;
 use vod_sim::{CapacityConfig, CapacitySim, DiskEngine, EngineConfig, Slab};
-use vod_types::{Bits, Instant, RequestId, Seconds};
-use vod_workload::{generate, Workload, WorkloadConfig};
+use vod_types::{Bits, DiskId, Instant, RequestId, Seconds, VideoId};
+use vod_workload::{generate, Arrival, Workload, WorkloadConfig};
 
 fn one_hour_workload(seed: u64) -> Workload {
     let mut cfg = WorkloadConfig::paper_single_disk(1.0, 40.0);
@@ -125,7 +127,8 @@ fn bench_admission_bound(c: &mut Criterion) {
 
 /// The cycle-planning data layer: slab access churn (the per-service
 /// lookup pattern) and order repair (the already-sorted check plus the
-/// stable `total_cmp` fallback after a positional perturbation).
+/// stable `total_cmp` fallback after a positional perturbation), then
+/// the engine's own Sweep\* cycles at `N`.
 fn bench_cycle_plan(c: &mut Criterion) {
     let mut group = c.benchmark_group("cycle_plan");
     for n in [10usize, 100, 1000] {
@@ -169,7 +172,42 @@ fn bench_cycle_plan(c: &mut Criterion) {
             })
         });
     }
+    bench_sweep_cycles(&mut group);
     group.finish();
+}
+
+/// One op is one 720 s `advance_to` window of a dynamic-scheme Sweep\*
+/// engine holding `N` = 79 streams: about ten cycles, each a cycle
+/// boundary (roster sort and plan) and 79 services, with no arrivals,
+/// departures or admissions. At `N` the buffers are sized for a ~71 s
+/// period. The warm-up runs past `T_log`, so the start-up burst has left
+/// the estimator. Every stream views far past the bench, on a video as
+/// long as its viewing, so play positions keep advancing.
+fn bench_sweep_cycles(group: &mut criterion::BenchmarkGroup<'_>) {
+    const WINDOW_S: f64 = 720.0;
+    let viewing = Seconds::from_hours(1.0e6);
+    let mut cfg = EngineConfig::paper(SchedulingMethod::Sweep, SchemeKind::Dynamic);
+    cfg.video_length = viewing;
+    let big_n = cfg.params.max_requests();
+    let mut engine = DiskEngine::new(cfg).expect("valid engine config");
+    for i in 0..u64::try_from(big_n).expect("small N") {
+        engine.offer(&Arrival {
+            at: Instant::ZERO,
+            disk: DiskId::new(0),
+            video: VideoId::new(i % 20),
+            viewing,
+        });
+    }
+    engine.settle_arrivals_before(Instant::from_secs(f64::INFINITY));
+    let mut t = Instant::from_secs(1_800.0);
+    engine.advance_to(t);
+    assert_eq!(engine.in_service(), big_n, "the window runs at full load");
+    group.bench_function(format!("sweep_cycle_n{big_n}"), |b| {
+        b.iter(|| {
+            t += Seconds::from_secs(WINDOW_S);
+            engine.advance_to(t);
+        })
+    });
 }
 
 /// The shared BS_k table cache's hit path: n nodes of a cluster cell

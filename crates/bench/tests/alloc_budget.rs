@@ -4,13 +4,15 @@
 //! `alloc`/`realloc`. The test warms an engine into steady state (all
 //! streams admitted, scratch vectors and heap capacities grown), then
 //! advances simulated time across a window of pure service cycles and
-//! asserts the window allocated **nothing**, under both the static and
-//! the dynamic scheme. The dynamic scheme's estimator audit scores each
-//! allocation as it opens, because the test declares that no offers
-//! follow.
+//! asserts the window allocated **nothing**: under the static and the
+//! dynamic scheme with Round-Robin, and under the dynamic scheme with
+//! Sweep\* (whose roster is sorted in place across cycles) and GSS\*
+//! (whose groups are re-sorted every cycle). The dynamic scheme's
+//! estimator audit scores each allocation as it opens, because the test
+//! declares that no offers follow.
 //!
-//! Allocations are counted per thread, so the two tests can run on
-//! parallel harness threads without counting each other's set-up.
+//! Allocations are counted per thread, so the tests can run on parallel
+//! harness threads without counting each other's set-up.
 //!
 //! Meaningful only in release mode: debug builds run the engine's
 //! shadow-scan `debug_assert!`s, which are allowed to allocate. The test
@@ -68,16 +70,28 @@ fn allocations() -> u64 {
 /// `window_s` steady-state window. Returns `(allocs_in_window, cycles)`
 /// where `cycles` is the whole run's cycle count (a sanity floor that
 /// the window actually contained service cycles).
-fn measure(scheme: SchemeKind, streams: u64, warm_s: f64, window_s: f64) -> (u64, u64) {
-    let cfg = EngineConfig::paper(SchedulingMethod::RoundRobin, scheme);
+fn measure(
+    method: SchedulingMethod,
+    scheme: SchemeKind,
+    streams: u64,
+    warm_s: f64,
+    window_s: f64,
+) -> (u64, u64) {
+    let mut cfg = EngineConfig::paper(method, scheme);
+    // Play points run off the end of their video mid-window. Their
+    // clamped position keys then tie, and Sweep*'s id tie-break re-sorts
+    // its roster inside the window.
+    cfg.video_length = Seconds::from_secs(warm_s + window_s / 2.0);
     let mut engine = DiskEngine::new(cfg).expect("paper config is valid");
     // All viewings outlast the window: the measured stretch is pure
-    // cycle service — no arrivals, no departures, no pool churn.
+    // cycle service — no arrivals, no departures, no pool churn. Video
+    // ids fall with admission order, so each GSS* group is out of
+    // position order and re-sorted every cycle.
     for i in 0..streams {
         engine.offer(&Arrival {
             at: Instant::ZERO,
             disk: DiskId::new(0),
-            video: VideoId::new(i % 8),
+            video: VideoId::new(7 - i % 8),
             viewing: Seconds::from_secs(warm_s + window_s + 600.0),
         });
     }
@@ -90,43 +104,49 @@ fn measure(scheme: SchemeKind, streams: u64, warm_s: f64, window_s: f64) -> (u64
     let stats = engine.finish();
     assert_eq!(
         stats.underflows, 0,
-        "{scheme:?}: steady state must not underflow"
+        "{method}/{scheme:?}: steady state must not underflow"
     );
     (in_window, stats.cycles)
 }
 
-#[test]
-fn static_steady_state_cycles_are_allocation_free() {
+/// Asserts that `method`/`scheme`'s steady-state window allocates
+/// nothing (release builds only; see the module docs).
+fn assert_allocation_free(method: SchedulingMethod, scheme: SchemeKind) {
     if cfg!(debug_assertions) {
         eprintln!("alloc_budget: skipped (debug build runs allocating shadow-scan asserts)");
         return;
     }
-    let (allocs, cycles) = measure(SchemeKind::Static, 20, 120.0, 60.0);
+    let (allocs, cycles) = measure(method, scheme, 20, 120.0, 60.0);
     assert!(
         cycles > 100,
-        "window must span real service cycles, got {cycles}"
+        "{method}/{scheme:?}: window must span real service cycles, got {cycles}"
     );
     assert_eq!(
         allocs, 0,
-        "static steady-state window performed {allocs} heap allocations; the hot loop must not allocate"
+        "{method}/{scheme:?} steady-state window performed {allocs} heap allocations; the hot loop must not allocate"
     );
 }
 
 #[test]
+fn static_steady_state_cycles_are_allocation_free() {
+    assert_allocation_free(SchedulingMethod::RoundRobin, SchemeKind::Static);
+}
+
+#[test]
 fn dynamic_steady_state_cycles_are_allocation_free() {
-    if cfg!(debug_assertions) {
-        eprintln!("alloc_budget: skipped (debug build runs allocating shadow-scan asserts)");
-        return;
-    }
     // The estimator memo, the table cache and the streaming audit make
     // the dynamic scheme's steady-state cycle allocation-free too.
-    let (allocs, cycles) = measure(SchemeKind::Dynamic, 20, 120.0, 60.0);
-    assert!(
-        cycles > 100,
-        "window must span real service cycles, got {cycles}"
-    );
-    assert_eq!(
-        allocs, 0,
-        "dynamic steady-state window performed {allocs} heap allocations; the hot loop must not allocate"
-    );
+    assert_allocation_free(SchedulingMethod::RoundRobin, SchemeKind::Dynamic);
+}
+
+#[test]
+fn dynamic_sweep_steady_state_cycles_are_allocation_free() {
+    // The roster's position sort writes back in place, from a reused
+    // scratch vector.
+    assert_allocation_free(SchedulingMethod::Sweep, SchemeKind::Dynamic);
+}
+
+#[test]
+fn dynamic_gss_steady_state_cycles_are_allocation_free() {
+    assert_allocation_free(SchedulingMethod::GSS_PAPER, SchemeKind::Dynamic);
 }

@@ -271,12 +271,18 @@ impl AdmissionController {
         };
         let (k_c, k_log) =
             Self::clamp_k(&mut self.log, &self.params, &self.obs, k_cap, now, period);
-        if let Some((n_old, k_old)) = record.last_allocation.replace((n_c, k_c)) {
-            self.bound_agg.remove(n_old + k_old);
-            self.k_agg.remove(k_old);
+        let old = record.last_allocation.replace((n_c, k_c));
+        // An unchanged allocation leaves both aggregates as they are:
+        // removing and re-inserting the same value is a no-op on a
+        // counting multiset, whose cursor already sits at or below it.
+        if old != Some((n_c, k_c)) {
+            if let Some((n_old, k_old)) = old {
+                self.bound_agg.remove(n_old + k_old);
+                self.k_agg.remove(k_old);
+            }
+            self.bound_agg.insert(n_c + k_c);
+            self.k_agg.insert(k_c);
         }
-        self.bound_agg.insert(n_c + k_c);
-        self.k_agg.insert(k_c);
         Ok(Allocation {
             n: n_c,
             k: k_c,

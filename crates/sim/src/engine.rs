@@ -261,13 +261,23 @@ impl EngineSeries {
 /// The single-disk server engine.
 pub struct DiskEngine {
     cfg: EngineConfig,
+    /// `N`, the disk's stream bound (`SystemParams::max_requests`),
+    /// fixed by the parameters and read on every admission and plan.
+    big_n: usize,
+    /// `CR × video_length`, a whole video's size in bits: the
+    /// denominator of every [`position_key`].
+    video_size: Bits,
     sizer: Sizer,
     scheme: SchemeState,
     t: Instant,
     streams: Slab<Stream>,
-    /// Admission order of active streams (the Round-Robin base order).
+    /// Membership order of active streams: the Round-Robin ring, or the
+    /// GSS\* order whose consecutive chunks are the groups. Unused by
+    /// Sweep\*, whose roster is `order` itself (see
+    /// [`Self::rebuild_order`]).
     base_order: Vec<SlotId>,
-    /// The current cycle's service order and position.
+    /// The current cycle's service order and position. The cycle is
+    /// over once `cursor == order.len()`.
     order: Vec<SlotId>,
     cursor: usize,
     cycle_start: Instant,
@@ -285,7 +295,7 @@ pub struct DiskEngine {
     departures: BinaryHeap<Reverse<(Instant, u64, SlotId)>>,
     /// Reused scratch for [`Self::sort_by_position`]: avoids a key-map
     /// allocation per cycle.
-    sort_scratch: Vec<(f64, SlotId)>,
+    sort_scratch: Vec<(f64, RequestId, SlotId)>,
     /// Single-entry memo of `worst_disk_latency(n)` — a pure function of
     /// the (fixed) disk profile and `n`, recomputed only when the active
     /// stream count changes. Exact: a hit returns the identical bits.
@@ -444,6 +454,8 @@ impl DiskEngine {
         };
         let disk_factors = vec![1.0; cfg.disks];
         Ok(DiskEngine {
+            big_n: cfg.params.max_requests(),
+            video_size: cfg.params.cr() * cfg.video_length,
             cfg,
             sizer,
             scheme,
@@ -631,7 +643,6 @@ impl DiskEngine {
                     }
                     self.sample_series();
                 }
-                self.order.clear();
                 self.process_due_departures();
                 self.try_admissions();
                 self.rebuild_order();
@@ -679,7 +690,7 @@ impl DiskEngine {
                     return Step::Progressed;
                 }
 
-                let plan = self.plan_cycle_start();
+                let plan = self.plan_cycle_start(idle_cycle);
                 self.m.plan_done(boundary);
                 if idle_cycle && plan.is_some_and(|p| p.start <= self.t) {
                     // The last cycle read nothing and we would re-run it at
@@ -688,10 +699,9 @@ impl DiskEngine {
                     // before the first buffer drains (or the next external
                     // event), where a refill is guaranteed to be non-empty
                     // and still completes in time.
-                    let fallback = plan
-                        .expect("idle_cycle branch is guarded by plan.is_some_and above")
-                        .fallback;
-                    let mut target = fallback;
+                    let mut target = plan
+                        .and_then(|p| p.fallback)
+                        .expect("an idle cycle's plan carries its fallback");
                     if let Some(a) = next_arrival {
                         target = target.min(a);
                     }
@@ -700,14 +710,12 @@ impl DiskEngine {
                     }
                     if target > self.t {
                         self.t = target;
-                        self.order.clear();
                         return Step::Progressed;
                     }
                 }
                 let Some(plan) = plan else {
                     // Nothing needs service: everyone is provisioned to
                     // departure. Jump to the earliest departure.
-                    self.order.clear();
                     if let Some(d) = self.earliest_departure() {
                         self.t = match next_arrival {
                             Some(a) => a.min(d).max(self.t),
@@ -737,7 +745,6 @@ impl DiskEngine {
                 if let Some(e) = next_external {
                     if e < start {
                         self.t = e.max(self.t);
-                        self.order.clear();
                         return Step::Progressed;
                     }
                 }
@@ -866,7 +873,7 @@ impl DiskEngine {
     /// keeps using the true `N` — only *admission* tightens, which can
     /// never cause an underflow.
     fn effective_max_requests(&self) -> usize {
-        let n = self.cfg.params.max_requests();
+        let n = self.big_n;
         if self.capacity_combined < 1.0 {
             #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
             let throttled = (n as f64 * self.capacity_combined).floor() as usize;
@@ -1079,10 +1086,21 @@ impl DiskEngine {
         self.cycle_active = false;
         self.cycle_services = 0;
         self.cycle_insertions_left = usize::MAX;
-        self.order.clear();
+        let ring = match self.cfg.params.method {
+            // Sweep*'s roster is in sweep order; its admission order is
+            // request-id order (see `rebuild_order`).
+            SchedulingMethod::Sweep => {
+                let mut roster = std::mem::take(&mut self.order);
+                roster.sort_unstable_by_key(|&s| self.streams.get(s).map(|st| st.id));
+                roster
+            }
+            SchedulingMethod::RoundRobin | SchedulingMethod::Gss { .. } => {
+                self.order.clear();
+                std::mem::take(&mut self.base_order)
+            }
+        };
         self.cursor = 0;
         let mut out = Vec::with_capacity(self.streams.len() + self.pending.len());
-        let ring = std::mem::take(&mut self.base_order);
         for slot in ring {
             let Some(s) = self.retire(slot, at, true) else {
                 continue; // stale ring entry (stream already departed)
@@ -1367,9 +1385,9 @@ impl DiskEngine {
     fn annotate_constraint(&mut self, trace: TraceId) -> SpanId {
         let c = match &mut self.scheme {
             SchemeState::Dynamic(ctl) => ctl.binding_constraint(),
-            SchemeState::Static | SchemeState::Naive(_) => AdmissionConstraint::DiskBound {
-                bound: self.cfg.params.max_requests(),
-            },
+            SchemeState::Static | SchemeState::Naive(_) => {
+                AdmissionConstraint::DiskBound { bound: self.big_n }
+            }
         };
         let adm = SpanId::derive(trace, span::SEQ_ADMISSION);
         self.obs
@@ -1437,7 +1455,9 @@ impl DiskEngine {
         // BubbleUp: service the newcomer right after the current service
         // AND keep it at that ring position (base_order is the ring).
         // GSS*: join at the next group boundary, persistently.
-        // Sweep*: next cycle (appended; the position sort places it).
+        // Sweep*: next cycle. Admission runs only at a cycle boundary,
+        // where `cursor == order.len()`, so the newcomer appended to the
+        // roster waits for the position sort in `rebuild_order`.
         match self.cfg.params.method.admission_timing() {
             AdmissionTiming::AfterCurrentService => {
                 if self.cursor < self.order.len() {
@@ -1475,7 +1495,8 @@ impl DiskEngine {
                 }
             }
             AdmissionTiming::NextPeriod => {
-                self.base_order.push(slot);
+                debug_assert!(!self.cycle_active, "Sweep* admits between cycles only");
+                self.order.push(slot);
             }
         }
     }
@@ -1493,7 +1514,7 @@ impl DiskEngine {
         // never reads the period estimate, so it skips the computation
         // outright (the estimate only ever fed the estimating arms).
         let (n_c, k_c, audit) = match &self.scheme {
-            SchemeState::Static => (self.cfg.params.max_requests(), 0, false),
+            SchemeState::Static => (self.big_n, 0, false),
             _ => {
                 let period = self.period_estimate();
                 match &mut self.scheme {
@@ -1725,32 +1746,42 @@ impl DiskEngine {
     /// would let a bubbled-up stream fall back ~a full extra period and
     /// underflow.)
     ///
-    /// Sweep\*/GSS\* re-sort by play position **ascending only** (a
+    /// Sweep\*/GSS\* sort by play position **ascending only** (a
     /// C-SCAN-style one-directional sweep): since all streams advance at
     /// the same `CR`, ranks are stable across periods, keeping each
     /// stream's inter-service gap at one period. An alternating elevator
     /// would flip ranks every pass (first → last), doubling the gap and
     /// violating the sizing budget.
+    ///
+    /// Sweep\* keeps its roster in `order`, in the last cycle's sorted
+    /// order: departed streams drop out, newcomers were appended by
+    /// `admit_stream`, and the sort mostly finds the roster still in
+    /// order. Its ties break by request id. That reproduces a stable sort
+    /// of the roster in admission order, because Sweep\*'s admission
+    /// order *is* id order: it admits only at period boundaries, from the
+    /// FIFO queue, and `ingest` mints ids in arrival order.
+    ///
+    /// GSS\* has no such invariant — it inserts newcomers at group
+    /// boundaries, so its membership order is not id order — and ties in
+    /// play position do occur (same video, same instant). Each chunk is
+    /// therefore re-sorted from membership order every cycle, stably,
+    /// with no id tie-break.
     fn rebuild_order(&mut self) {
+        let streams = &self.streams;
         match self.cfg.params.method {
             SchedulingMethod::RoundRobin => {
                 // `base_order` is the ring itself.
-                let streams = &self.streams;
                 self.base_order.retain(|&s| streams.contains(s));
                 self.order.clear();
                 self.order.extend(self.base_order.iter().copied());
             }
             SchedulingMethod::Sweep => {
-                let streams = &self.streams;
-                self.base_order.retain(|&s| streams.contains(s));
-                self.order.clear();
-                self.order.extend(self.base_order.iter().copied());
-                self.sort_by_position(0, self.order.len());
+                self.order.retain(|&s| streams.contains(s));
+                self.sort_by_position(0, self.order.len(), true);
             }
             SchedulingMethod::Gss { .. } => {
                 // Groups are consecutive chunks of the membership order;
                 // each chunk is swept internally.
-                let streams = &self.streams;
                 self.base_order.retain(|&s| streams.contains(s));
                 self.order.clear();
                 self.order.extend(self.base_order.iter().copied());
@@ -1763,7 +1794,7 @@ impl DiskEngine {
                 let mut i = 0;
                 while i < len {
                     let end = (i + g).min(len);
-                    self.sort_by_position(i, end);
+                    self.sort_by_position(i, end, false);
                     i = end;
                 }
             }
@@ -1771,41 +1802,47 @@ impl DiskEngine {
         self.cursor = self.order.len(); // caller sets 0 when the cycle starts
     }
 
-    /// Re-sorts `order[from..to]` by play position without allocating:
-    /// keys are computed once into a reused scratch vector, an O(n)
-    /// already-sorted check short-circuits the common case (all streams
-    /// advance at the same `CR`, so ranks are stable across consecutive
-    /// cycles), and the fallback is a *stable* sort — equal keys keep
-    /// their membership order, exactly as the old key-map sort did.
-    /// Keys are never NaN (clamped fractions of non-negative values), so
-    /// `total_cmp` agrees with the old `partial_cmp` everywhere it was
-    /// defined while making the comparator a real total order.
-    fn sort_by_position(&mut self, from: usize, to: usize) {
+    /// Sorts `order[from..to]` by play position without allocating: keys
+    /// are computed once into a reused scratch vector, and an O(n)
+    /// already-sorted check skips the sort when the range is in order.
+    /// `by_id` breaks key ties by request id (Sweep\*'s persistent
+    /// roster, whose previous order the check mostly confirms); without
+    /// it the sort is *stable*, so equal keys keep their membership order
+    /// (GSS\*, whose chunks are rebuilt from membership order each
+    /// cycle). Keys are never NaN or `-0.0` (clamped fractions of
+    /// non-negative values added to a non-negative video id), so
+    /// `total_cmp` is the numeric order.
+    fn sort_by_position(&mut self, from: usize, to: usize, by_id: bool) {
+        let cmp = |a: &(f64, RequestId, SlotId), b: &(f64, RequestId, SlotId)| {
+            let by_key = a.0.total_cmp(&b.0);
+            if by_id {
+                by_key.then(a.1.cmp(&b.1))
+            } else {
+                by_key
+            }
+        };
         let mut scratch = std::mem::take(&mut self.sort_scratch);
         scratch.clear();
-        scratch.extend(
-            self.order[from..to]
-                .iter()
-                .map(|&slot| (self.position_key(slot), slot)),
-        );
-        if !scratch.windows(2).all(|w| w[0].0 <= w[1].0) {
-            scratch.sort_by(|a, b| a.0.total_cmp(&b.0));
-            for (dst, &(_, slot)) in self.order[from..to].iter_mut().zip(scratch.iter()) {
+        scratch.extend(self.order[from..to].iter().map(|&slot| {
+            let s = &self.streams[slot];
+            (position_key(s, self.video_size), s.id, slot)
+        }));
+        if !scratch.windows(2).all(|w| cmp(&w[0], &w[1]).is_le()) {
+            scratch.sort_by(cmp);
+            for (dst, &(_, _, slot)) in self.order[from..to].iter_mut().zip(scratch.iter()) {
                 *dst = slot;
             }
         }
         self.sort_scratch = scratch;
     }
+}
 
-    /// A monotone proxy for the on-disk cylinder of the stream's play
-    /// point: videos are laid out contiguously in id order, and the play
-    /// point advances with consumption.
-    fn position_key(&self, slot: SlotId) -> f64 {
-        let s = &self.streams[slot];
-        let video_size = self.cfg.params.cr() * self.cfg.video_length;
-        let frac = (s.consumed / video_size).clamp(0.0, 1.0);
-        s.video.raw() as f64 + frac
-    }
+/// A monotone proxy for the on-disk cylinder of a stream's play point:
+/// videos are laid out contiguously in id order, and the play point
+/// advances with consumption. `video_size` is `CR × video_length`.
+fn position_key(s: &Stream, video_size: Bits) -> f64 {
+    let frac = (s.consumed / video_size).clamp(0.0, 1.0);
+    s.video.raw() as f64 + frac
 }
 
 /// The planner's verdict for the next service cycle.
@@ -1815,7 +1852,9 @@ struct CyclePlan {
     /// insertions) completes before any buffer drains.
     start: Instant,
     /// Idle target after a no-op cycle: one slot before the earliest due.
-    fallback: Instant,
+    /// Planned only when the previous cycle read nothing (the one case
+    /// that reads it); `None` otherwise.
+    fallback: Option<Instant>,
     /// How many mid-cycle (BubbleUp / next-group) insertions the start
     /// time budgeted for. Admitting more would push tail refills past
     /// their dues, so `try_admissions` defers the excess to the next
@@ -1840,11 +1879,14 @@ impl DiskEngine {
     /// full-load period, i.e. the Fixed-Stretch cadence); the naive
     /// scheme's is only its own estimate, which is precisely the Fig. 3
     /// flaw — when the load grows faster, its streams underflow.
-    fn plan_cycle_start(&mut self) -> Option<CyclePlan> {
+    ///
+    /// `after_idle` asks for the idle fallback too: the previous cycle
+    /// read nothing, so the caller may idle instead of re-running it.
+    fn plan_cycle_start(&mut self, after_idle: bool) -> Option<CyclePlan> {
         let cr = self.cfg.params.cr();
         let tr = self.cfg.params.tr();
         let n = self.streams.len();
-        let big_n = self.cfg.params.max_requests();
+        let big_n = self.big_n;
         let alpha = self.cfg.params.alpha as usize;
         let dl = self.dl_for(n);
 
@@ -1855,7 +1897,9 @@ impl DiskEngine {
         // state queries, so computing it before the sweep instead of
         // between two sweeps changes no bits -- and the plan now runs in
         // one allocation-free pass where it used to fill a fresh `dues`
-        // vector and re-look up the size table once per stream.
+        // vector and re-look up the size table once per stream. The
+        // fallback fold runs only `after_idle`, in the same order, so
+        // skipping it elsewhere changes no bits either.
         let (headroom, size_bound) = match (&mut self.scheme, self.cfg.scheme) {
             (SchemeState::Dynamic(ctl), _) => {
                 let h = ctl.admission_bound().saturating_sub(n);
@@ -1876,8 +1920,7 @@ impl DiskEngine {
         };
         let h = headroom.saturating_sub(n);
         let slot = dl + size_bound / tr;
-        let k_fb = self.last_k.max(alpha);
-        let base_sz = self.sizer.size(n, k_fb);
+        let fallback_sz = after_idle.then(|| self.sizer.size(n, self.last_k.max(alpha)));
 
         // The stream at service position p completes no later than
         // `start + (p + inserted)·slot` with `inserted ≤ h`; it must be
@@ -1911,15 +1954,17 @@ impl DiskEngine {
             // `due − size/CR` — and should start no later than one slot
             // before the due. The max of the two is this stream's
             // earliest *useful* service time.
-            let sz = base_sz.min(
-                s.remaining_demand(self.t, cr)
-                    .unwrap_or(self.sizer.max_size()),
-            );
-            let useful = (due - sz / cr + Seconds::from_millis(1.0)).max(due - slot);
-            fallback = Some(match fallback {
-                Some(c) => c.min(useful),
-                None => useful,
-            });
+            if let Some(base_sz) = fallback_sz {
+                let sz = base_sz.min(
+                    s.remaining_demand(self.t, cr)
+                        .unwrap_or(self.sizer.max_size()),
+                );
+                let useful = (due - sz / cr + Seconds::from_millis(1.0)).max(due - slot);
+                fallback = Some(match fallback {
+                    Some(c) => c.min(useful),
+                    None => useful,
+                });
+            }
         }
         let Some(mut start) = start else {
             // No refills pending; a waiting newcomer still forces a cycle
@@ -1927,19 +1972,18 @@ impl DiskEngine {
             // unconstrained.
             return eligible.map(|e| CyclePlan {
                 start: e,
-                fallback: e,
+                fallback: after_idle.then_some(e),
                 insertion_budget: usize::MAX,
                 due_min,
             });
         };
-        let mut fb = fallback.expect("at least one due exists");
         if let Some(e) = eligible {
             start = start.min(e);
-            fb = fb.min(e);
+            fallback = fallback.map(|f| f.min(e));
         }
         Some(CyclePlan {
             start,
-            fallback: fb,
+            fallback,
             insertion_budget: h,
             due_min,
         })
@@ -2577,5 +2621,141 @@ mod tests {
         );
         assert!(snap.histogram(PHASE_CYCLE_PLAN).expect("registered").count >= observed.cycles);
         assert!(snap.histogram(PHASE_ADMISSION).expect("registered").count > 0);
+    }
+
+    /// Bursts of seven same-video arrivals at one instant, alternating
+    /// videos 0 and 1 every 12.5 s, each viewing 70 s: equal play
+    /// positions at every burst.
+    fn tie_heavy_trace() -> Vec<Arrival> {
+        (0..8u32)
+            .flat_map(|burst| {
+                (0..7).map(move |_| Arrival {
+                    at: Instant::from_secs(f64::from(burst) * 12.5),
+                    disk: DiskId::new(0),
+                    video: VideoId::new(u64::from(burst % 2)),
+                    viewing: Seconds::from_secs(70.0),
+                })
+            })
+            .collect()
+    }
+
+    /// Drives `trace` through `eng` step by step and calls `check` right
+    /// after each cycle starts, when `order` is exactly what
+    /// `rebuild_order` left. Returns how many cycle starts it checked.
+    fn check_each_cycle_start(
+        eng: &mut DiskEngine,
+        trace: &[Arrival],
+        mut check: impl FnMut(&DiskEngine),
+    ) -> usize {
+        let (mut ai, mut checked) = (0, 0);
+        loop {
+            eng.process_due_departures();
+            while ai < trace.len() && trace[ai].at <= eng.t {
+                eng.ingest(&trace[ai], TraceId::NONE);
+                ai += 1;
+            }
+            let step = eng.step_body(trace.get(ai).map(|a| a.at));
+            if eng.cycle_active && eng.cursor == 0 {
+                check(eng);
+                checked += 1;
+            }
+            if matches!(step, Step::Drained) {
+                return checked;
+            }
+        }
+    }
+
+    /// `(position_key, id, slot)` of `slots`, in the order given.
+    fn keyed(eng: &DiskEngine, slots: &[SlotId]) -> Vec<(f64, RequestId, SlotId)> {
+        slots
+            .iter()
+            .map(|&slot| {
+                let s = &eng.streams[slot];
+                (position_key(s, eng.video_size), s.id, slot)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sweep_roster_equals_a_fresh_stable_sort_through_ties() {
+        // A 30 s video: streams run off its end (`frac` clamped to 1.0)
+        // while the next video's newcomers sit at its start (0.0), so
+        // keys also meet across a video boundary.
+        let mut cfg = EngineConfig::paper(SchedulingMethod::Sweep, SchemeKind::Dynamic);
+        cfg.video_length = Seconds::from_secs(30.0);
+        let trace = tie_heavy_trace();
+        let mut eng = DiskEngine::new(cfg.clone()).expect("valid");
+        let (mut ties, mut boundary_ties) = (0, 0);
+        let checked = check_each_cycle_start(&mut eng, &trace, |eng| {
+            // The live streams in id order — Sweep*'s admission order —
+            // stably sorted by position alone, as every cycle once did.
+            let mut live: Vec<SlotId> = eng.streams.iter().map(|(slot, _)| slot).collect();
+            live.sort_by_key(|&slot| eng.streams[slot].id);
+            let mut fresh = keyed(eng, &live);
+            fresh.sort_by(|a, b| a.0.total_cmp(&b.0));
+            let expected: Vec<SlotId> = fresh.iter().map(|&(_, _, slot)| slot).collect();
+            assert_eq!(eng.order, expected, "at {}", eng.t);
+            for w in fresh.windows(2).filter(|w| w[0].0 == w[1].0) {
+                ties += 1;
+                let video = |slot| eng.streams[slot].video;
+                boundary_ties += usize::from(video(w[0].2) != video(w[1].2));
+            }
+        });
+        assert!(
+            checked > 50 && ties > 0 && boundary_ties > 0,
+            "{checked} cycles, {ties} ties, {boundary_ties} across a video boundary"
+        );
+
+        // A crash evicts Sweep*'s streams in admission (id) order, not in
+        // the roster's sweep order.
+        let mut eng = DiskEngine::new(cfg).expect("valid");
+        for a in &trace {
+            eng.advance_to(a.at);
+            eng.offer(a);
+        }
+        eng.advance_to(Instant::from_secs(64.0));
+        let mut live: Vec<(RequestId, TraceId)> =
+            eng.streams.values().map(|s| (s.id, s.trace)).collect();
+        live.sort_by_key(|&(id, _)| id);
+        let evicted: Vec<TraceId> = eng
+            .evict_all()
+            .into_iter()
+            .filter(|e| e.was_active)
+            .map(|e| e.trace)
+            .collect();
+        assert!(live.len() > 1);
+        assert_eq!(evicted, live.iter().map(|&(_, t)| t).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn gss_chunks_keep_membership_order_ties() {
+        // GSS* admits at group boundaries: newcomers admitted together
+        // all go in at one index, so its membership order is not id
+        // order, and their equal start-of-video keys must keep it.
+        let cfg = EngineConfig::paper(SchedulingMethod::GSS_PAPER, SchemeKind::Dynamic);
+        let mut eng = DiskEngine::new(cfg).expect("valid");
+        let mut against_id = 0;
+        let checked = check_each_cycle_start(&mut eng, &tie_heavy_trace(), |eng| {
+            assert_eq!(eng.order.len(), eng.base_order.len(), "at {}", eng.t);
+            let g = eng
+                .cfg
+                .params
+                .method
+                .effective_group_size(eng.base_order.len());
+            for (members, chunk) in eng.base_order.chunks(g).zip(eng.order.chunks(g)) {
+                let mut fresh = keyed(eng, members);
+                fresh.sort_by(|a, b| a.0.total_cmp(&b.0));
+                let expected: Vec<SlotId> = fresh.iter().map(|&(_, _, slot)| slot).collect();
+                assert_eq!(chunk, expected, "at {}", eng.t);
+                against_id += fresh
+                    .windows(2)
+                    .filter(|w| w[0].0 == w[1].0 && w[0].1 > w[1].1)
+                    .count();
+            }
+        });
+        assert!(
+            checked > 50 && against_id > 0,
+            "{checked} cycles, {against_id} ties kept against id order"
+        );
     }
 }
