@@ -810,7 +810,7 @@ fn experiments_main(args: &[String]) -> Run {
             ))),
             (Some(s), None) => Obs::new(Arc::clone(s) as Arc<dyn Sink>),
             (None, Some(f)) if is_simulated(&name) => Obs::new(Arc::clone(f) as Arc<dyn Sink>),
-            _ => Obs::from_env(),
+            _ => Obs::null(),
         };
         let obs = if is_simulated(&name) {
             obs.with_metrics(metrics.clone())

@@ -21,7 +21,7 @@ use vod_obs::Obs;
 use vod_sched::SchedulingMethod;
 use vod_sim::engine::EngineConfig;
 use vod_sim::{
-    run_latency_experiment_observed, CapacityConfig, CapacitySim, DiskRunStats, LatencyExperiment,
+    run_latency_experiment, CapacityConfig, CapacitySim, DiskRunStats, LatencyExperiment,
 };
 use vod_types::{Bits, Instant, Seconds};
 use vod_workload::{generate, WorkloadConfig};
@@ -226,15 +226,13 @@ pub fn fig6(scale: Scale, obs: &Obs) -> Vec<Table> {
 
 /// Runs `exp` with every seed's engine reporting into `obs`.
 fn run_observed(exp: &LatencyExperiment, obs: &Obs) -> vod_sim::LatencyResult {
-    run_latency_experiment_observed(exp, &|_| obs.clone())
-        .unwrap_or_else(|e| {
-            panic!(
-                "latency experiment ({:?} / {}) has a pinned config; it must validate: {e}",
-                exp.engine.scheme,
-                exp.engine.params.method.label()
-            )
-        })
-        .result
+    run_latency_experiment(exp, obs).unwrap_or_else(|e| {
+        panic!(
+            "latency experiment ({:?} / {}) has a pinned config; it must validate: {e}",
+            exp.engine.scheme,
+            exp.engine.params.method.label()
+        )
+    })
 }
 
 fn estimator_row(

@@ -34,7 +34,7 @@ use vod_obs::metrics::{
 };
 use vod_obs::{Metrics, MetricsRegistry, MetricsSnapshot, Obs};
 use vod_sched::SchedulingMethod;
-use vod_sim::{run_latency_experiment_observed, DiskRunStats};
+use vod_sim::{run_latency_experiment, DiskRunStats};
 
 use crate::experiments::experiment;
 use crate::matrix::{Matrix, SharedTraces};
@@ -176,7 +176,7 @@ impl Matrix for BenchMode {
         let obs = Obs::null().with_metrics(Metrics::new(Arc::clone(&registry)));
         let mut exp = experiment(self.scale(), method, scheme, theta);
         exp.seeds = self.seeds();
-        let out = run_latency_experiment_observed(&exp, &|_| obs.clone()).unwrap_or_else(|e| {
+        let out = run_latency_experiment(&exp, &obs).unwrap_or_else(|e| {
             panic!(
                 "bench cell ({scheme:?} / {} / θ = {theta}) has a pinned config; it must validate: {e}",
                 method.label()
@@ -186,7 +186,7 @@ impl Matrix for BenchMode {
             scheme,
             method,
             theta,
-            stats: out.result.stats,
+            stats: out.stats,
             metrics: registry.snapshot(),
         }
     }

@@ -1,6 +1,6 @@
 //! The `repro` command line: which flags each subcommand accepts, and how
-//! it refuses the rest. Every case here stops while the arguments are
-//! read, so no experiment or matrix runs.
+//! it refuses the rest. Every case here stops while the arguments (or the
+//! fault script they name) are read, so no experiment or matrix runs.
 
 use std::process::Command;
 
@@ -156,6 +156,18 @@ fn chaos_refuses_flags_of_the_other_mode() {
             &format!("{name} applies only to an ad-hoc episode: add --seed or --script"),
         );
     }
+}
+
+/// A malformed fault script is refused with the offending line, not a
+/// panic (which would exit 101).
+#[test]
+fn a_bare_domain_line_in_a_fault_script_is_refused() {
+    let script = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("bare_domain.txt");
+    std::fs::write(&script, "domain\n").expect("script is writable");
+    refuses(
+        "chaos --script bare_domain.txt --nodes 2",
+        "line 1: domain needs a name and at least one member node",
+    );
 }
 
 #[test]

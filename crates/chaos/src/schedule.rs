@@ -223,7 +223,9 @@ impl FaultSchedule {
             let fields: Vec<&str> = line.split_whitespace().collect();
             if fields[0] == "domain" {
                 let [_, name, members @ ..] = fields.as_slice() else {
-                    unreachable!("fields is non-empty");
+                    return Err(err("domain needs a name and at least one member node \
+                         (want `domain <name> <node> [<node> ...]`)"
+                        .to_string()));
                 };
                 if members.is_empty() {
                     return Err(err(format!(

@@ -126,14 +126,13 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// Builds a cluster with the historical default observer (see
-    /// [`DiskEngine::new`]).
+    /// Builds a detached cluster: `with_observer(cfg, Obs::null())`.
     ///
     /// # Errors
     ///
     /// Returns [`ConfigError`] for infeasible parameters.
     pub fn new(cfg: ClusterConfig) -> Result<Self, ConfigError> {
-        Self::with_observer(cfg, Obs::from_env())
+        Self::with_observer(cfg, Obs::null())
     }
 
     /// Builds a cluster whose nodes all emit into `obs` (shared event
@@ -643,13 +642,6 @@ impl Cluster {
     /// admission bound by `1 − r`.
     pub fn set_disk_error(&mut self, ni: usize, rate: f64) {
         self.nodes[ni].engine.set_error_rate(rate);
-    }
-
-    /// Number of disks each node's engine is configured with (partial
-    /// disk faults must target an existing disk).
-    #[must_use]
-    pub fn disks_per_node(&self) -> usize {
-        self.cfg.engine.disks
     }
 
     /// Rejoins node `ni`: marks it up and clears every throttle —

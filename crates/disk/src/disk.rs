@@ -172,11 +172,6 @@ impl Disk {
     pub fn stats(&self) -> DiskStats {
         self.stats
     }
-
-    /// Resets usage statistics (not the head position or layout).
-    pub fn reset_stats(&mut self) {
-        self.stats = DiskStats::default();
-    }
 }
 
 #[cfg(test)]
@@ -260,13 +255,5 @@ mod tests {
             79
         );
         assert_eq!(d.layout().len(), 1);
-    }
-
-    #[test]
-    fn reset_stats_clears_counters() {
-        let (mut d, v, _) = disk_with_video();
-        d.read(v, Bits::ZERO, Bits::new(8.0), 0.0).expect("read");
-        d.reset_stats();
-        assert_eq!(d.stats(), DiskStats::default());
     }
 }

@@ -145,12 +145,6 @@ impl VideoLayout {
         self.extents.is_empty()
     }
 
-    /// Remaining free cylinders.
-    #[must_use]
-    pub fn free_cylinders(&self) -> u32 {
-        self.total_cylinders - self.next_free_cylinder
-    }
-
     /// Iterates over `(video, extent)` pairs in video-id order.
     pub fn iter(&self) -> impl Iterator<Item = (VideoId, Extent)> + '_ {
         self.extents.iter().map(|(v, e)| (*v, *e))
@@ -262,9 +256,10 @@ mod tests {
     #[test]
     fn free_cylinders_decrease_monotonically() {
         let mut l = layout();
-        let before = l.free_cylinders();
+        let before = l.next_free_cylinder;
         l.place(VideoId::new(0), video_size()).expect("fits");
-        assert!(l.free_cylinders() < before);
+        assert!(l.next_free_cylinder > before);
+        assert!(l.next_free_cylinder <= l.total_cylinders);
         assert_eq!(l.iter().count(), 1);
     }
 }

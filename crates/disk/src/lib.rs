@@ -20,23 +20,22 @@
 //!   (following Chang & Garcia-Molina), so a simulator can derive actual
 //!   seek distances;
 //! * [`disk::Disk`] — a simulated drive: tracks head position, services
-//!   reads, and reports both worst-case and sampled service latencies;
-//! * [`array::DiskArray`] — a multi-disk server with popularity-based
-//!   placement, for the paper's 10-disk capacity experiments.
+//!   reads, and reports both worst-case and sampled service latencies.
+//!
+//! The paper models one single-zone disk whose `TR` is the drive's
+//! *minimum* transfer rate (Table 3); multi-disk capacity (Figs. 13–14)
+//! comes from a Zipf disk-load model in `vod-analysis`, not from a drive
+//! array, so this crate has neither zones nor arrays.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod array;
 pub mod disk;
 pub mod layout;
 pub mod profile;
 pub mod seek;
-pub mod zoned;
 
-pub use array::DiskArray;
 pub use disk::{Disk, ReadOutcome};
 pub use layout::{Extent, VideoLayout};
 pub use profile::DiskProfile;
 pub use seek::{LatencyModel, SeekModel};
-pub use zoned::{Zone, ZonedProfile};

@@ -109,12 +109,6 @@ impl DiskProfile {
         n.max(0.0) as usize
     }
 
-    /// Duration of one full platter revolution.
-    #[must_use]
-    pub fn revolution_time(&self) -> Seconds {
-        Seconds::from_secs(60.0 / f64::from(self.rpm))
-    }
-
     /// How many 120-minute videos at rate `cr` fit on the drive.
     #[must_use]
     pub fn videos_fitting(&self, cr: BitRate, video_length: Seconds) -> usize {
@@ -165,7 +159,9 @@ mod tests {
     fn rotation_matches_rpm() {
         let disk = DiskProfile::barracuda_9lp();
         // 7200 rpm -> 8.333... ms per revolution; Table 3 rounds to 8.33 ms.
-        assert!((disk.revolution_time().as_millis() - 8.333).abs() < 0.01);
+        let revolution = Seconds::from_secs(60.0 / f64::from(disk.rpm));
+        assert!((revolution.as_millis() - 8.333).abs() < 0.01);
+        assert!((disk.seek.max_rotational_delay.as_millis() - 8.33).abs() < 0.01);
     }
 
     #[test]

@@ -88,13 +88,6 @@ impl FlightRecorder {
         self
     }
 
-    /// Caps the number of dumps written (default [`DEFAULT_MAX_DUMPS`]).
-    #[must_use]
-    pub fn with_max_dumps(mut self, max: u64) -> Self {
-        self.max_dumps = max;
-        self
-    }
-
     /// Records seen so far (dropped ones included).
     #[must_use]
     pub fn seen(&self) -> u64 {
@@ -310,15 +303,16 @@ mod tests {
 
     #[test]
     fn dump_cap_bounds_output_but_not_the_anomaly_count() {
-        let fr = FlightRecorder::with_capacity(4).with_max_dumps(2);
-        for t in 0..5 {
-            fr.record(&underflow(f64::from(t)));
+        let fr = FlightRecorder::with_capacity(4);
+        let storm = DEFAULT_MAX_DUMPS + 3;
+        for t in 0..storm {
+            fr.record(&underflow(t as f64));
         }
-        assert_eq!(fr.anomalies(), 5);
-        assert_eq!(fr.dumps_written(), 2);
+        assert_eq!(fr.anomalies(), storm);
+        assert_eq!(fr.dumps_written(), DEFAULT_MAX_DUMPS);
         assert_eq!(
-            fr.dump_log.lock().unwrap().len(),
-            2,
+            fr.dump_log.lock().unwrap().len() as u64,
+            DEFAULT_MAX_DUMPS,
             "no dumps past the cap"
         );
     }

@@ -4,25 +4,22 @@
 //! describing the engine lifecycle — cycles planned, streams serviced,
 //! requests admitted/deferred/rejected, buffers allocated/resized/freed,
 //! estimator clamps, underflows, and pool-occupancy high-water marks —
-//! into a [`Sink`]. Three sinks ship with the crate:
+//! into a [`Sink`]. With no sink attached, the [`Obs`] handle's
+//! `enabled()` fast path makes instrumentation near-free (a single
+//! `Option` check, no event construction). The crate ships these sinks:
 //!
-//! * [`NullSink`] — records nothing; with no sink attached the
-//!   [`Obs`] handle's `enabled()` fast path makes instrumentation
-//!   near-free (a single `Option` check, no event construction).
-//! * [`StderrSink`] — human-readable lines on stderr, filtered by an
-//!   [`EventMask`]. [`StderrSink::from_env`] honours the historical
-//!   `VOD_DEBUG_CYCLE`, `VOD_DEBUG_SVC`, and `VOD_DEBUG_UNDERFLOW`
-//!   environment variables as kind filters.
 //! * [`RecorderSink`] — an in-memory recorder with bounded event
 //!   capacity, per-kind counters, [`LogHistogram`]s (service latency,
 //!   cycle slack, pool occupancy), and JSONL export.
+//! * [`FlightRecorder`] — keeps only a bounded ring of the most recent
+//!   records and dumps them as JSONL when an anomaly fires (underflow,
+//!   overflow rejection, cluster queue park, or a manual trigger).
+//! * [`TeeSink`] — fans one event stream out to two sinks, so the
+//!   flight recorder can ride alongside a full recorder.
 //!
-//! A fourth sink, the [`FlightRecorder`], keeps only a bounded ring of
-//! the most recent records and dumps them as JSONL when an anomaly
-//! fires (underflow, overflow rejection, cluster queue park, or a
-//! manual trigger). [`sink::TeeSink`]
-//! fans one event stream out to two sinks, so the flight recorder can
-//! ride alongside a full recorder.
+//! Library constructors never read the environment: a simulator built
+//! without an observer is detached. To see engine events, attach a sink
+//! (`repro --trace` writes them as JSONL).
 //!
 //! # Spans
 //!
@@ -78,6 +75,6 @@ pub use metrics::{
 pub use recorder::{
     RecorderSink, RecorderSnapshot, HIST_CYCLE_SLACK, HIST_POOL_OCCUPANCY, HIST_SERVICE_LATENCY,
 };
-pub use sink::{EventMask, NullSink, Obs, Sink, StderrSink, TeeSink};
-pub use span::{AnnoValue, Span, SpanId, SpanKind, SpanStatus, TraceId};
+pub use sink::{Obs, Sink, TeeSink};
+pub use span::{AnnoValue, SpanId, SpanKind, SpanStatus, TraceId};
 pub use timeseries::{Point, Series, SeriesRecorder, TimeSeries};

@@ -489,13 +489,6 @@ impl Gauge {
         }
     }
 
-    /// Raises the gauge to `v` if `v` is larger (running maximum).
-    pub fn set_max(&self, v: f64) {
-        if let Some(cell) = &self.cell {
-            update_f64(cell, |cur| cur.max(v));
-        }
-    }
-
     /// Current value (0.0 when detached).
     #[must_use]
     pub fn get(&self) -> f64 {
@@ -784,8 +777,7 @@ mod tests {
         m.counter("a_total").add(2);
         m.counter("a_total").inc();
         m.gauge("g").set(1.5);
-        m.gauge("g").set_max(1.0); // lower: keeps 1.5
-        m.gauge("g").set_max(2.5);
+        m.gauge("g").set(2.5);
         m.histogram("h_seconds").record(0.5);
         let snap = reg.snapshot();
         assert_eq!(snap.counter("a_total"), Some(3));

@@ -6,46 +6,6 @@ use std::sync::Arc;
 use crate::event::{Event, EventKind};
 use crate::metrics::Metrics;
 
-/// A set of [`EventKind`]s, packed into a bitmask.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EventMask(u32);
-
-// One bit per kind: a kind past bit 31 would overflow the shift.
-const _: () = assert!(EventKind::COUNT <= 32);
-
-impl EventMask {
-    /// The empty set.
-    pub const NONE: EventMask = EventMask(0);
-
-    /// Every kind.
-    #[must_use]
-    pub fn all() -> Self {
-        let mut m = EventMask::NONE;
-        for k in EventKind::ALL {
-            m = m.with(k);
-        }
-        m
-    }
-
-    /// This set plus `kind`.
-    #[must_use]
-    pub fn with(self, kind: EventKind) -> Self {
-        EventMask(self.0 | (1 << kind.index()))
-    }
-
-    /// True when `kind` is in the set.
-    #[must_use]
-    pub fn contains(self, kind: EventKind) -> bool {
-        self.0 & (1 << kind.index()) != 0
-    }
-
-    /// True when the set is empty.
-    #[must_use]
-    pub fn is_empty(self) -> bool {
-        self.0 == 0
-    }
-}
-
 /// A destination for engine events.
 ///
 /// `enabled` is the fast path: emitters check it before constructing an
@@ -60,118 +20,11 @@ pub trait Sink: Send + Sync {
     fn record(&self, event: &Event);
 }
 
-/// A sink that records nothing; `enabled` is always `false`.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullSink;
-
-impl Sink for NullSink {
-    fn enabled(&self, _kind: EventKind) -> bool {
-        false
-    }
-
-    fn record(&self, _event: &Event) {}
-}
-
-/// Human-readable events on stderr, filtered by an [`EventMask`].
-///
-/// The line formats for cycles, services, and underflows match the
-/// historical `VOD_DEBUG_*` `eprintln!` hooks they replaced.
-#[derive(Clone, Copy, Debug)]
-pub struct StderrSink {
-    mask: EventMask,
-}
-
-impl StderrSink {
-    /// A sink printing every event kind.
-    #[must_use]
-    pub fn all() -> Self {
-        StderrSink {
-            mask: EventMask::all(),
-        }
-    }
-
-    /// A sink printing only the kinds in `mask`.
-    #[must_use]
-    pub fn with_mask(mask: EventMask) -> Self {
-        StderrSink { mask }
-    }
-
-    /// Builds the sink from the historical debug environment variables —
-    /// `VOD_DEBUG_CYCLE` (cycle plans), `VOD_DEBUG_SVC` (services), and
-    /// `VOD_DEBUG_UNDERFLOW` (underflows) — returning `None` when none is
-    /// set. Each variable enables one event kind, preserving the old
-    /// opt-in filtering semantics.
-    #[must_use]
-    pub fn from_env() -> Option<Self> {
-        let mut mask = EventMask::NONE;
-        if std::env::var_os("VOD_DEBUG_CYCLE").is_some() {
-            mask = mask.with(EventKind::CyclePlanned);
-        }
-        if std::env::var_os("VOD_DEBUG_SVC").is_some() {
-            mask = mask.with(EventKind::StreamServiced);
-        }
-        if std::env::var_os("VOD_DEBUG_UNDERFLOW").is_some() {
-            mask = mask.with(EventKind::Underflow);
-        }
-        if mask.is_empty() {
-            None
-        } else {
-            Some(StderrSink { mask })
-        }
-    }
-}
-
-impl Sink for StderrSink {
-    fn enabled(&self, kind: EventKind) -> bool {
-        self.mask.contains(kind)
-    }
-
-    fn record(&self, event: &Event) {
-        match *event {
-            Event::CyclePlanned {
-                at,
-                start,
-                planned,
-                n,
-                due_min,
-                insertion_budget,
-            } => {
-                let budget = if insertion_budget == usize::MAX {
-                    "unbounded".to_owned()
-                } else {
-                    insertion_budget.to_string()
-                };
-                eprintln!(
-                    "CYCLE t={at} start={start} planned={planned} n={n} due_min={due_min:?} \
-                     budget={budget}"
-                );
-            }
-            Event::StreamServiced {
-                at,
-                id,
-                n,
-                k,
-                read,
-                size,
-                ..
-            } => {
-                eprintln!("SVC t={at} id={id} n={n} k={k} read={read} size={size}");
-            }
-            Event::Underflow { at, id, n, deficit } => {
-                eprintln!("UF t={at} id={id} n={n} deficit={deficit}");
-            }
-            ref other => {
-                eprintln!("{}", other.to_json());
-            }
-        }
-    }
-}
-
 /// Fans one event stream out to two sinks.
 ///
 /// `enabled` is the union of the children's interests; `record` hands
 /// the event to each child that wants its kind. Nest tees to fan out
-/// wider (e.g. recorder + flight recorder + stderr).
+/// wider (e.g. recorder + flight recorder + a third sink).
 pub struct TeeSink {
     a: Arc<dyn Sink>,
     b: Arc<dyn Sink>,
@@ -257,17 +110,6 @@ impl Obs {
         self.sink.clone()
     }
 
-    /// The historical default: a [`StderrSink`] when any `VOD_DEBUG_*`
-    /// variable is set, otherwise detached. Read once at construction —
-    /// not per event, unlike the `eprintln!` hooks this replaced.
-    #[must_use]
-    pub fn from_env() -> Self {
-        match StderrSink::from_env() {
-            Some(s) => Obs::new(Arc::new(s)),
-            None => Obs::null(),
-        }
-    }
-
     /// True when a sink is attached.
     #[must_use]
     pub fn is_attached(&self) -> bool {
@@ -323,24 +165,6 @@ mod tests {
     use vod_types::{Bits, Instant, RequestId};
 
     #[test]
-    fn mask_set_operations() {
-        let m = EventMask::NONE
-            .with(EventKind::Underflow)
-            .with(EventKind::CyclePlanned);
-        assert!(m.contains(EventKind::Underflow));
-        assert!(m.contains(EventKind::CyclePlanned));
-        assert!(!m.contains(EventKind::StreamServiced));
-        // The highest-index kind must not alias bit 0.
-        let last = EventKind::ALL[EventKind::COUNT - 1];
-        assert!(!m.contains(last));
-        assert!(!EventMask::NONE.with(last).contains(EventKind::ALL[0]));
-        assert!(EventMask::NONE.is_empty());
-        for k in EventKind::ALL {
-            assert!(EventMask::all().contains(k));
-        }
-    }
-
-    #[test]
     fn null_obs_never_builds_events() {
         let obs = Obs::null();
         assert!(!obs.is_attached());
@@ -383,13 +207,6 @@ mod tests {
         obs.clone().metrics().counter("x_total").inc();
         assert_eq!(reg.snapshot().counter("x_total"), Some(2));
         assert!(!Obs::null().metrics().is_attached());
-    }
-
-    #[test]
-    fn null_sink_disables_everything() {
-        for k in EventKind::ALL {
-            assert!(!NullSink.enabled(k));
-        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Deterministic trace/span identifiers and the span lifecycle API.
 //!
 //! Spans ride the existing [`Sink`](crate::Sink) pipeline as three extra
-//! [`Event`](crate::Event) variants (`SpanStart` / `SpanAnnotate` /
-//! `SpanEnd`), so every sink — recorder, stderr, flight recorder — sees
-//! them with no new plumbing. Identifiers are **derived**, never drawn
+//! [`Event`] variants (`SpanStart` / `SpanAnnotate` / `SpanEnd`), so
+//! every sink — recorder or flight recorder — sees them with no new
+//! plumbing. Identifiers are **derived**, never drawn
 //! from a clock or a global counter: a [`TraceId`] hashes a scope seed
 //! with the arrival index (splitmix64), and every [`SpanId`] hashes its
 //! trace with a small per-trace sequence number. Two runs of the same
@@ -337,66 +337,6 @@ impl Obs {
             status,
         });
     }
-
-    /// Starts a span and returns a guard for the `annotate`/`end`
-    /// lifecycle. The guard clones the handle (an `Arc` clone at most),
-    /// so it suits setup-time call sites; hot loops use the free
-    /// [`Obs::span_start`]/[`Obs::span_end`] emitters with derived ids.
-    #[must_use]
-    pub fn start_span(
-        &self,
-        at: Instant,
-        trace: TraceId,
-        seq: u64,
-        parent: Option<SpanId>,
-        kind: SpanKind,
-    ) -> Span {
-        let id = SpanId::derive(trace, seq);
-        self.span_start(at, trace, id, parent, kind);
-        Span {
-            obs: self.clone(),
-            trace,
-            id,
-        }
-    }
-}
-
-/// A started span: annotate it, then end it exactly once.
-///
-/// Dropping a `Span` without calling [`Span::end`] leaks the span open
-/// in the output — the analyzer's invariant audit flags that, which is
-/// deliberate: an unended span is a bug in the instrumented code, not
-/// something to paper over with an implicit drop-time end (drops have
-/// no simulated timestamp to use).
-#[derive(Clone, Debug)]
-pub struct Span {
-    obs: Obs,
-    trace: TraceId,
-    id: SpanId,
-}
-
-impl Span {
-    /// The owning trace.
-    #[must_use]
-    pub fn trace(&self) -> TraceId {
-        self.trace
-    }
-
-    /// This span's id.
-    #[must_use]
-    pub fn id(&self) -> SpanId {
-        self.id
-    }
-
-    /// Attaches a key/value annotation.
-    pub fn annotate(&self, at: Instant, key: &'static str, value: AnnoValue) {
-        self.obs.span_annotate(at, self.trace, self.id, key, value);
-    }
-
-    /// Ends the span with `status`, consuming the guard.
-    pub fn end(self, at: Instant, status: SpanStatus) {
-        self.obs.span_end(at, self.trace, self.id, status);
-    }
 }
 
 #[cfg(test)]
@@ -456,13 +396,14 @@ mod tests {
     }
 
     #[test]
-    fn span_guard_emits_start_annotate_end() {
+    fn span_emitters_record_start_annotate_end() {
         let rec = Arc::new(RecorderSink::with_capacity(16));
         let obs = Obs::new(rec.clone());
         let t = TraceId::derive(1, 0);
-        let span = obs.start_span(Instant::ZERO, t, SEQ_REQUEST, None, SpanKind::Request);
-        span.annotate(Instant::from_secs(1.0), "video", AnnoValue::U64(3));
-        span.end(Instant::from_secs(2.0), SpanStatus::Ok);
+        let id = SpanId::derive(t, SEQ_REQUEST);
+        obs.span_start(Instant::ZERO, t, id, None, SpanKind::Request);
+        obs.span_annotate(Instant::from_secs(1.0), t, id, "video", AnnoValue::U64(3));
+        obs.span_end(Instant::from_secs(2.0), t, id, SpanStatus::Ok);
         let snap = rec.snapshot();
         assert_eq!(snap.counter(EventKind::SpanStart), 1);
         assert_eq!(snap.counter(EventKind::SpanAnnotate), 1);

@@ -31,8 +31,6 @@
 
 pub mod latency;
 pub mod method;
-pub mod order;
 
 pub use latency::{worst_initial_latency, worst_initial_latency_fixed_stretch};
 pub use method::{AdmissionTiming, SchedulingMethod};
-pub use order::sweep_order;

@@ -3,9 +3,7 @@
 
 use proptest::prelude::*;
 use vod_disk::DiskProfile;
-use vod_sched::{
-    sweep_order, worst_initial_latency, worst_initial_latency_fixed_stretch, SchedulingMethod,
-};
+use vod_sched::{worst_initial_latency, worst_initial_latency_fixed_stretch, SchedulingMethod};
 use vod_types::Bits;
 
 fn methods() -> impl Strategy<Value = SchedulingMethod> {
@@ -71,27 +69,5 @@ proptest! {
         let bubble = worst_initial_latency(SchedulingMethod::RoundRobin, &disk, bs, n);
         let fixed = worst_initial_latency_fixed_stretch(&disk, bs, n);
         prop_assert!(bubble < fixed);
-    }
-
-    #[test]
-    fn sweep_order_is_a_permutation_sorted_by_position(
-        cylinders in prop::collection::vec(0u32..8000, 0..40),
-        ascending in any::<bool>(),
-    ) {
-        let order = sweep_order(&cylinders, ascending);
-        // Permutation of 0..len.
-        let mut seen = vec![false; cylinders.len()];
-        for &i in &order {
-            prop_assert!(!seen[i], "duplicate index {i}");
-            seen[i] = true;
-        }
-        // Monotone in the chosen direction.
-        for w in order.windows(2) {
-            if ascending {
-                prop_assert!(cylinders[w[0]] <= cylinders[w[1]]);
-            } else {
-                prop_assert!(cylinders[w[0]] >= cylinders[w[1]]);
-            }
-        }
     }
 }

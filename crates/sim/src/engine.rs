@@ -14,10 +14,8 @@
 //! values the engine already computed, so an attached sink never perturbs
 //! the run (asserted by `recorder_sink_does_not_perturb_the_run`).
 //!
-//! [`DiskEngine::new`] attaches a [`vod_obs::StderrSink`] when any of the
-//! historical `VOD_DEBUG_CYCLE`, `VOD_DEBUG_SVC`, or `VOD_DEBUG_UNDERFLOW`
-//! environment variables is set (each enables its event kind), otherwise
-//! instrumentation is detached and costs a single branch per site.
+//! [`DiskEngine::new`] builds a detached engine, whose instrumentation
+//! costs a single branch per site.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -405,15 +403,13 @@ enum Step {
 }
 
 impl DiskEngine {
-    /// Builds an engine with the historical default observer: a stderr
-    /// sink when any `VOD_DEBUG_*` variable is set, detached otherwise
-    /// (see the module docs).
+    /// Builds a detached engine: `with_observer(cfg, Obs::null())`.
     ///
     /// # Errors
     ///
     /// Returns [`ConfigError`] for infeasible parameters.
     pub fn new(cfg: EngineConfig) -> Result<Self, ConfigError> {
-        Self::with_observer(cfg, Obs::from_env())
+        Self::with_observer(cfg, Obs::null())
     }
 
     /// Builds an engine emitting lifecycle events into `obs`. The handle
@@ -893,7 +889,8 @@ impl DiskEngine {
 
     /// Chaos hook: throttles this node's effective stream bound to
     /// `factor × N` (clamped to `[0, 1]`; `1.0` restores full capacity).
-    /// Deterministic and admission-only — see [`Self::effective_max_requests`].
+    /// Deterministic and admission-only: cycle planning and buffer sizing
+    /// keep the true `N`.
     pub fn set_capacity_factor(&mut self, factor: f64) {
         self.capacity_factor = factor.clamp(0.0, 1.0);
         self.recompute_capacity_combined();
@@ -949,15 +946,6 @@ impl DiskEngine {
     /// budget at arrival time.
     pub fn set_memory_factor(&mut self, factor: f64) {
         self.memory_factor = factor.clamp(0.0, 1.0);
-    }
-
-    /// The reservation-model memory this node would need with
-    /// `prospective_n` concurrent streams at `now` — the same per-scheme
-    /// `BS_k(n)` estimate arrival-time admission uses, so a dispatch
-    /// policy can rank replicas by marginal memory cost. (`&mut` to prune
-    /// the estimator's arrival log; pruning is semantics-preserving.)
-    pub fn projected_memory(&mut self, prospective_n: usize, now: Instant) -> Bits {
-        self.reservation_memory(prospective_n, now)
     }
 
     /// Memory headroom left under this node's budget if one more stream

@@ -72,8 +72,5 @@ pub use audit::{AuditOutcome, AuditScorer};
 pub use capacity::{CapacityConfig, CapacityResult, CapacitySim};
 pub use engine::{DiskEngine, EngineConfig, EvictedStream};
 pub use metrics::{DiskRunStats, IlSample};
-pub use runner::{
-    run_latency_experiment, run_latency_experiment_observed, run_multi_disk, LatencyExperiment,
-    LatencyResult, ObservedLatencyResult, RunReport,
-};
+pub use runner::{run_latency_experiment, LatencyExperiment, LatencyResult};
 pub use slab::{Slab, SlotId};

@@ -95,12 +95,6 @@ impl Stream {
         self.first_data_at.is_some()
     }
 
-    /// The initial latency, once known.
-    #[must_use]
-    pub fn initial_latency(&self) -> Option<Seconds> {
-        self.first_data_at.map(|t| t - self.arrived)
-    }
-
     /// Buffer level at `t ≥ level_time` without mutating (may be negative
     /// when an underflow is in progress).
     #[must_use]
@@ -219,7 +213,7 @@ mod tests {
         let mut s = stream();
         s.advance_to(Instant::from_secs(12.5), cr());
         s.fill(Instant::from_secs(12.5), Bits::from_megabits(3.0));
-        assert_eq!(s.initial_latency(), Some(Seconds::from_secs(2.5)));
+        assert_eq!(s.first_data_at, Some(s.arrived + Seconds::from_secs(2.5)));
         assert_eq!(s.departs_at(), Some(Instant::from_secs(12.5 + 30.0 * 60.0)));
     }
 

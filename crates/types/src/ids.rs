@@ -80,12 +80,6 @@ impl RequestIdGen {
         self.next += 1;
         id
     }
-
-    /// Number of identifiers handed out so far.
-    #[must_use]
-    pub fn issued(&self) -> u64 {
-        self.next
-    }
 }
 
 #[cfg(test)]
@@ -113,6 +107,6 @@ mod tests {
         let b = gen.next_id();
         assert_eq!(a, RequestId::new(0));
         assert_eq!(b, RequestId::new(1));
-        assert_eq!(gen.issued(), 2);
+        assert_eq!(gen.next_id(), RequestId::new(2));
     }
 }

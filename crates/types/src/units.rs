@@ -78,12 +78,6 @@ impl Bits {
         Bits::from_bytes(mib * 1024.0 * 1024.0)
     }
 
-    /// Constructs from gibibytes (2³⁰ bytes).
-    #[must_use]
-    pub fn from_gibibytes(gib: f64) -> Self {
-        Bits::from_bytes(gib * 1024.0 * 1024.0 * 1024.0)
-    }
-
     /// Constructs from decimal gigabytes (10⁹ bytes) — the unit disk
     /// vendors (and the paper's Table 3) quote capacities in.
     #[must_use]
@@ -584,7 +578,7 @@ mod tests {
         assert!((b.as_megabits() - 12.5).abs() < 1e-12);
         let b = Bits::from_mebibytes(3.0);
         assert!((b.as_mebibytes() - 3.0).abs() < 1e-12);
-        let b = Bits::from_gibibytes(2.0);
+        let b = Bits::from_mebibytes(2048.0);
         assert!((b.as_gibibytes() - 2.0).abs() < 1e-12);
         assert!((Bits::from_bytes(10.0).as_f64() - 80.0).abs() < 1e-12);
     }
@@ -669,7 +663,7 @@ mod tests {
 
     #[test]
     fn display_picks_sensible_units() {
-        assert_eq!(format!("{}", Bits::from_gibibytes(2.0)), "2.00 GiB");
+        assert_eq!(format!("{}", Bits::from_mebibytes(2048.0)), "2.00 GiB");
         assert_eq!(format!("{}", Seconds::from_secs(0.005)), "5.000 ms");
         assert_eq!(format!("{}", Seconds::from_minutes(3.0)), "3.00 min");
         assert_eq!(format!("{}", BitRate::from_mbps(120.0)), "120.00 Mbps");

@@ -103,15 +103,6 @@ impl Catalog {
         &self.videos
     }
 
-    /// Videos on one disk.
-    #[must_use]
-    pub fn on_disk(&self, disk: DiskId) -> &[VideoId] {
-        self.per_disk
-            .get(disk.index())
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-
     /// Number of disks.
     #[must_use]
     pub fn disks(&self) -> usize {
@@ -152,8 +143,9 @@ mod tests {
         let c = Catalog::paper_catalog(10, 0.0).expect("valid");
         assert_eq!(c.disks(), 10);
         assert_eq!(c.videos().len(), 60);
-        for d in 0..10 {
-            assert_eq!(c.on_disk(DiskId::new(d)).len(), 6);
+        assert_eq!(c.per_disk.len(), 10);
+        for vids in &c.per_disk {
+            assert_eq!(vids.len(), 6);
         }
         // 120 min at 1.5 Mbps = 1.08e10 bits.
         assert!((c.videos()[0].size.as_f64() - 1.08e10).abs() < 1.0);
@@ -168,7 +160,6 @@ mod tests {
             assert!(v.disk.index() < 3);
         }
         assert!(c.video(VideoId::new(999)).is_none());
-        assert!(c.on_disk(DiskId::new(9)).is_empty());
     }
 
     #[test]

@@ -24,7 +24,6 @@
 
 pub mod catalog;
 pub mod multi;
-pub mod persist;
 pub mod poisson;
 pub mod profile;
 pub mod trace;

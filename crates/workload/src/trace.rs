@@ -58,17 +58,6 @@ impl Workload {
             .filter(|a| a.disk == disk)
             .collect()
     }
-
-    /// The number of requests that would be concurrently viewing at `t`
-    /// if none were ever rejected — the *offered* load (Fig. 6 plots the
-    /// serviced load, which saturates at `N` per disk).
-    #[must_use]
-    pub fn offered_load_at(&self, t: Instant) -> usize {
-        self.arrivals
-            .iter()
-            .filter(|a| a.at <= t && a.at + a.viewing > t)
-            .count()
-    }
 }
 
 /// Configuration of the paper's workload model (§5.1).
@@ -249,7 +238,14 @@ mod tests {
     #[test]
     fn offered_load_rises_toward_the_peak() {
         let w = generate(&config(0.0), 3).expect("valid");
-        let at = |h: f64| w.offered_load_at(Instant::from_secs(h * 3600.0));
+        // Requests concurrently viewing at hour `h` if none were rejected.
+        let at = |h: f64| {
+            let t = Instant::from_secs(h * 3600.0);
+            w.arrivals
+                .iter()
+                .filter(|a| a.at <= t && a.at + a.viewing > t)
+                .count()
+        };
         assert!(at(9.5) > at(2.0), "peak {} vs early {}", at(9.5), at(2.0));
     }
 

@@ -45,10 +45,10 @@ pub mod prelude {
         AdmissionController, ArrivalLog, MultiRateSystem, RateAdaptation, SchemeKind, SizeTable,
         SystemParams,
     };
-    pub use vod_disk::{Disk, DiskArray, DiskProfile, LatencyModel, ZonedProfile};
-    pub use vod_obs::{Metrics, MetricsRegistry, Obs, RecorderSink, Sink, StderrSink};
+    pub use vod_disk::{Disk, DiskProfile, LatencyModel};
+    pub use vod_obs::{Metrics, MetricsRegistry, Obs, RecorderSink, Sink};
     pub use vod_sched::SchedulingMethod;
-    pub use vod_sim::{run_multi_disk, CapacityConfig, CapacitySim, DiskEngine, EngineConfig};
+    pub use vod_sim::{CapacityConfig, CapacitySim, DiskEngine, EngineConfig};
     pub use vod_types::{BitRate, Bits, Instant, RequestId, Seconds, VideoId};
     pub use vod_workload::{generate, with_vcr_actions, VcrConfig, Workload, WorkloadConfig};
 }
