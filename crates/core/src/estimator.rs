@@ -22,18 +22,20 @@
 //!
 //! [`ArrivalLog`] keeps each `D_m` a query has needed, together with the
 //! latest anchor `i` that attains it, and keeps them exact as the log
-//! changes. With `c` cached widths:
+//! changes. The cached spans sit in one dense list, so the work below
+//! scales with `c`, the number of cached widths, and not with the widest
+//! `m` ever asked for (the cached widths are sparse: about 5 of 17 on
+//! the Fig. 14 traces):
 //!
 //! * `record` is O(c): the one new window of each cached width ends at
 //!   the new arrival, one subtraction each.
 //! * A prune that pops `p` arrivals is O(p + c): it drops the `D_m` whose
-//!   anchor it popped. No later anchor attains those, so they must be
-//!   recomputed; every other `D_m` still stands.
+//!   anchor it popped, and the widths the shorter log no longer holds.
+//!   No later anchor attains those, so they must be recomputed; every
+//!   other `D_m` still stands.
 //! * `k_log` walks from the previous answer to the new one, O(1) per
 //!   step. A `D_m` the walk needs but has not cached costs one O(len)
 //!   pass. Repeated queries between arrivals are O(1).
-
-use std::collections::VecDeque;
 
 use vod_types::{Instant, Seconds};
 
@@ -41,16 +43,22 @@ use vod_types::{Instant, Seconds};
 /// number of arrivals in any window of length `period` within the last
 /// `T_log`?".
 ///
-/// Invariant: every cached span `spans[m − 1]` is `D_m` over the retained
+/// Invariant: every cached span of `m` arrivals is `D_m` over the retained
 /// arrivals, and its anchor is retained (see the module docs).
 #[derive(Clone, Debug)]
 pub struct ArrivalLog {
     t_log: Seconds,
-    arrivals: VecDeque<Instant>,
-    /// Sequence number of `arrivals[0]`: how many arrivals prunes popped.
+    /// The retained arrivals are `times[start..]`; prunes advance `start`
+    /// and drop the popped prefix once it is half the vector.
+    times: Vec<Instant>,
+    start: usize,
+    /// Sequence number of `times[start]`: how many arrivals prunes popped.
     head: u64,
-    /// `spans[m − 1]` is `D_m`, or `None` until a query needs it.
-    spans: Vec<Option<Span>>,
+    /// `cached[slots[m − 1] − 1]` is `D_m`; a slot of 0 means `D_m` is not
+    /// cached until a query needs it.
+    slots: Vec<u32>,
+    /// The cached spans, in no order.
+    cached: Vec<Span>,
     /// The previous answer, where the next query's walk starts.
     last_k: usize,
 }
@@ -58,6 +66,8 @@ pub struct ArrivalLog {
 /// The narrowest span of `m` consecutive retained arrivals.
 #[derive(Clone, Copy, Debug)]
 struct Span {
+    /// How many consecutive arrivals the span covers.
+    m: usize,
     width: Seconds,
     /// Sequence number of the first arrival of the latest window that
     /// is this narrow.
@@ -70,9 +80,11 @@ impl ArrivalLog {
     pub fn new(t_log: Seconds) -> Self {
         ArrivalLog {
             t_log,
-            arrivals: VecDeque::new(),
+            times: Vec::new(),
+            start: 0,
             head: 0,
-            spans: Vec::new(),
+            slots: Vec::new(),
+            cached: Vec::new(),
             last_k: 0,
         }
     }
@@ -87,24 +99,21 @@ impl ArrivalLog {
     /// time order (they come from a single clock); out-of-order records
     /// are clamped up to maintain the invariant.
     pub fn record(&mut self, at: Instant) {
-        let at = match self.arrivals.back() {
+        let at = match self.times.last() {
             Some(&last) if at < last => last,
             _ => at,
         };
-        self.arrivals.push_back(at);
-        let len = self.arrivals.len();
-        for (m, slot) in (1..).zip(&mut self.spans) {
-            if let Some(span) = slot {
-                // The one new window of `m` arrivals ends at `at`; `<=`
-                // keeps the latest anchor on a tie.
-                let i = len - m;
-                let width = at - self.arrivals[i];
-                if width <= span.width {
-                    *span = Span {
-                        width,
-                        anchor: self.head + i as u64,
-                    };
-                }
+        self.times.push(at);
+        let retained = &self.times[self.start..];
+        let len = retained.len();
+        for span in &mut self.cached {
+            // The one new window of `m` arrivals ends at `at`; `<=`
+            // keeps the latest anchor on a tie.
+            let i = len - span.m;
+            let width = at - retained[i];
+            if width <= span.width {
+                span.width = width;
+                span.anchor = self.head + i as u64;
             }
         }
     }
@@ -124,7 +133,7 @@ impl ArrivalLog {
     /// non-positive or NaN.
     pub fn k_log(&mut self, now: Instant, period: Seconds) -> usize {
         self.prune(now);
-        let len = self.arrivals.len();
+        let len = self.len();
         if len == 0 || period <= Seconds::ZERO {
             return 0;
         }
@@ -147,13 +156,13 @@ impl ArrivalLog {
     /// Number of retained arrivals (after the last prune).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.arrivals.len()
+        self.times.len() - self.start
     }
 
     /// True when no arrivals are retained.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.arrivals.is_empty()
+        self.len() == 0
     }
 
     /// Whether some `m` consecutive retained arrivals span less than
@@ -165,52 +174,66 @@ impl ArrivalLog {
     /// `D_m` for `1 ≤ m ≤ len`, from the cache or by one pass over the
     /// `len − m + 1` windows of `m` arrivals.
     fn span(&mut self, m: usize) -> Seconds {
-        if let Some(Some(span)) = self.spans.get(m - 1) {
-            return span.width;
+        if let Some(&slot) = self.slots.get(m - 1) {
+            if slot != 0 {
+                return self.cached[slot as usize - 1].width;
+            }
         }
-        let times = self.arrivals.make_contiguous();
+        let times = &self.times[self.start..];
         let mut best = Span {
+            m,
             width: times[m - 1] - times[0],
             anchor: 0,
         };
         for (i, (&first, &last)) in times.iter().zip(&times[m - 1..]).enumerate().skip(1) {
             let width = last - first;
             if width <= best.width {
-                best = Span {
-                    width,
-                    anchor: i as u64,
-                };
+                best.width = width;
+                best.anchor = i as u64;
             }
         }
         best.anchor += self.head;
-        if self.spans.len() < m {
-            self.spans.resize(m, None);
+        if self.slots.len() < m {
+            self.slots.resize(m, 0);
         }
-        self.spans[m - 1] = Some(best);
+        self.cached.push(best);
+        self.slots[m - 1] = self.cached.len() as u32;
         best.width
     }
 
     fn prune(&mut self, now: Instant) {
         let horizon = now - self.t_log;
-        let head = self.head;
-        while let Some(&front) = self.arrivals.front() {
-            if front < horizon {
-                self.arrivals.pop_front();
-                self.head += 1;
-            } else {
-                break;
-            }
+        let popped_from = self.start;
+        while self
+            .times
+            .get(self.start)
+            .is_some_and(|&front| front < horizon)
+        {
+            self.start += 1;
         }
-        if self.head != head {
+        if self.start != popped_from {
+            self.head += (self.start - popped_from) as u64;
+            if 2 * self.start >= self.times.len() {
+                self.times.drain(..self.start);
+                self.start = 0;
+            }
             // A popped anchor was the latest window that narrow, so no
             // retained window attains its width any more. Widths longer
             // than the log have no window left at all.
-            self.spans.truncate(self.arrivals.len());
-            for slot in &mut self.spans {
-                if slot.is_some_and(|span| span.anchor < self.head) {
-                    *slot = None;
+            let (len, head) = (self.len(), self.head);
+            let mut kept = 0;
+            for p in 0..self.cached.len() {
+                let span = self.cached[p];
+                if span.m <= len && span.anchor >= head {
+                    self.cached[kept] = span;
+                    kept += 1;
+                    self.slots[span.m - 1] = kept as u32;
+                } else {
+                    self.slots[span.m - 1] = 0;
                 }
             }
+            self.cached.truncate(kept);
+            self.slots.truncate(len);
         }
     }
 }

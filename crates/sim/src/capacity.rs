@@ -8,6 +8,20 @@
 //! reservation the Fig. 13 analysis evaluates; running it against a
 //! Poisson/Zipf trace adds the stochastic load imbalance the paper's
 //! Fig. 14 measures.
+//!
+//! # What a replay computes
+//!
+//! Every arrival and every departure re-prices one disk at some load
+//! `(n, k)`. The reservation (Theorems 2–4) and the usage period
+//! `(n + k)·(DL(n) + BS_k(n)/TR)` that `k_log` counts over are pure
+//! functions of `(n, k)`, so [`CapacitySim::run`] keeps each in a table
+//! with a cell per `n ≤ N` and `k ≤ N + 1`, filled on first use and
+//! dropped with the run: a cell holds the function's own result, bit for
+//! bit. The static schemes size every buffer for `N` and never estimate
+//! `k`, so their replay records no arrivals. Pending departures sit in a
+//! min-heap keyed by the departure instant's order-preserving bit
+//! pattern, which orders them, ties included, exactly as comparing the
+//! instants does.
 
 use std::collections::BinaryHeap;
 
@@ -47,10 +61,22 @@ pub struct CapacityResult {
     pub per_disk_peak: Vec<usize>,
 }
 
-#[derive(PartialEq)]
+/// A pending departure, ordered for a min-heap on its instant.
+///
+/// `key` is the instant's [`order_key`], so the heap compares integers in
+/// exactly the order the instants compare. Equality compares what the
+/// order compares: two departures at one instant are equal whatever
+/// their disks, and the heap pops them in its own fixed order.
+#[derive(Clone, Copy, Debug)]
 struct Departure {
-    at: Instant,
-    disk: usize,
+    key: u64,
+    disk: u32,
+}
+
+impl PartialEq for Departure {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
 }
 
 impl Eq for Departure {}
@@ -58,13 +84,61 @@ impl Eq for Departure {}
 impl Ord for Departure {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // Reverse for a min-heap on time.
-        other.at.cmp(&self.at)
+        other.key.cmp(&self.key)
     }
 }
 
 impl PartialOrd for Departure {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
+    }
+}
+
+/// An instant's order-preserving bit pattern: `order_key(a) < order_key(b)`
+/// exactly when `a < b`, and the keys are equal exactly when `a == b`, for
+/// every instant that is not NaN. Adding `+0.0` turns `-0.0` into `+0.0`,
+/// which `==` already treats as equal, and leaves every other value as it
+/// is; the rest is [`f64::total_cmp`]'s transform, moved to unsigned.
+fn order_key(at: Instant) -> u64 {
+    let bits = (at.as_secs_f64() + 0.0).to_bits();
+    if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
+    }
+}
+
+/// The instant whose [`order_key`] is `key`.
+fn key_instant(key: u64) -> Instant {
+    let bits = if key >> 63 == 1 {
+        key & !(1 << 63)
+    } else {
+        !key
+    };
+    Instant::from_secs(f64::from_bits(bits))
+}
+
+/// A lazily filled table of one pure function of `(n, k)`, local to a
+/// run, for `n ≤ N`. Every `k` the simulator passes is at most `N`,
+/// except the `α` that seeds each disk's `k_prev`; when `α > N` it is the
+/// only such value, so the spare last column holds it.
+struct Memo<T> {
+    cols: usize,
+    cells: Vec<Option<T>>,
+}
+
+impl<T: Copy> Memo<T> {
+    fn new(big_n: usize) -> Self {
+        Memo {
+            cols: big_n + 2,
+            cells: vec![None; (big_n + 1) * (big_n + 2)],
+        }
+    }
+
+    /// The value at `(n, k)`, computed by `f` on first use.
+    fn get(&mut self, n: usize, k: usize, f: impl FnOnce() -> T) -> T {
+        let cell = n * self.cols + k.min(self.cols - 1);
+        *self.cells[cell].get_or_insert_with(f)
     }
 }
 
@@ -101,6 +175,9 @@ impl CapacitySim {
         if cfg.disks == 0 {
             return Err(ConfigError::new("disks", "must be at least 1"));
         }
+        if u32::try_from(cfg.disks).is_err() {
+            return Err(ConfigError::new("disks", "must fit in 32 bits"));
+        }
         if !cfg.total_memory.is_valid_size() || cfg.total_memory.is_zero() {
             return Err(ConfigError::new("total_memory", "must be positive"));
         }
@@ -115,15 +192,20 @@ impl CapacitySim {
 
     /// Replays a workload (arrivals across all disks) and measures the
     /// achievable concurrency under the memory constraint.
+    ///
+    /// Arrival and departure instants must not be NaN.
     #[must_use]
     pub fn run(&self, workload: &Workload) -> CapacityResult {
         let d = self.cfg.disks;
         let alpha = self.cfg.params.alpha as usize;
+        let dynamic = self.cfg.scheme.is_dynamic();
         let mut n = vec![0usize; d];
         let mut k_last = vec![alpha; d];
         let mut reserved: Vec<Bits> = vec![Bits::ZERO; d];
         let mut logs: Vec<ArrivalLog> = (0..d).map(|_| ArrivalLog::new(self.cfg.t_log)).collect();
         let mut departures: BinaryHeap<Departure> = BinaryHeap::new();
+        let mut reservations = Memo::new(self.big_n);
+        let mut periods = Memo::new(self.big_n);
         let mut result = CapacityResult {
             per_disk_peak: vec![0; d],
             ..Default::default()
@@ -135,20 +217,21 @@ impl CapacitySim {
             // Request ids for observability: the arrival's workload index.
             let rid = RequestId::new(idx as u64);
             // Release departures up to this arrival.
-            while let Some(dep) = departures.peek() {
-                if dep.at > a.at {
+            let limit = order_key(a.at);
+            while let Some(&dep) = departures.peek() {
+                if dep.key > limit {
                     break;
                 }
-                let dep = departures
-                    .pop()
-                    .expect("departure heap cannot empty while peek returned a due entry");
-                n[dep.disk] -= 1;
+                departures.pop();
+                let disk = dep.disk as usize;
+                n[disk] -= 1;
                 concurrent -= 1;
-                let k = self.estimate_k(&mut logs[dep.disk], dep.at, n[dep.disk], k_last[dep.disk]);
-                k_last[dep.disk] = k;
-                let new_res = self.reservation(n[dep.disk], k);
-                total_reserved = total_reserved - reserved[dep.disk] + new_res;
-                reserved[dep.disk] = new_res;
+                let at = key_instant(dep.key);
+                let k = self.estimate_k(&mut logs[disk], &mut periods, at, n[disk], k_last[disk]);
+                k_last[disk] = k;
+                let new_res = reservations.get(n[disk], k, || self.reservation(n[disk], k));
+                total_reserved = total_reserved - reserved[disk] + new_res;
+                reserved[disk] = new_res;
             }
 
             let disk = a.disk.index();
@@ -165,7 +248,9 @@ impl CapacitySim {
                     });
                 continue;
             }
-            logs[disk].record(a.at);
+            if dynamic {
+                logs[disk].record(a.at);
+            }
             if n[disk] >= self.big_n {
                 result.rejected += 1;
                 self.obs
@@ -176,8 +261,14 @@ impl CapacitySim {
                     });
                 continue;
             }
-            let k = self.estimate_k(&mut logs[disk], a.at, n[disk] + 1, k_last[disk]);
-            let needed = self.reservation(n[disk] + 1, k);
+            let k = self.estimate_k(
+                &mut logs[disk],
+                &mut periods,
+                a.at,
+                n[disk] + 1,
+                k_last[disk],
+            );
+            let needed = reservations.get(n[disk] + 1, k, || self.reservation(n[disk] + 1, k));
             let prospective = total_reserved - reserved[disk] + needed;
             if prospective > self.cfg.total_memory {
                 result.rejected += 1;
@@ -216,8 +307,8 @@ impl CapacitySim {
                     });
             }
             departures.push(Departure {
-                at: a.at + a.viewing,
-                disk,
+                key: order_key(a.at + a.viewing),
+                disk: disk as u32,
             });
         }
         result
@@ -250,21 +341,35 @@ impl CapacitySim {
     }
 
     /// Per-disk `k` estimate: `k_log + α` over a usage-period window
-    /// (admission-level approximation of Fig. 5's Step 4).
-    fn estimate_k(&self, log: &mut ArrivalLog, now: Instant, n: usize, k_prev: usize) -> usize {
+    /// (admission-level approximation of Fig. 5's Step 4). The static
+    /// schemes size for `N` and need no estimate: 0, with the log unread.
+    fn estimate_k(
+        &self,
+        log: &mut ArrivalLog,
+        periods: &mut Memo<Seconds>,
+        now: Instant,
+        n: usize,
+        k_prev: usize,
+    ) -> usize {
         if !self.cfg.scheme.is_dynamic() {
             return 0;
         }
         let n_eff = n.max(1);
+        let period = periods.get(n_eff, k_prev, || self.usage_period(n_eff, k_prev));
+        let alpha = self.cfg.params.alpha as usize;
+        (log.k_log(now, period) + alpha).min(self.big_n)
+    }
+
+    /// The usage period `(n + k)·(DL(n) + BS_k(n)/TR)` that `k_log`
+    /// counts arrivals over, for `n ≥ 1`.
+    fn usage_period(&self, n: usize, k: usize) -> Seconds {
         let dl = self
             .cfg
             .params
             .method
-            .worst_disk_latency(&self.cfg.params.disk, n_eff);
-        let slot = dl + self.sizer.size(n_eff, k_prev) / self.cfg.params.tr();
-        let period = slot * (n_eff + k_prev) as f64;
-        let alpha = self.cfg.params.alpha as usize;
-        (log.k_log(now, period) + alpha).min(self.big_n)
+            .worst_disk_latency(&self.cfg.params.disk, n);
+        let slot = dl + self.sizer.size(n, k) / self.cfg.params.tr();
+        slot * (n + k) as f64
     }
 }
 
@@ -382,6 +487,69 @@ mod tests {
         assert_eq!(snap.counter(EventKind::RequestAdmitted), observed.admitted);
         assert_eq!(snap.counter(EventKind::RequestRejected), observed.rejected);
         assert!(snap.counter(EventKind::PoolOccupancy) > 0);
+    }
+
+    #[test]
+    fn departure_equality_is_its_order() {
+        let dep = |secs: f64, disk: u32| Departure {
+            key: order_key(Instant::from_secs(secs)),
+            disk,
+        };
+        let all = [
+            dep(5.0, 0),
+            dep(5.0, 3),
+            dep(-0.0, 1),
+            dep(0.0, 2),
+            dep(7.5, 0),
+            dep(-2.0, 0),
+        ];
+        for a in &all {
+            for b in &all {
+                assert_eq!(
+                    a == b,
+                    a.cmp(b) == std::cmp::Ordering::Equal,
+                    "{a:?} vs {b:?}"
+                );
+                assert_eq!(a.partial_cmp(b), Some(a.cmp(b)));
+            }
+        }
+        // One instant on two disks: equal, as the order says.
+        assert_eq!(dep(5.0, 0), dep(5.0, 3));
+        assert_eq!(dep(-0.0, 1), dep(0.0, 2));
+        // Reversed for the min-heap: the earlier departure is greater.
+        assert!(dep(-2.0, 0) > dep(5.0, 0));
+    }
+
+    #[test]
+    fn order_key_orders_like_instants() {
+        let secs = [
+            f64::NEG_INFINITY,
+            -1e300,
+            -2.0,
+            -f64::MIN_POSITIVE,
+            -5e-324,
+            -0.0,
+            0.0,
+            5e-324,
+            1e-300,
+            1.0,
+            2.5,
+            1e300,
+            f64::INFINITY,
+        ];
+        for &a in &secs {
+            let (ia, ka) = (Instant::from_secs(a), order_key(Instant::from_secs(a)));
+            for &b in &secs {
+                let ib = Instant::from_secs(b);
+                assert_eq!(
+                    Some(ka.cmp(&order_key(ib))),
+                    ia.partial_cmp(&ib),
+                    "{a} vs {b}"
+                );
+            }
+            // The key gives back the instant; `-0.0` comes back as `+0.0`.
+            assert_eq!(key_instant(ka).as_secs_f64().to_bits(), (a + 0.0).to_bits());
+        }
     }
 
     #[test]
