@@ -25,12 +25,13 @@
 //!
 //! * `--trace <file.jsonl>` — records every engine event, spans
 //!   included, and writes them as JSON Lines. Each experiment
-//!   contributes a marker line `{"kind":"experiment","name":...}`
-//!   followed by its events. Feed the file to `repro trace-analyze`.
+//!   contributes an `experiment` header line followed by its events.
+//!   Feed the file to `repro trace-analyze`.
 //! * `--flight <file.jsonl>` — arms a bounded flight recorder teed
 //!   behind the trace recorder; anomalies (underflow, rejection, parked
-//!   span) dump the ring to the file as `{"kind":"flight_dump",...}`
-//!   sections. Also accepted by `repro cluster` and `repro chaos`.
+//!   span) dump the ring to the file as sections opened by a
+//!   `flight_dump` line. Also accepted by `repro cluster` and
+//!   `repro chaos`.
 //! * `--summary-json <file>` — writes one JSON document with, per
 //!   experiment, the host wall-clock time, the events and span records
 //!   the recorder dropped (`events_dropped` / `spans_dropped`), per-kind
@@ -49,10 +50,15 @@
 //! the written document against a committed one with `repro compare`.
 //!
 //! `repro cluster --trace <file.jsonl>` runs the matrix sequentially with
-//! a per-cell span recorder and writes `{"kind":"cluster_cell"}` sections
-//! (lifecycle spans + admission outcomes; per-cycle detail gated off so
-//! nothing is dropped). `repro trace-analyze` consumes either trace
-//! flavour: schema check, span trees, per-stream latency breakdowns,
+//! a per-cell span recorder and writes sections opened by a
+//! `cluster_cell` line (lifecycle spans + admission outcomes; per-cycle
+//! detail gated off so nothing is dropped), each closed by a
+//! `cluster_summary` line and followed by its `series` and `audit` lines.
+//! The schema of every line is the `vod_obs` types: `vod_obs::TraceLine`
+//! and `vod_obs::Event` write each kind and parse it back. `repro
+//! trace-analyze` and `repro report` parse the file once, refusing it
+//! with a `line N:` diagnostic per line that does not parse; then
+//! `trace-analyze` prints span trees, per-stream latency breakdowns,
 //! top-k slowest traces, and the invariant audit (admission spans vs
 //! admitted counts, hop chains vs redirection counters). It exits
 //! non-zero on schema errors or audit violations.
@@ -74,7 +80,8 @@ use vod_bench::{
 };
 use vod_obs::metrics::{CTR_EVENTS_DROPPED, CTR_SPANS_DROPPED};
 use vod_obs::{
-    json, prom, FlightRecorder, Metrics, MetricsRegistry, Obs, RecorderSink, Sink, TeeSink,
+    json, prom, trace, FlightRecorder, Metrics, MetricsRegistry, Obs, RecorderSink, Sink, TeeSink,
+    TraceLine,
 };
 
 const EXPERIMENTS: [(&str, &str); 14] = [
@@ -243,8 +250,8 @@ fn write_file(what: &str, path: &Path, body: impl AsRef<[u8]>) -> Result<(), Exi
     })
 }
 
-/// Reads the trace file `cmd` was given; an absent, unreadable or empty
-/// file stops the run.
+/// Reads the trace file `cmd` was given; an absent or unreadable file
+/// stops the run.
 fn read_trace(cmd: &str, file: Option<PathBuf>) -> Result<(PathBuf, String), ExitCode> {
     let Some(path) = file else {
         eprintln!("{cmd} requires a trace file argument");
@@ -252,14 +259,35 @@ fn read_trace(cmd: &str, file: Option<PathBuf>) -> Result<(PathBuf, String), Exi
         return Err(ExitCode::FAILURE);
     };
     let src = read_file(&path)?;
-    if traceview::is_empty_trace(&src) {
+    Ok((path, src))
+}
+
+/// Parses every line of the trace file `path` holds. A line that does
+/// not parse stops the run with a `line N:` diagnostic per bad line (the
+/// first 20 are printed), and so does a file with no lines at all.
+fn parse_trace<'a>(
+    cmd: &str,
+    path: &Path,
+    src: &'a str,
+) -> Result<Vec<(usize, TraceLine<'a>)>, ExitCode> {
+    let lines = trace::parse_file(src).map_err(|errors| {
+        for e in errors.iter().take(20) {
+            eprintln!("schema: {e}");
+        }
+        if errors.len() > 20 {
+            eprintln!("schema: ... and {} more", errors.len() - 20);
+        }
+        eprintln!("[{cmd}: schema check FAILED on {}]", path.display());
+        ExitCode::FAILURE
+    })?;
+    if lines.is_empty() {
         eprintln!(
             "error: {} contains no trace lines (empty or truncated file)",
             path.display()
         );
         return Err(ExitCode::FAILURE);
     }
-    Ok((path, src))
+    Ok(lines)
 }
 
 /// Arms a flight recorder that appends anomaly dumps to `path`. Shared
@@ -300,19 +328,8 @@ fn trace_analyze_main(args: &[String]) -> Run {
         }
     }
     let (path, src) = read_trace("trace-analyze", file)?;
-    let schema = match traceview::check_schema(&src) {
-        Ok(s) => s,
-        Err(errors) => {
-            for e in errors.iter().take(20) {
-                eprintln!("schema: {e}");
-            }
-            if errors.len() > 20 {
-                eprintln!("schema: ... and {} more", errors.len() - 20);
-            }
-            eprintln!("[trace-analyze: schema check FAILED on {}]", path.display());
-            return Err(ExitCode::FAILURE);
-        }
-    };
+    let lines = parse_trace("trace-analyze", &path, &src)?;
+    let schema = traceview::SchemaSummary::of(&lines);
     eprintln!(
         "schema OK: {} lines ({} markers, {} events, {} span records)",
         schema.lines, schema.markers, schema.events, schema.span_events
@@ -320,10 +337,7 @@ fn trace_analyze_main(args: &[String]) -> Run {
     if schema_only {
         return Ok(ExitCode::SUCCESS);
     }
-    let report = traceview::analyze(&src, top_k).map_err(|e| {
-        eprintln!("error: {e}");
-        ExitCode::FAILURE
-    })?;
+    let report = traceview::analyze(&lines, top_k);
     println!("{}", traceview::render(&report));
     Ok(if report.audit_passed() {
         ExitCode::SUCCESS
@@ -387,17 +401,14 @@ fn report_main(args: &[String]) -> Run {
             ExitCode::FAILURE
         });
     }
-    let (_, src) = read_trace("report", file)?;
-    let md = report::render_run_report(&src).map_err(|e| {
-        eprintln!("error: {e}");
-        ExitCode::FAILURE
-    })?;
-    let inventory = report::series_inventory(&src);
-    for (scope, names) in &inventory {
+    let (path, src) = read_trace("report", file)?;
+    let lines = parse_trace("report", &path, &src)?;
+    let md = report::render_run_report(&lines);
+    for (scope, names) in &report::series_inventory(&lines) {
         eprintln!("series: scope `{scope}`: {}", names.join(", "));
     }
     if let Some(csv_path) = &csv {
-        write_file("", csv_path, report::series_csv(&src))?;
+        write_file("", csv_path, report::series_csv(&lines))?;
         eprintln!("[series CSV -> {}]", csv_path.display());
     }
     match &out {
@@ -847,13 +858,13 @@ fn experiments_main(args: &[String]) -> Run {
                         snap.dropped()
                     );
                 }
-                let mut marker = json::Object::new();
-                marker.str("kind", "experiment");
-                marker.str("name", &name);
-                marker.uint("events", snap.events().len() as u64);
-                marker.uint("events_dropped", snap.events_dropped());
-                marker.uint("spans_dropped", snap.spans_dropped());
-                trace_out.push_str(&marker.finish());
+                let header = TraceLine::Experiment {
+                    name: &name,
+                    events: snap.events().len() as u64,
+                    events_dropped: snap.events_dropped(),
+                    spans_dropped: snap.spans_dropped(),
+                };
+                trace_out.push_str(&header.to_json());
                 trace_out.push('\n');
                 trace_out.push_str(&snap.export_jsonl());
             }

@@ -34,11 +34,11 @@ use vod_chaos::{
 use vod_cluster::{Cluster, ClusterConfig, DispatchPolicy, PlacementPolicy};
 use vod_core::memory::min_memory_static;
 use vod_obs::json::Object;
-use vod_obs::{EventKind, Obs};
+use vod_obs::{CellHeader, CellSummary, ChaosCounters, ChaosHeader, EventKind, Obs};
 use vod_types::{Instant, Seconds};
 
 use crate::cluster::{
-    cluster_engine_config, redirects, stamp_cluster_doc, write_front_end, ClusterBenchMode,
+    cluster_engine_config, redirect_summary, stamp_cluster_doc, write_front_end, ClusterBenchMode,
 };
 use crate::matrix::{Matrix, SharedTraces};
 
@@ -440,24 +440,29 @@ impl Matrix for ChaosBenchMode {
         o.finish()
     }
 
-    fn trace_header(spec: &ChaosCellSpec, header: &mut Object) {
-        header.uint("nodes", spec.nodes as u64);
-        header.str("placement", "replicated_hot");
-        header.str("dispatch", "least_loaded");
-        header.str("scenario", spec.scenario.label());
-        header.str("failover", spec.failover.label());
+    fn trace_header(spec: &ChaosCellSpec) -> CellHeader<'static> {
+        CellHeader {
+            nodes: spec.nodes,
+            placement: "replicated_hot",
+            dispatch: "least_loaded",
+            chaos: Some(ChaosHeader {
+                scenario: spec.scenario.label(),
+                failover: spec.failover.label(),
+            }),
+        }
     }
 
-    fn redirects(c: &ChaosCellResult) -> (u64, Vec<(usize, u64, u64)>) {
-        redirects(&c.report.cluster)
-    }
-
-    fn summary_fields(c: &ChaosCellResult, summary: &mut Object) {
+    fn summary_fields(c: &ChaosCellResult) -> CellSummary {
         let s = &c.report.summary;
-        summary.uint("faults_injected", s.faults_injected);
-        summary.uint("interrupted", s.interrupted);
-        summary.uint("migrated", s.migrated);
-        summary.uint("dropped", s.dropped);
+        CellSummary {
+            chaos: Some(ChaosCounters {
+                faults_injected: s.faults_injected,
+                interrupted: s.interrupted,
+                migrated: s.migrated,
+                dropped: s.dropped,
+            }),
+            ..redirect_summary(&c.report.cluster)
+        }
     }
 }
 
@@ -669,8 +674,8 @@ mod tests {
             trace.contains("\"kind\":\"span_start\"") && trace.contains("\"failover\""),
             "failover spans must appear in the crash cell's section"
         );
-        crate::traceview::check_schema(&trace).expect("trace schema must hold");
-        let report = crate::traceview::analyze(&trace, 5).expect("trace must parse");
+        let lines = vod_obs::trace::parse_file(&trace).expect("trace schema must hold");
+        let report = crate::traceview::analyze(&lines, 5);
         assert_eq!(report.sections.len(), 4, "one section per smoke cell");
         assert!(
             report.audit_passed(),

@@ -24,7 +24,7 @@ use vod_cluster::{Cluster, ClusterConfig, ClusterReport, DispatchPolicy, Placeme
 use vod_core::SchemeKind;
 use vod_obs::json::{Array, Object};
 use vod_obs::timeseries::SeriesRecorder;
-use vod_obs::{EventKind, Obs};
+use vod_obs::{CellHeader, CellSummary, EventKind, NodeRedirects, Obs, TraceLine};
 use vod_sched::SchedulingMethod;
 use vod_sim::EngineConfig;
 use vod_types::Seconds;
@@ -259,12 +259,12 @@ impl Matrix for ClusterBenchMode {
             // renders and `trace-analyze` skips.
             series.append_jsonl(out);
             for n in &report.nodes {
-                let mut audit = Object::new();
-                audit.str("kind", "audit");
-                audit.str("scope", &format!("node{}", n.node));
-                audit.uint("samples", n.stats.audit.samples as u64);
-                audit.uint("violations", n.stats.audit.violations as u64);
-                out.push_str(&audit.finish());
+                let audit = TraceLine::Audit {
+                    scope: &format!("node{}", n.node),
+                    samples: n.stats.audit.samples as u64,
+                    violations: n.stats.audit.violations as u64,
+                };
+                out.push_str(&audit.to_json());
                 out.push('\n');
             }
         }
@@ -327,14 +327,17 @@ impl Matrix for ClusterBenchMode {
         o.finish()
     }
 
-    fn trace_header(spec: &ClusterCellSpec, header: &mut Object) {
-        header.uint("nodes", spec.nodes as u64);
-        header.str("placement", spec.placement.label());
-        header.str("dispatch", spec.dispatch.label());
+    fn trace_header(spec: &ClusterCellSpec) -> CellHeader<'static> {
+        CellHeader {
+            nodes: spec.nodes,
+            placement: spec.placement.label(),
+            dispatch: spec.dispatch.label(),
+            chaos: None,
+        }
     }
 
-    fn redirects(c: &ClusterCellResult) -> (u64, Vec<(usize, u64, u64)>) {
-        redirects(&c.report)
+    fn summary_fields(c: &ClusterCellResult) -> CellSummary {
+        redirect_summary(&c.report)
     }
 }
 
@@ -378,14 +381,21 @@ pub(crate) fn write_front_end(r: &ClusterReport, o: &mut Object) {
 }
 
 /// The redirection counters a traced section's summary repeats: the
-/// cluster total and, per node, `(node, redirected_in, redirected_out)`.
-pub(crate) fn redirects(r: &ClusterReport) -> (u64, Vec<(usize, u64, u64)>) {
-    let per_node = r
-        .nodes
-        .iter()
-        .map(|n| (n.node, n.redirected_in, n.redirected_out))
-        .collect();
-    (r.redirected, per_node)
+/// cluster total and each node's.
+pub(crate) fn redirect_summary(r: &ClusterReport) -> CellSummary {
+    CellSummary {
+        redirected: r.redirected,
+        per_node: r
+            .nodes
+            .iter()
+            .map(|n| NodeRedirects {
+                node: n.node,
+                redirected_in: n.redirected_in,
+                redirected_out: n.redirected_out,
+            })
+            .collect(),
+        ..CellSummary::default()
+    }
 }
 
 /// One `(nodes, placement, dispatch)` cell: its spec and the cluster
@@ -522,8 +532,8 @@ mod tests {
             plain.without_wall_clock().to_json(),
             traced.without_wall_clock().to_json()
         );
-        crate::traceview::check_schema(&trace).expect("trace schema must hold");
-        let report = crate::traceview::analyze(&trace, 3).expect("trace must parse");
+        let lines = vod_obs::trace::parse_file(&trace).expect("trace schema must hold");
+        let report = crate::traceview::analyze(&lines, 3);
         assert_eq!(report.sections.len(), 2, "one section per smoke cell");
         assert!(
             report.audit_passed(),
@@ -538,7 +548,7 @@ mod tests {
         // Acceptance bar for `repro report`: the trace carries at least
         // five distinct engine series per node plus the front-end and
         // cluster-scope series, and the markdown report renders them.
-        let inventory = crate::report::series_inventory(&trace);
+        let inventory = crate::report::series_inventory(&lines);
         assert!(
             inventory["cluster"].contains(&"imbalance_ratio".to_owned()),
             "{inventory:?}"
@@ -561,7 +571,7 @@ mod tests {
                 assert!(names.contains(&expected.to_owned()), "{node}: {names:?}");
             }
         }
-        let md = crate::report::render_run_report(&trace).expect("report renders");
+        let md = crate::report::render_run_report(&lines);
         assert!(md.contains("## Time series"));
         assert!(md.contains("scope `node1`"));
         assert!(md.contains("## Estimator audits"));

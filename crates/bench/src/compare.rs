@@ -144,7 +144,8 @@ fn compatibility_problems(old: &Json, new: &Json) -> Vec<String> {
 
 fn render_short(v: &Json) -> String {
     match v {
-        Json::Str(s) => s.clone(),
+        Json::Str(s) => s.to_string(),
+        Json::Int(u) => u.to_string(),
         Json::Num(x) if x.fract() == 0.0 => format!("{}", *x as i64),
         Json::Num(x) => format!("{x}"),
         Json::Obj(m) => {
@@ -197,11 +198,11 @@ fn diff_exact(
         (Some(Json::Obj(o)), Some(Json::Obj(n))) => {
             let added = n.keys().filter(|k| !o.contains_key(*k));
             for key in o.keys().chain(added) {
-                if skip.contains(&key.as_str()) {
+                if skip.contains(&key.as_ref()) {
                     continue;
                 }
                 let sub = if path.is_empty() {
-                    key.clone()
+                    key.to_string()
                 } else {
                     format!("{path}.{key}")
                 };
@@ -221,7 +222,8 @@ fn diff_exact(
             }
         }
         (Some(Json::Num(a)), Some(Json::Num(b))) if a.to_bits() == b.to_bits() => {}
-        (Some(a @ (Json::Null | Json::Bool(_) | Json::Str(_))), Some(b)) if a == b => {}
+        (Some(a @ (Json::Null | Json::Bool(_) | Json::Int(_) | Json::Str(_))), Some(b))
+            if a == b => {}
         _ => {
             let show = |v: Option<&Json>| v.map_or_else(|| "(absent)".into(), render_short);
             problems.push(format!(
@@ -507,7 +509,7 @@ pub fn envelope_of(old: &Json, new: &Json) -> Result<EnvelopeReport, Vec<String>
 }
 
 /// A document's `cells` array (empty when absent).
-fn cells(doc: &Json) -> &[Json] {
+fn cells<'d, 'a>(doc: &'d Json<'a>) -> &'d [Json<'a>] {
     doc.get("cells").and_then(Json::as_arr).unwrap_or(&[])
 }
 

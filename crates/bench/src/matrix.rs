@@ -20,7 +20,7 @@ use std::time::Instant as WallInstant;
 
 use vod_cluster::map_indexed;
 use vod_obs::json::{Array, Object};
-use vod_obs::{EventKind, Obs, RecorderSink, Sink, TeeSink};
+use vod_obs::{CellHeader, CellSummary, EventKind, Obs, RecorderSink, Sink, TeeSink, TraceLine};
 use vod_workload::Workload;
 
 use crate::compare::{fingerprint, BENCH_SCHEMA_VERSION};
@@ -84,19 +84,20 @@ pub trait Matrix: Copy + Send + Sync {
     /// Renders one cell of the document.
     fn cell_json(cell: &Self::Cell, wall_clock_s: f64) -> String;
 
-    /// Fields of a traced section's `cluster_cell` header after `kind`.
-    fn trace_header(_spec: &Self::Spec, _header: &mut Object) {}
-
-    /// The redirection counters a traced section's `cluster_summary`
-    /// repeats for `repro trace-analyze`: the cluster total and, per
-    /// node, `(node, redirected_in, redirected_out)`.
-    fn redirects(_cell: &Self::Cell) -> (u64, Vec<(usize, u64, u64)>) {
-        (0, Vec::new())
+    /// A traced section's `cluster_cell` header. Only the cluster and
+    /// chaos matrices are traced: the engine matrix keeps no
+    /// [`Matrix::TRACE_KINDS`] and `repro bench` takes no `--trace`.
+    fn trace_header(_spec: &Self::Spec) -> CellHeader<'static> {
+        unreachable!("{} cells are never traced", Self::KIND)
     }
 
-    /// Extra `cluster_summary` fields, written after the recorder's drop
-    /// counts and before `per_node`.
-    fn summary_fields(_cell: &Self::Cell, _summary: &mut Object) {}
+    /// A traced section's `cluster_summary`, less what the recorder kept
+    /// and dropped (the runner fills that in): the redirection counters
+    /// `repro trace-analyze` reconciles with the hop spans, and a chaos
+    /// cell's counters.
+    fn summary_fields(_cell: &Self::Cell) -> CellSummary {
+        CellSummary::default()
+    }
 }
 
 /// The workloads a matrix's cells replay, generated once per run instead
@@ -254,31 +255,16 @@ fn traced_cell<M: Matrix>(
     let (cell, wall) = timed(|| mode.run_cell(spec, traces, &obs, Some(&mut trailer)));
     let snap = recorder.snapshot();
 
-    let mut header = Object::new();
-    header.str("kind", "cluster_cell");
-    M::trace_header(spec, &mut header);
-    out.push_str(&header.finish());
+    let summary = CellSummary {
+        events: snap.events().len() as u64,
+        events_dropped: snap.events_dropped(),
+        spans_dropped: snap.spans_dropped(),
+        ..M::summary_fields(&cell)
+    };
+    out.push_str(&TraceLine::ClusterCell(M::trace_header(spec)).to_json());
     out.push('\n');
     out.push_str(&snap.export_jsonl());
-
-    let (redirected, per_node) = M::redirects(&cell);
-    let mut summary = Object::new();
-    summary.str("kind", "cluster_summary");
-    summary.uint("redirected", redirected);
-    summary.uint("events", snap.events().len() as u64);
-    summary.uint("events_dropped", snap.events_dropped());
-    summary.uint("spans_dropped", snap.spans_dropped());
-    M::summary_fields(&cell, &mut summary);
-    let mut nodes = Array::new();
-    for (node, rin, rout) in per_node {
-        let mut no = Object::new();
-        no.uint("node", node as u64);
-        no.uint("redirected_in", rin);
-        no.uint("redirected_out", rout);
-        nodes.raw(&no.finish());
-    }
-    summary.raw("per_node", &nodes.finish());
-    out.push_str(&summary.finish());
+    out.push_str(&TraceLine::ClusterSummary(summary).to_json());
     out.push('\n');
     out.push_str(&trailer);
     (cell, wall)

@@ -1,12 +1,11 @@
 //! `repro report`: a self-contained markdown run report rendered from a
-//! trace JSONL file.
+//! parsed trace file.
 //!
 //! The input is the combined stream `repro cluster --trace` (or
-//! `repro --trace`) writes: section markers, span/request events,
-//! `{"kind":"series",..}` cycle-indexed time-series lines,
-//! `{"kind":"audit",..}` estimator-audit markers, and
-//! `{"kind":"flight_dump",..}` anomaly snapshots. The report stitches
-//! all of them into one document:
+//! `repro --trace`) writes, parsed into [`TraceLine`]s: section headers,
+//! span/request events, `series` cycle-indexed time series, `audit`
+//! estimator audits, and `flight_dump` anomaly snapshots. The report
+//! stitches all of them into one document:
 //!
 //! - per-section span statistics and latency breakdowns (reusing
 //!   [`crate::traceview::analyze`]),
@@ -17,37 +16,25 @@
 //!   they fired (the last series sample at or before the dump's first
 //!   event time).
 //!
-//! Everything here is a pure function of the trace text, so the report
-//! is as deterministic as the trace itself (wall-clock never appears).
+//! Everything here is a pure function of the trace, so the report is as
+//! deterministic as the trace itself (wall-clock never appears).
 
 use std::collections::BTreeMap;
 
 use crate::traceview;
-use vod_obs::json::{parse, Json};
+use vod_obs::{SeriesLine, TraceLine};
 
-/// One parsed `{"kind":"series",..}` line.
-#[derive(Clone, Debug)]
-struct SeriesLine {
-    scope: String,
-    name: String,
-    stride: u64,
-    count: u64,
-    /// `(index, t, value)` triples, in index order.
-    points: Vec<(u64, f64, f64)>,
-}
-
-/// One parsed `{"kind":"audit",..}` line.
-#[derive(Clone, Debug)]
-struct AuditLine {
-    scope: String,
+/// One `audit` line under the section it belongs to.
+struct AuditRow<'a> {
+    section: String,
+    scope: &'a str,
     samples: u64,
     violations: u64,
 }
 
 /// One flight dump with the time of its first captured event.
-#[derive(Clone, Debug)]
-struct DumpLine {
-    reason: String,
+struct DumpRow<'a> {
+    reason: &'a str,
     seq: u64,
     dropped: u64,
     first_event_t: Option<f64>,
@@ -84,24 +71,6 @@ fn sparkline(values: &[f64]) -> String {
     out
 }
 
-fn parse_series(v: &Json) -> Option<SeriesLine> {
-    let mut points = Vec::new();
-    for triple in v.get("points")?.as_arr()? {
-        let t = triple.as_arr()?;
-        if t.len() != 3 {
-            return None;
-        }
-        points.push((t[0].as_u64()?, t[1].as_f64()?, t[2].as_f64()?));
-    }
-    Some(SeriesLine {
-        scope: v.get("scope")?.as_str()?.to_owned(),
-        name: v.get("name")?.as_str()?.to_owned(),
-        stride: v.get("stride")?.as_u64()?,
-        count: v.get("count")?.as_u64()?,
-        points,
-    })
-}
-
 fn num(x: f64) -> String {
     if x == 0.0 {
         return "0".to_owned();
@@ -116,88 +85,50 @@ fn num(x: f64) -> String {
     }
 }
 
-/// Renders the markdown run report for a trace file.
-///
-/// # Errors
-///
-/// Returns the first malformed line (the same parser as
-/// `trace-analyze`).
-pub fn render_run_report(src: &str) -> Result<String, String> {
-    let analysis = traceview::analyze(src, 3)?;
+/// Renders the markdown run report for a parsed trace file.
+#[must_use]
+pub fn render_run_report(lines: &[(usize, TraceLine<'_>)]) -> String {
+    let analysis = traceview::analyze(lines, 3);
 
-    // Second pass for the marker kinds analyze skips. Series lines are
-    // grouped per section in file order; the section labels below
-    // mirror analyze's so the tables can be cross-read.
+    // Series lines are grouped per section in file order; the section
+    // labels mirror analyze's, so the tables can be cross-read.
     let mut section = String::from("(unnamed)");
-    let mut series: Vec<(String, SeriesLine)> = Vec::new();
-    let mut audits: Vec<(String, AuditLine)> = Vec::new();
-    let mut dumps: Vec<DumpLine> = Vec::new();
-    for (i, line) in src.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let v = parse(line).map_err(|e| format!("line {}: not JSON: {e}", i + 1))?;
-        let kind = v.get("kind").and_then(Json::as_str).unwrap_or("");
-        match kind {
-            "experiment" => {
-                section = v
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .unwrap_or("experiment")
-                    .to_owned();
-            }
-            "cluster_cell" => {
-                section = format!(
-                    "cluster {} nodes / {} / {}",
-                    v.get("nodes").and_then(Json::as_u64).unwrap_or(0),
-                    v.get("placement").and_then(Json::as_str).unwrap_or("?"),
-                    v.get("dispatch").and_then(Json::as_str).unwrap_or("?"),
-                );
-                // Chaos cells carry the injected scenario and failover
-                // policy; fold them into the label so sections stay
-                // distinguishable across the chaos matrix.
-                if let (Some(s), Some(f)) = (
-                    v.get("scenario").and_then(Json::as_str),
-                    v.get("failover").and_then(Json::as_str),
-                ) {
-                    section.push_str(&format!(" / {s}/{f}"));
-                }
-            }
-            "series" => {
-                let s = parse_series(&v)
-                    .ok_or_else(|| format!("line {}: malformed series line", i + 1))?;
-                series.push((section.clone(), s));
-            }
-            "audit" => audits.push((
-                section.clone(),
-                AuditLine {
-                    scope: v
-                        .get("scope")
-                        .and_then(Json::as_str)
-                        .unwrap_or("?")
-                        .to_owned(),
-                    samples: v.get("samples").and_then(Json::as_u64).unwrap_or(0),
-                    violations: v.get("violations").and_then(Json::as_u64).unwrap_or(0),
-                },
-            )),
-            "flight_dump" => dumps.push(DumpLine {
-                reason: v
-                    .get("reason")
-                    .and_then(Json::as_str)
-                    .unwrap_or("?")
-                    .to_owned(),
-                seq: v.get("seq").and_then(Json::as_u64).unwrap_or(0),
-                dropped: v.get("dropped").and_then(Json::as_u64).unwrap_or(0),
+    let mut series: Vec<(String, &SeriesLine<'_>)> = Vec::new();
+    let mut audits: Vec<AuditRow<'_>> = Vec::new();
+    let mut dumps: Vec<DumpRow<'_>> = Vec::new();
+    for (_, line) in lines {
+        match line {
+            TraceLine::Experiment { name, .. } => section = (*name).to_owned(),
+            TraceLine::ClusterCell(header) => section = header.label(),
+            TraceLine::Series(s) => series.push((section.clone(), s)),
+            TraceLine::Audit {
+                scope,
+                samples,
+                violations,
+            } => audits.push(AuditRow {
+                section: section.clone(),
+                scope,
+                samples: *samples,
+                violations: *violations,
+            }),
+            TraceLine::FlightDump {
+                reason,
+                seq,
+                dropped,
+                ..
+            } => dumps.push(DumpRow {
+                reason,
+                seq: *seq,
+                dropped: *dropped,
                 first_event_t: None,
             }),
-            _ => {
+            TraceLine::Event(e) => {
                 // The first event after a dump marker timestamps it.
                 if let Some(d) = dumps.last_mut() {
-                    if d.first_event_t.is_none() {
-                        d.first_event_t = v.get("t").and_then(Json::as_f64);
-                    }
+                    d.first_event_t.get_or_insert(e.at().as_secs_f64());
                 }
             }
+            TraceLine::ClusterSummary(_) => {}
         }
     }
 
@@ -263,7 +194,7 @@ pub fn render_run_report(src: &str) -> Result<String, String> {
             out.push_str("|---|---:|---:|---:|---:|---:|---:|---|\n");
             last_group = group;
         }
-        let values: Vec<f64> = s.points.iter().map(|p| p.2).collect();
+        let values: Vec<f64> = s.points.iter().map(|p| p.value).collect();
         let (min, max, mean, last) = if values.is_empty() {
             (0.0, 0.0, 0.0, 0.0)
         } else {
@@ -292,18 +223,18 @@ pub fn render_run_report(src: &str) -> Result<String, String> {
         out.push_str("\n## Estimator audits\n\n");
         out.push_str("| section | scope | windows | violations | success |\n");
         out.push_str("|---|---|---:|---:|---:|\n");
-        for (sec, a) in &audits {
+        for a in &audits {
             let success = if a.samples == 0 {
                 "n/a".to_owned()
             } else {
                 format!(
                     "{:.1}%",
-                    100.0 * (a.samples - a.violations) as f64 / a.samples as f64
+                    100.0 * a.samples.saturating_sub(a.violations) as f64 / a.samples as f64
                 )
             };
             out.push_str(&format!(
-                "| {sec} | {} | {} | {} | {success} |\n",
-                a.scope, a.samples, a.violations
+                "| {} | {} | {} | {} | {success} |\n",
+                a.section, a.scope, a.samples, a.violations
             ));
         }
     }
@@ -320,8 +251,8 @@ pub fn render_run_report(src: &str) -> Result<String, String> {
                     let cycle = series
                         .iter()
                         .flat_map(|(_, s)| s.points.iter())
-                        .filter(|p| p.1 <= t)
-                        .map(|p| p.0)
+                        .filter(|p| p.t <= t)
+                        .map(|p| p.index)
                         .max();
                     match cycle {
                         Some(c) => format!("t={t:.3}s, around cycle index {c}"),
@@ -357,7 +288,7 @@ pub fn render_run_report(src: &str) -> Result<String, String> {
         out.push_str("```\n");
     }
 
-    Ok(out)
+    out
 }
 
 /// Renders the degradation-envelope delta between two chaos documents
@@ -408,46 +339,31 @@ pub fn render_envelope_delta(old_src: &str, new_src: &str) -> Result<String, Vec
     Ok(out)
 }
 
-/// Re-renders every `{"kind":"series",..}` line of a trace as the flat
-/// CSV exchange format (`scope,name,index,t,value` — the same shape
+/// Re-renders every `series` line of a trace as the flat CSV exchange
+/// format (`scope,name,index,t,value` — the same shape
 /// [`vod_obs::timeseries::SeriesRecorder::export_csv`] writes), in file
 /// order.
 #[must_use]
-pub fn series_csv(src: &str) -> String {
+pub fn series_csv(lines: &[(usize, TraceLine<'_>)]) -> String {
     let mut out = String::from(vod_obs::timeseries::SERIES_CSV_HEADER);
-    for line in src.lines() {
-        let Ok(v) = parse(line) else { continue };
-        if v.get("kind").and_then(Json::as_str) != Some("series") {
-            continue;
-        }
-        let Some(s) = parse_series(&v) else { continue };
-        for (index, t, value) in &s.points {
-            out.push_str(&format!(
-                "{},{},{index},{},{}\n",
-                s.scope,
-                s.name,
-                vod_obs::json::number(*t),
-                vod_obs::json::number(*value),
-            ));
+    for (_, line) in lines {
+        if let TraceLine::Series(s) = line {
+            s.append_csv(&mut out);
         }
     }
     out
 }
 
-/// Returns how many distinct series names appear per scope — used by
-/// tests and the CLI to sanity-check coverage.
+/// The distinct series names of each scope, in first-seen order —
+/// used by tests and the CLI to sanity-check coverage.
 #[must_use]
-pub fn series_inventory(src: &str) -> BTreeMap<String, Vec<String>> {
+pub fn series_inventory(lines: &[(usize, TraceLine<'_>)]) -> BTreeMap<String, Vec<String>> {
     let mut inv: BTreeMap<String, Vec<String>> = BTreeMap::new();
-    for line in src.lines() {
-        let Ok(v) = parse(line) else { continue };
-        if v.get("kind").and_then(Json::as_str) != Some("series") {
-            continue;
-        }
-        if let Some(s) = parse_series(&v) {
-            let names = inv.entry(s.scope).or_default();
-            if !names.contains(&s.name) {
-                names.push(s.name);
+    for (_, line) in lines {
+        if let TraceLine::Series(s) = line {
+            let names = inv.entry(s.scope.to_owned()).or_default();
+            if !names.iter().any(|n| n == s.name) {
+                names.push(s.name.to_owned());
             }
         }
     }
@@ -457,6 +373,9 @@ pub fn series_inventory(src: &str) -> BTreeMap<String, Vec<String>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vod_obs::trace::parse_file;
+    use vod_obs::{CellHeader, CellSummary, Event, Point};
+    use vod_types::{Bits, Instant, RequestId};
 
     #[test]
     fn sparkline_maps_range_to_glyphs() {
@@ -471,18 +390,62 @@ mod tests {
         assert_eq!(sparkline(&long).chars().count(), SPARK_WIDTH);
     }
 
+    /// A `series` line of scope `s` named `name` with these points.
+    fn series(s: &str, name: &str, points: &[(u64, f64, f64)]) -> String {
+        let points: Vec<Point> = points
+            .iter()
+            .map(|&(index, t, value)| Point { index, t, value })
+            .collect();
+        TraceLine::Series(SeriesLine {
+            scope: s,
+            name,
+            stride: 1,
+            count: points.len() as u64,
+            points: points.into(),
+        })
+        .to_json()
+            + "\n"
+    }
+
     #[test]
     fn report_renders_series_audits_and_dump_cross_reference() {
-        let src = concat!(
-            "{\"kind\":\"cluster_cell\",\"nodes\":1,\"placement\":\"rr\",\"dispatch\":\"ll\"}\n",
-            "{\"kind\":\"cluster_summary\",\"redirected\":0,\"per_node\":[]}\n",
-            "{\"kind\":\"series\",\"scope\":\"node0\",\"name\":\"active_streams\",",
-            "\"stride\":1,\"count\":3,\"points\":[[0,0.5,1.0],[1,1.5,2.0],[2,2.5,3.0]]}\n",
-            "{\"kind\":\"audit\",\"scope\":\"node0\",\"samples\":4,\"violations\":1}\n",
-            "{\"kind\":\"flight_dump\",\"reason\":\"underflow\",\"seq\":1,\"events\":1,\"dropped\":0}\n",
-            "{\"kind\":\"underflow\",\"t\":1.75,\"id\":3,\"stream\":7}\n",
-        );
-        let md = render_run_report(src).expect("report renders");
+        let header = TraceLine::ClusterCell(CellHeader {
+            nodes: 1,
+            placement: "rr",
+            dispatch: "ll",
+            chaos: None,
+        });
+        let lines = [
+            header,
+            TraceLine::ClusterSummary(CellSummary::default()),
+            TraceLine::Audit {
+                scope: "node0",
+                samples: 4,
+                violations: 1,
+            },
+            TraceLine::FlightDump {
+                reason: "underflow",
+                seq: 1,
+                events: 1,
+                dropped: 0,
+            },
+            TraceLine::Event(Event::Underflow {
+                at: Instant::from_secs(1.75),
+                id: RequestId::new(3),
+                n: 7,
+                deficit: Bits::new(64.0),
+            }),
+        ]
+        .map(|l| l.to_json() + "\n");
+        let src = lines[..2].concat()
+            + &series(
+                "node0",
+                "active_streams",
+                &[(0, 0.5, 1.0), (1, 1.5, 2.0), (2, 2.5, 3.0)],
+            )
+            + &lines[2..].concat();
+        let trace = parse_file(&src).expect("every line parses");
+        let md = render_run_report(&trace);
         assert!(md.contains("# Run report"));
         assert!(md.contains("active_streams"));
         assert!(md.contains('▁'), "sparkline glyphs expected:\n{md}");
@@ -491,25 +454,39 @@ mod tests {
         // before index 2 (t=2.5).
         assert!(md.contains("around cycle index 1"), "{md}");
 
-        let csv = series_csv(src);
+        let csv = series_csv(&trace);
         assert!(csv.starts_with("scope,name,index,t,value\n"));
         assert!(csv.contains("node0,active_streams,1,1.5,2.0\n"), "{csv}");
     }
 
     #[test]
     fn inventory_counts_distinct_names_per_scope() {
-        let src = concat!(
-            "{\"kind\":\"series\",\"scope\":\"a\",\"name\":\"x\",\"stride\":1,\"count\":0,\"points\":[]}\n",
-            "{\"kind\":\"series\",\"scope\":\"a\",\"name\":\"y\",\"stride\":1,\"count\":0,\"points\":[]}\n",
-            "{\"kind\":\"series\",\"scope\":\"a\",\"name\":\"x\",\"stride\":1,\"count\":0,\"points\":[]}\n",
-        );
-        let inv = series_inventory(src);
+        let src = [
+            series("a", "x", &[]),
+            series("a", "y", &[]),
+            series("a", "x", &[]),
+        ]
+        .concat();
+        let inv = series_inventory(&parse_file(&src).expect("every line parses"));
         assert_eq!(inv["a"], vec!["x".to_owned(), "y".to_owned()]);
+    }
+
+    /// A hand-edited audit line can claim more violations than windows;
+    /// the success rate floors at zero instead of overflowing.
+    #[test]
+    fn audit_with_more_violations_than_windows_renders() {
+        let audit = TraceLine::Audit {
+            scope: "node0",
+            samples: 1,
+            violations: 2,
+        };
+        let md = render_run_report(&[(1, audit)]);
+        assert!(md.contains("| node0 | 1 | 2 | 0.0% |"), "{md}");
     }
 
     #[test]
     fn empty_trace_still_renders() {
-        let md = render_run_report("").expect("empty ok");
+        let md = render_run_report(&[]);
         assert!(md.contains("No series lines"));
     }
 

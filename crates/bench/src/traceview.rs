@@ -1,25 +1,24 @@
 //! `repro trace-analyze`: offline analysis of `--trace` JSONL output.
 //!
-//! A trace file is a sequence of sections, each introduced by a marker
-//! line (`{"kind":"experiment",...}` from `repro --trace`,
-//! `{"kind":"cluster_cell",...}` from `repro cluster --trace`) and
-//! followed by the section's event lines. `{"kind":"cluster_summary",...}`
-//! carries the front end's deterministic counters for the preceding
-//! cell, and `{"kind":"flight_dump",...}` introduces a flight-recorder
-//! ring snapshot (analyzed for schema only — a bounded ring legitimately
-//! truncates span lifecycles).
+//! The input is a trace file already parsed line by line
+//! ([`vod_obs::trace::parse_file`]): the trace format and its schema are
+//! the `vod_obs` types, [`TraceLine`] and [`Event`], so a file that
+//! parses is a file that meets the schema (`--schema-only` checks just
+//! that). The file is a sequence of sections, each opened by a header
+//! line: `experiment` (from `repro --trace`), `cluster_cell` (from
+//! `repro cluster|chaos --trace`, its counters in the cell's
+//! `cluster_summary`), or `flight_dump` (a flight-recorder ring
+//! snapshot, not audited: a bounded ring legitimately truncates span
+//! lifecycles). `series` and `audit` lines are `repro report`'s.
 //!
-//! Three layers of output:
+//! Two layers of output:
 //!
-//! 1. **Schema check** — every line parses, has a known `kind`, and
-//!    carries that kind's required fields ([`check_schema`], the
-//!    CI gate behind `--schema-only`).
-//! 2. **Invariant audit** — span starts and ends balance, span ends
+//! 1. **Invariant audit** — span starts and ends balance, span ends
 //!    refer to started spans, every `request_admitted` event has exactly
 //!    one admission span ended `admitted`, and (when a
 //!    `cluster_summary` is present) hop spans reconcile one-for-one
 //!    with the redirection counters, per node and in total.
-//! 3. **Latency breakdowns** — per-trace deferral wait (admission span
+//! 2. **Latency breakdowns** — per-trace deferral wait (admission span
 //!    duration), hop count, and time-to-first-service (first
 //!    `first_fill` service span end minus request start), plus the
 //!    top-k slowest traces rendered as span trees.
@@ -30,39 +29,37 @@
 //! *event counts per span id* — starts equal ends, kinds consistent —
 //! rather than global uniqueness.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
-use vod_obs::json::{parse, Json};
+use vod_obs::{AnnoValue, CellSummary, Event, SpanId, SpanKind, SpanStatus, TraceId, TraceLine};
 
 /// Everything known about one span id within a section.
 #[derive(Clone, Debug, Default)]
-struct SpanRec {
+struct SpanRec<'a> {
     starts: u64,
     ends: u64,
-    kind: Option<String>,
+    kind: Option<SpanKind>,
     kind_conflict: bool,
-    parent: Option<u64>,
-    status: Option<String>,
+    parent: Option<SpanId>,
+    status: Option<SpanStatus>,
     first_start_t: Option<f64>,
     last_end_t: Option<f64>,
-    annos: Vec<(String, Json)>,
+    annos: Vec<(&'a str, AnnoValue<'a>)>,
 }
 
-/// Expected counters from a `cluster_summary` marker.
-#[derive(Clone, Debug, Default)]
-struct ClusterExpect {
-    redirected: u64,
-    /// Span records the recorder had to drop — any truncation voids the
-    /// lifecycle audit, so it is reported as a violation of its own.
-    spans_dropped: u64,
-    /// `node -> (redirected_in, redirected_out)`.
-    per_node: BTreeMap<u64, (u64, u64)>,
+impl SpanRec<'_> {
+    fn anno_u64(&self, key: &str) -> Option<u64> {
+        self.annos.iter().find_map(|&(k, v)| match v {
+            AnnoValue::U64(x) if k == key => Some(x),
+            _ => None,
+        })
+    }
 }
 
 /// One audited section of the trace file.
 #[derive(Clone, Debug)]
 pub struct SectionReport {
-    /// Marker-derived section name.
+    /// Header-derived section name.
     pub name: String,
     /// False for flight-recorder dumps (schema-checked only).
     pub audited: bool,
@@ -83,8 +80,8 @@ pub struct SectionReport {
 /// Latency decomposition of one request trace.
 #[derive(Clone, Debug)]
 pub struct TraceBreakdown {
-    /// The trace id (16 hex digits).
-    pub trace: String,
+    /// The trace.
+    pub trace: TraceId,
     /// Admission span duration: how long the request waited in the
     /// queue (deferral wait), seconds.
     pub deferral_wait_s: Option<f64>,
@@ -112,116 +109,13 @@ impl TraceReport {
     }
 }
 
-const MARKER_KINDS: [&str; 6] = [
-    "experiment",
-    "cluster_cell",
-    "cluster_summary",
-    "flight_dump",
-    "series",
-    "audit",
-];
-
-fn is_span_kind(kind: &str) -> bool {
-    matches!(kind, "span_start" | "span_annotate" | "span_end")
-}
-
-fn hex_id(v: &Json) -> Option<u64> {
-    u64::from_str_radix(v.as_str()?, 16).ok()
-}
-
-/// Returns true when the trace body has no non-empty lines — a
-/// zero-byte or fully truncated file. `repro trace-analyze` and
-/// `repro report` refuse such inputs with a diagnostic instead of
-/// reporting success over nothing ("schema OK: 0 lines" used to pass).
-#[must_use]
-pub fn is_empty_trace(src: &str) -> bool {
-    src.lines().all(|line| line.trim().is_empty())
-}
-
-/// Validates every line of a trace file against the event/marker
-/// schema without building any per-span state.
-///
-/// # Errors
-///
-/// Returns every malformed line as `"line N: why"`.
-pub fn check_schema(src: &str) -> Result<SchemaSummary, Vec<String>> {
-    let mut errors = Vec::new();
-    let mut summary = SchemaSummary::default();
-    for (i, line) in src.lines().enumerate() {
-        let n = i + 1;
-        if line.trim().is_empty() {
-            continue;
-        }
-        summary.lines += 1;
-        let v = match parse(line) {
-            Ok(v) => v,
-            Err(e) => {
-                errors.push(format!("line {n}: not JSON: {e}"));
-                continue;
-            }
-        };
-        let Some(kind) = v.get("kind").and_then(Json::as_str) else {
-            errors.push(format!("line {n}: missing string field `kind`"));
-            continue;
-        };
-        if MARKER_KINDS.contains(&kind) {
-            summary.markers += 1;
-            continue;
-        }
-        summary.events += 1;
-        if v.get("t").and_then(Json::as_f64).is_none() {
-            errors.push(format!("line {n}: event `{kind}` missing numeric `t`"));
-        }
-        if !is_span_kind(kind) {
-            continue;
-        }
-        summary.span_events += 1;
-        for field in ["trace", "span"] {
-            match v.get(field) {
-                Some(val) if hex_id(val).is_some() => {}
-                _ => errors.push(format!("line {n}: `{kind}` needs 16-hex `{field}`")),
-            }
-        }
-        match kind {
-            "span_start" => {
-                if v.get("span_kind").and_then(Json::as_str).is_none() {
-                    errors.push(format!("line {n}: span_start missing `span_kind`"));
-                }
-                match v.get("parent") {
-                    Some(Json::Null) => {}
-                    Some(p) if hex_id(p).is_some() => {}
-                    _ => errors.push(format!("line {n}: span_start needs `parent` (hex or null)")),
-                }
-            }
-            "span_annotate" => {
-                if v.get("key").and_then(Json::as_str).is_none() {
-                    errors.push(format!("line {n}: span_annotate missing `key`"));
-                }
-                if v.get("value").is_none() {
-                    errors.push(format!("line {n}: span_annotate missing `value`"));
-                }
-            }
-            "span_end" => {
-                if v.get("status").and_then(Json::as_str).is_none() {
-                    errors.push(format!("line {n}: span_end missing `status`"));
-                }
-            }
-            _ => unreachable!("is_span_kind gated"),
-        }
-    }
-    if errors.is_empty() {
-        Ok(summary)
-    } else {
-        Err(errors)
-    }
-}
-
-/// Line/marker/event tallies from a clean schema pass.
+/// Line tallies of a parsed trace file (`repro trace-analyze` prints
+/// them once every line has parsed).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SchemaSummary {
     /// Non-empty lines.
     pub lines: usize,
-    /// Marker lines.
+    /// Marker lines (every kind but an event).
     pub markers: usize,
     /// Event lines.
     pub events: usize,
@@ -229,211 +123,155 @@ pub struct SchemaSummary {
     pub span_events: usize,
 }
 
+impl SchemaSummary {
+    /// Tallies `lines`.
+    #[must_use]
+    pub fn of(lines: &[(usize, TraceLine<'_>)]) -> Self {
+        let mut s = SchemaSummary {
+            lines: lines.len(),
+            ..SchemaSummary::default()
+        };
+        for (_, line) in lines {
+            match line {
+                TraceLine::Event(e) => {
+                    s.events += 1;
+                    s.span_events += usize::from(e.kind().is_span());
+                }
+                _ => s.markers += 1,
+            }
+        }
+        s
+    }
+}
+
 /// In-flight state of the section being accumulated.
-struct SectionState {
+struct SectionState<'l, 'a> {
     name: String,
     audited: bool,
     events: usize,
-    /// `(trace, span) -> record`.
-    spans: BTreeMap<(u64, u64), SpanRec>,
-    /// Non-span event counts by kind label.
-    event_counts: BTreeMap<String, u64>,
-    expect: Option<ClusterExpect>,
+    spans: BTreeMap<(TraceId, SpanId), SpanRec<'a>>,
+    admitted_events: u64,
+    expect: Option<&'l CellSummary>,
 }
 
-impl SectionState {
+impl<'a> SectionState<'_, 'a> {
     fn new(name: String, audited: bool) -> Self {
         SectionState {
             name,
             audited,
             events: 0,
             spans: BTreeMap::new(),
-            event_counts: BTreeMap::new(),
+            admitted_events: 0,
             expect: None,
         }
     }
+
+    fn ingest(&mut self, event: &Event<'a>) {
+        let (trace, span) = match *event {
+            Event::RequestAdmitted { .. } => {
+                self.admitted_events += 1;
+                return;
+            }
+            Event::SpanStart { trace, span, .. }
+            | Event::SpanAnnotate { trace, span, .. }
+            | Event::SpanEnd { trace, span, .. } => (trace, span),
+            _ => return,
+        };
+        let rec = self.spans.entry((trace, span)).or_default();
+        let t = event.at().as_secs_f64();
+        match *event {
+            Event::SpanStart {
+                parent, span_kind, ..
+            } => {
+                rec.starts += 1;
+                match rec.kind {
+                    Some(prev) if prev != span_kind => rec.kind_conflict = true,
+                    Some(_) => {}
+                    None => rec.kind = Some(span_kind),
+                }
+                rec.parent = parent;
+                rec.first_start_t.get_or_insert(t);
+            }
+            Event::SpanAnnotate { key, value, .. } => rec.annos.push((key, value)),
+            Event::SpanEnd { status, .. } => {
+                rec.ends += 1;
+                rec.status = Some(status);
+                rec.last_end_t = Some(t);
+            }
+            _ => unreachable!("only span events reach here"),
+        }
+    }
+
+    /// The spans of `trace`, in span-id order.
+    fn trace_spans(&self, trace: TraceId) -> impl Iterator<Item = (SpanId, &SpanRec<'a>)> + '_ {
+        self.spans
+            .range((trace, SpanId::from_raw(0))..=(trace, SpanId::from_raw(u64::MAX)))
+            .map(|(&(_, span), rec)| (span, rec))
+    }
 }
 
-/// Parses and audits a trace file. `top_k` bounds the slowest-trace
-/// span trees rendered per section.
-///
-/// # Errors
-///
-/// Returns the first malformed line (run [`check_schema`] for the
-/// exhaustive list).
-pub fn analyze(src: &str, top_k: usize) -> Result<TraceReport, String> {
+/// Audits a parsed trace file. `top_k` bounds the slowest-trace span
+/// trees rendered per section.
+#[must_use]
+pub fn analyze(lines: &[(usize, TraceLine<'_>)], top_k: usize) -> TraceReport {
     let mut sections: Vec<SectionReport> = Vec::new();
-    let mut current: Option<SectionState> = None;
-    let mut lines = 0usize;
-
-    let flush = |state: Option<SectionState>, out: &mut Vec<SectionReport>| {
-        if let Some(s) = state {
-            out.push(finish_section(s, top_k));
-        }
-    };
-
-    for (i, line) in src.lines().enumerate() {
-        let n = i + 1;
-        if line.trim().is_empty() {
-            continue;
-        }
-        lines += 1;
-        let v = parse(line).map_err(|e| format!("line {n}: not JSON: {e}"))?;
-        let kind = v
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("line {n}: missing `kind`"))?
-            .to_owned();
-        match kind.as_str() {
-            "experiment" => {
-                flush(current.take(), &mut sections);
-                let mut name = v
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .unwrap_or("experiment")
-                    .to_owned();
-                // A marker that declares dropped span records announces
+    let mut current: Option<SectionState<'_, '_>> = None;
+    for (_, line) in lines {
+        let opened = match line {
+            TraceLine::Experiment {
+                name,
+                spans_dropped,
+                ..
+            } => {
+                // A header that declares dropped span records announces
                 // its own truncation: lifecycles are torn by the ring,
                 // not by a bug, so the audit would only report noise.
-                let dropped = v.get("spans_dropped").and_then(Json::as_u64).unwrap_or(0);
-                if dropped > 0 {
-                    name.push_str(&format!(" [truncated: {dropped} span records dropped]"));
+                let mut name = (*name).to_owned();
+                if *spans_dropped > 0 {
+                    name.push_str(&format!(
+                        " [truncated: {spans_dropped} span records dropped]"
+                    ));
                 }
-                current = Some(SectionState::new(name, dropped == 0));
+                Some(SectionState::new(name, *spans_dropped == 0))
             }
-            "cluster_cell" => {
-                flush(current.take(), &mut sections);
-                let mut name = format!(
-                    "cluster {} nodes / {} / {}",
-                    v.get("nodes").and_then(Json::as_u64).unwrap_or(0),
-                    v.get("placement").and_then(Json::as_str).unwrap_or("?"),
-                    v.get("dispatch").and_then(Json::as_str).unwrap_or("?"),
-                );
-                // Chaos cells also name their scenario and failover
-                // policy; include them so matrix sections stay unique.
-                if let (Some(s), Some(f)) = (
-                    v.get("scenario").and_then(Json::as_str),
-                    v.get("failover").and_then(Json::as_str),
-                ) {
-                    name.push_str(&format!(" / {s}/{f}"));
-                }
-                current = Some(SectionState::new(name, true));
+            TraceLine::ClusterCell(header) => Some(SectionState::new(header.label(), true)),
+            TraceLine::FlightDump { reason, .. } => {
+                Some(SectionState::new(format!("flight dump ({reason})"), false))
             }
-            "cluster_summary" => {
+            TraceLine::ClusterSummary(summary) => {
                 if let Some(state) = current.as_mut() {
-                    state.expect = Some(parse_expect(&v));
+                    state.expect = Some(summary);
                 }
+                None
             }
-            // Time-series and audit marker lines ride inside a section
-            // (appended after its summary) but are `repro report`'s
-            // input, not span events — the audit ignores them.
-            "series" | "audit" => {}
-            "flight_dump" => {
-                flush(current.take(), &mut sections);
-                let reason = v
-                    .get("reason")
-                    .and_then(Json::as_str)
-                    .unwrap_or("?")
-                    .to_owned();
-                current = Some(SectionState::new(format!("flight dump ({reason})"), false));
-            }
-            _ => {
-                let state = current.get_or_insert_with(|| {
-                    // Headerless files (a raw export) audit as one
-                    // anonymous section.
-                    SectionState::new("(unnamed)".to_owned(), true)
-                });
+            TraceLine::Series(_) | TraceLine::Audit { .. } => None,
+            TraceLine::Event(event) => {
+                // Headerless files (a raw export) audit as one anonymous
+                // section.
+                let state =
+                    current.get_or_insert_with(|| SectionState::new("(unnamed)".to_owned(), true));
                 state.events += 1;
-                ingest_event(state, &kind, &v).map_err(|e| format!("line {n}: {e}"))?;
+                state.ingest(event);
+                None
             }
+        };
+        if let Some(done) = opened.and_then(|state| current.replace(state)) {
+            sections.push(finish_section(done, top_k));
         }
     }
-    flush(current.take(), &mut sections);
-    Ok(TraceReport { lines, sections })
-}
-
-fn parse_expect(v: &Json) -> ClusterExpect {
-    let mut expect = ClusterExpect {
-        redirected: v.get("redirected").and_then(Json::as_u64).unwrap_or(0),
-        spans_dropped: v.get("spans_dropped").and_then(Json::as_u64).unwrap_or(0),
-        per_node: BTreeMap::new(),
-    };
-    if let Some(nodes) = v.get("per_node").and_then(Json::as_arr) {
-        for nv in nodes {
-            let Some(node) = nv.get("node").and_then(Json::as_u64) else {
-                continue;
-            };
-            let rin = nv.get("redirected_in").and_then(Json::as_u64).unwrap_or(0);
-            let rout = nv.get("redirected_out").and_then(Json::as_u64).unwrap_or(0);
-            expect.per_node.insert(node, (rin, rout));
-        }
+    if let Some(s) = current {
+        sections.push(finish_section(s, top_k));
     }
-    expect
-}
-
-fn ingest_event(state: &mut SectionState, kind: &str, v: &Json) -> Result<(), String> {
-    if !is_span_kind(kind) {
-        *state.event_counts.entry(kind.to_owned()).or_insert(0) += 1;
-        return Ok(());
+    TraceReport {
+        lines: lines.len(),
+        sections,
     }
-    let trace = v
-        .get("trace")
-        .and_then(hex_id)
-        .ok_or("span event missing hex `trace`")?;
-    let span = v
-        .get("span")
-        .and_then(hex_id)
-        .ok_or("span event missing hex `span`")?;
-    let t = v.get("t").and_then(Json::as_f64).ok_or("missing `t`")?;
-    let rec = state.spans.entry((trace, span)).or_default();
-    match kind {
-        "span_start" => {
-            rec.starts += 1;
-            let sk = v
-                .get("span_kind")
-                .and_then(Json::as_str)
-                .ok_or("span_start missing `span_kind`")?;
-            match &rec.kind {
-                Some(prev) if prev != sk => rec.kind_conflict = true,
-                Some(_) => {}
-                None => rec.kind = Some(sk.to_owned()),
-            }
-            rec.parent = v.get("parent").and_then(hex_id);
-            if rec.first_start_t.is_none() {
-                rec.first_start_t = Some(t);
-            }
-        }
-        "span_annotate" => {
-            let key = v
-                .get("key")
-                .and_then(Json::as_str)
-                .ok_or("span_annotate missing `key`")?;
-            if let Some(value) = v.get("value") {
-                rec.annos.push((key.to_owned(), value.clone()));
-            }
-        }
-        "span_end" => {
-            rec.ends += 1;
-            rec.status = v.get("status").and_then(Json::as_str).map(str::to_owned);
-            rec.last_end_t = Some(t);
-        }
-        _ => unreachable!("is_span_kind gated"),
-    }
-    Ok(())
-}
-
-fn anno_u64(rec: &SpanRec, key: &str) -> Option<u64> {
-    rec.annos
-        .iter()
-        .find(|(k, _)| k == key)
-        .and_then(|(_, v)| v.as_u64())
 }
 
 #[allow(clippy::too_many_lines)]
-fn finish_section(state: SectionState, top_k: usize) -> SectionReport {
+fn finish_section(state: SectionState<'_, '_>, top_k: usize) -> SectionReport {
     let mut violations = Vec::new();
-    let traces: std::collections::BTreeSet<u64> =
-        state.spans.keys().map(|&(trace, _)| trace).collect();
+    let traces: BTreeSet<TraceId> = state.spans.keys().map(|&(trace, _)| trace).collect();
 
     if state.audited {
         // 1. Lifecycle balance: every started span ends (same number of
@@ -445,7 +283,7 @@ fn finish_section(state: SectionState, top_k: usize) -> SectionReport {
         let mut hops_from: BTreeMap<u64, u64> = BTreeMap::new();
         let mut hops_to: BTreeMap<u64, u64> = BTreeMap::new();
         for (&(trace, span), rec) in &state.spans {
-            let label = format!("trace {trace:016x} span {span:016x}");
+            let label = format!("trace {trace} span {span}");
             if rec.starts == 0 {
                 violations.push(format!("{label}: ended/annotated but never started"));
                 continue;
@@ -453,7 +291,7 @@ fn finish_section(state: SectionState, top_k: usize) -> SectionReport {
             if rec.starts != rec.ends {
                 violations.push(format!(
                     "{label} ({}): {} starts vs {} ends",
-                    rec.kind.as_deref().unwrap_or("?"),
+                    rec.kind.map_or("?", SpanKind::label),
                     rec.starts,
                     rec.ends
                 ));
@@ -463,19 +301,19 @@ fn finish_section(state: SectionState, top_k: usize) -> SectionReport {
             }
             if let Some(parent) = rec.parent {
                 if !state.spans.contains_key(&(trace, parent)) {
-                    violations.push(format!("{label}: parent {parent:016x} never started"));
+                    violations.push(format!("{label}: parent {parent} never started"));
                 }
             }
-            match rec.kind.as_deref() {
-                Some("admission") if rec.status.as_deref() == Some("admitted") => {
+            match rec.kind {
+                Some(SpanKind::Admission) if rec.status == Some(SpanStatus::Admitted) => {
                     admitted_ends += rec.ends;
                 }
-                Some("hop") => {
+                Some(SpanKind::Hop) => {
                     hop_total += rec.starts;
-                    if let Some(f) = anno_u64(rec, "from_node") {
+                    if let Some(f) = rec.anno_u64("from_node") {
                         *hops_from.entry(f).or_insert(0) += rec.starts;
                     }
-                    if let Some(t) = anno_u64(rec, "to_node") {
+                    if let Some(t) = rec.anno_u64("to_node") {
                         *hops_to.entry(t).or_insert(0) += rec.starts;
                     }
                 }
@@ -486,20 +324,15 @@ fn finish_section(state: SectionState, top_k: usize) -> SectionReport {
         // 2. Every admitted stream has exactly one admission span ended
         //    `admitted` — so admitted-end events match the engine's own
         //    `request_admitted` events one for one.
-        let admitted_events = state
-            .event_counts
-            .get("request_admitted")
-            .copied()
-            .unwrap_or(0);
-        if admitted_ends != admitted_events {
+        if admitted_ends != state.admitted_events {
             violations.push(format!(
                 "{} admission spans ended `admitted` vs {} request_admitted events",
-                admitted_ends, admitted_events
+                admitted_ends, state.admitted_events
             ));
         }
 
         // 3. Hop spans reconcile with the redirection counters.
-        if let Some(expect) = &state.expect {
+        if let Some(expect) = state.expect {
             if expect.spans_dropped > 0 {
                 violations.push(format!(
                     "recorder dropped {} span records — the section is truncated",
@@ -512,7 +345,12 @@ fn finish_section(state: SectionState, top_k: usize) -> SectionReport {
                     hop_total, expect.redirected
                 ));
             }
-            for (&node, &(rin, rout)) in &expect.per_node {
+            let per_node: BTreeMap<u64, (u64, u64)> = expect
+                .per_node
+                .iter()
+                .map(|n| (n.node as u64, (n.redirected_in, n.redirected_out)))
+                .collect();
+            for (&node, &(rin, rout)) in &per_node {
                 let seen_in = hops_to.get(&node).copied().unwrap_or(0);
                 let seen_out = hops_from.get(&node).copied().unwrap_or(0);
                 if seen_in != rin {
@@ -527,7 +365,7 @@ fn finish_section(state: SectionState, top_k: usize) -> SectionReport {
                 }
             }
             for (&node, &count) in &hops_from {
-                if !expect.per_node.contains_key(&node) {
+                if !per_node.contains_key(&node) {
                     violations.push(format!(
                         "{count} hop spans leave node {node}, which the summary does not list"
                     ));
@@ -544,18 +382,17 @@ fn finish_section(state: SectionState, top_k: usize) -> SectionReport {
         let mut hops = 0usize;
         let mut first_service_end: Option<f64> = None;
         let mut admitted = false;
-        for (&(tr, _), rec) in state.spans.range((trace, 0)..=(trace, u64::MAX)) {
-            debug_assert_eq!(tr, trace);
-            match rec.kind.as_deref() {
-                Some("request") => root_start = rec.first_start_t,
-                Some("admission") => {
-                    admitted = rec.status.as_deref() == Some("admitted");
+        for (_, rec) in state.trace_spans(trace) {
+            match rec.kind {
+                Some(SpanKind::Request) => root_start = rec.first_start_t,
+                Some(SpanKind::Admission) => {
+                    admitted = rec.status == Some(SpanStatus::Admitted);
                     if let (Some(s), Some(e)) = (rec.first_start_t, rec.last_end_t) {
                         deferral = Some(e - s);
                     }
                 }
-                Some("hop") => hops += usize::try_from(rec.starts).unwrap_or(usize::MAX),
-                Some("service") if anno_u64(rec, "first_fill") == Some(1) => {
+                Some(SpanKind::Hop) => hops += usize::try_from(rec.starts).unwrap_or(usize::MAX),
+                Some(SpanKind::Service) if rec.anno_u64("first_fill") == Some(1) => {
                     let end = rec.last_end_t;
                     if first_service_end.is_none() || (end.is_some() && end < first_service_end) {
                         first_service_end = end;
@@ -568,7 +405,7 @@ fn finish_section(state: SectionState, top_k: usize) -> SectionReport {
             continue;
         }
         breakdowns.push(TraceBreakdown {
-            trace: format!("{trace:016x}"),
+            trace,
             deferral_wait_s: deferral,
             hops,
             time_to_first_service_s: match (root_start, first_service_end) {
@@ -591,10 +428,7 @@ fn finish_section(state: SectionState, top_k: usize) -> SectionReport {
     let slowest: Vec<String> = ranked
         .iter()
         .take(top_k)
-        .map(|b| {
-            let trace = u64::from_str_radix(&b.trace, 16).unwrap_or(0);
-            render_trace_tree(&state, trace, b)
-        })
+        .map(|b| render_trace_tree(&state, b))
         .collect();
 
     SectionReport {
@@ -611,12 +445,8 @@ fn finish_section(state: SectionState, top_k: usize) -> SectionReport {
 
 /// Renders one trace as an indented span tree (roots first, children
 /// by start time).
-fn render_trace_tree(state: &SectionState, trace: u64, b: &TraceBreakdown) -> String {
-    let spans: Vec<(u64, &SpanRec)> = state
-        .spans
-        .range((trace, 0)..=(trace, u64::MAX))
-        .map(|(&(_, span), rec)| (span, rec))
-        .collect();
+fn render_trace_tree(state: &SectionState<'_, '_>, b: &TraceBreakdown) -> String {
+    let spans: Vec<(SpanId, &SpanRec<'_>)> = state.trace_spans(b.trace).collect();
     let mut out = format!(
         "trace {} — ttfs {:.3}s, deferral {}, {} hop(s)\n",
         b.trace,
@@ -625,36 +455,33 @@ fn render_trace_tree(state: &SectionState, trace: u64, b: &TraceBreakdown) -> St
             .map_or_else(|| "n/a".to_owned(), |d| format!("{d:.3}s")),
         b.hops,
     );
-    let mut children: BTreeMap<Option<u64>, Vec<u64>> = BTreeMap::new();
+    let mut children: BTreeMap<Option<SpanId>, Vec<(SpanId, &SpanRec<'_>)>> = BTreeMap::new();
     for &(span, rec) in &spans {
         let parent = rec.parent.filter(|p| spans.iter().any(|&(s, _)| s == *p));
-        children.entry(parent).or_default().push(span);
+        children.entry(parent).or_default().push((span, rec));
     }
     for list in children.values_mut() {
-        list.sort_by(|a, b| {
-            let ta = state.spans[&(trace, *a)].first_start_t.unwrap_or(f64::MAX);
-            let tb = state.spans[&(trace, *b)].first_start_t.unwrap_or(f64::MAX);
+        list.sort_by(|(a, ra), (b, rb)| {
+            let ta = ra.first_start_t.unwrap_or(f64::MAX);
+            let tb = rb.first_start_t.unwrap_or(f64::MAX);
             ta.partial_cmp(&tb)
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(a.cmp(b))
         });
     }
-    let roots = children.get(&None).cloned().unwrap_or_default();
-    for root in roots {
-        render_span(state, trace, root, &children, 1, &mut out);
+    for &(root, rec) in children.get(&None).map_or(&[][..], Vec::as_slice) {
+        render_span(root, rec, &children, 1, &mut out);
     }
     out
 }
 
 fn render_span(
-    state: &SectionState,
-    trace: u64,
-    span: u64,
-    children: &BTreeMap<Option<u64>, Vec<u64>>,
+    span: SpanId,
+    rec: &SpanRec<'_>,
+    children: &BTreeMap<Option<SpanId>, Vec<(SpanId, &SpanRec<'_>)>>,
     depth: usize,
     out: &mut String,
 ) {
-    let rec = &state.spans[&(trace, span)];
     let start = rec.first_start_t.unwrap_or(f64::NAN);
     let dur = match (rec.first_start_t, rec.last_end_t) {
         (Some(s), Some(e)) => format!("{:.3}s", e - s),
@@ -663,25 +490,21 @@ fn render_span(
     let annos = rec
         .annos
         .iter()
-        .map(|(k, v)| match v {
-            Json::Str(s) => format!("{k}={s}"),
-            Json::Num(x) => format!("{k}={x}"),
-            other => format!("{k}={other:?}"),
-        })
+        .map(|(k, v)| format!("{k}={v}"))
         .collect::<Vec<_>>()
         .join(" ");
     out.push_str(&format!(
         "{:indent$}{} [{}] t={start:.3} dur={dur}{}{}\n",
         "",
-        rec.kind.as_deref().unwrap_or("?"),
-        rec.status.as_deref().unwrap_or("open"),
+        rec.kind.map_or("?", SpanKind::label),
+        rec.status.map_or("open", SpanStatus::label),
         if annos.is_empty() { "" } else { " " },
         annos,
         indent = depth * 2,
     ));
     if let Some(kids) = children.get(&Some(span)) {
-        for &kid in kids {
-            render_span(state, trace, kid, children, depth + 1, out);
+        for &(kid, kid_rec) in kids {
+            render_span(kid, kid_rec, children, depth + 1, out);
         }
     }
 }
@@ -756,18 +579,37 @@ fn mean_label(xs: &[f64]) -> String {
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use vod_obs::span::{
-        AnnoValue, SpanId, SpanKind, SpanStatus, TraceId, SEQ_ADMISSION, SEQ_FIRST_SERVICE,
-        SEQ_REQUEST,
-    };
-    use vod_obs::{Obs, RecorderSink};
+    use vod_obs::span::{SEQ_ADMISSION, SEQ_FIRST_SERVICE, SEQ_HOP_DISPATCH, SEQ_REQUEST};
+    use vod_obs::trace::parse_file;
+    use vod_obs::{CellHeader, NodeRedirects, Obs, RecorderSink};
     use vod_types::Instant;
+
+    /// A recorder and an observer feeding it.
+    fn recorder() -> (Arc<RecorderSink>, Obs) {
+        let rec = Arc::new(RecorderSink::new());
+        let obs = Obs::new(Arc::clone(&rec) as Arc<dyn vod_obs::Sink>);
+        (rec, obs)
+    }
+
+    fn experiment(name: &str) -> String {
+        TraceLine::Experiment {
+            name,
+            events: 0,
+            events_dropped: 0,
+            spans_dropped: 0,
+        }
+        .to_json()
+            + "\n"
+    }
+
+    fn parsed(src: &str) -> Vec<(usize, TraceLine<'_>)> {
+        parse_file(src).expect("every line parses")
+    }
 
     /// Emits one complete admitted-request lifecycle into a recorder
     /// and returns its JSONL.
     fn lifecycle_jsonl() -> String {
-        let rec = Arc::new(RecorderSink::new());
-        let obs = Obs::new(Arc::clone(&rec) as Arc<dyn vod_obs::Sink>);
+        let (rec, obs) = recorder();
         let trace = TraceId::derive(9, 0);
         let root = SpanId::derive(trace, SEQ_REQUEST);
         let adm = SpanId::derive(trace, SEQ_ADMISSION);
@@ -776,7 +618,7 @@ mod tests {
         obs.span_start(t(0.0), trace, root, None, SpanKind::Request);
         obs.span_start(t(0.0), trace, adm, Some(root), SpanKind::Admission);
         obs.span_end(t(1.5), trace, adm, SpanStatus::Admitted);
-        obs.emit(&vod_obs::Event::RequestAdmitted {
+        obs.emit(&Event::RequestAdmitted {
             at: t(1.5),
             id: vod_types::RequestId::new(0),
             n: 1,
@@ -791,14 +633,12 @@ mod tests {
 
     #[test]
     fn clean_lifecycle_passes_schema_and_audit() {
-        let src = format!(
-            "{{\"kind\":\"experiment\",\"name\":\"t\"}}\n{}",
-            lifecycle_jsonl()
-        );
-        let summary = check_schema(&src).expect("schema must pass");
+        let src = experiment("t") + &lifecycle_jsonl();
+        let lines = parsed(&src);
+        let summary = SchemaSummary::of(&lines);
         assert_eq!(summary.markers, 1);
         assert!(summary.span_events >= 7);
-        let report = analyze(&src, 3).expect("analyze");
+        let report = analyze(&lines, 3);
         assert!(report.audit_passed(), "{:?}", report.sections[0].violations);
         let s = &report.sections[0];
         assert_eq!(s.traces, 1);
@@ -814,55 +654,73 @@ mod tests {
 
     #[test]
     fn unbalanced_span_is_a_violation() {
-        let rec = Arc::new(RecorderSink::new());
-        let obs = Obs::new(Arc::clone(&rec) as Arc<dyn vod_obs::Sink>);
+        let (rec, obs) = recorder();
         let trace = TraceId::derive(3, 1);
         let root = SpanId::derive(trace, SEQ_REQUEST);
         obs.span_start(Instant::ZERO, trace, root, None, SpanKind::Request);
         // Never ended.
-        let report = analyze(&rec.snapshot().export_jsonl(), 3).expect("analyze");
+        let report = analyze(&parsed(&rec.snapshot().export_jsonl()), 3);
         assert!(!report.audit_passed());
         assert!(report.sections[0].violations[0].contains("1 starts vs 0 ends"));
     }
 
     #[test]
     fn end_without_start_is_a_violation() {
-        let rec = Arc::new(RecorderSink::new());
-        let obs = Obs::new(Arc::clone(&rec) as Arc<dyn vod_obs::Sink>);
+        let (rec, obs) = recorder();
         let trace = TraceId::derive(3, 2);
-        obs.span_end(
-            Instant::ZERO,
-            trace,
-            SpanId::derive(trace, SEQ_REQUEST),
-            SpanStatus::Ok,
-        );
-        let report = analyze(&rec.snapshot().export_jsonl(), 3).expect("analyze");
+        let root = SpanId::derive(trace, SEQ_REQUEST);
+        obs.span_end(Instant::ZERO, trace, root, SpanStatus::Ok);
+        let report = analyze(&parsed(&rec.snapshot().export_jsonl()), 3);
         assert!(!report.audit_passed());
         assert!(report.sections[0].violations[0].contains("never started"));
     }
 
     #[test]
     fn hop_spans_reconcile_against_cluster_summary() {
-        let rec = Arc::new(RecorderSink::new());
-        let obs = Obs::new(Arc::clone(&rec) as Arc<dyn vod_obs::Sink>);
+        let (rec, obs) = recorder();
         let trace = TraceId::derive(5, 0);
-        let hop = SpanId::derive(trace, vod_obs::span::SEQ_HOP_DISPATCH);
+        let hop = SpanId::derive(trace, SEQ_HOP_DISPATCH);
         obs.span_start(Instant::ZERO, trace, hop, None, SpanKind::Hop);
         obs.span_annotate(Instant::ZERO, trace, hop, "from_node", AnnoValue::U64(0));
         obs.span_annotate(Instant::ZERO, trace, hop, "to_node", AnnoValue::U64(1));
         obs.span_end(Instant::ZERO, trace, hop, SpanStatus::Ok);
-        let events = rec.snapshot().export_jsonl();
+        let cell = |redirected| {
+            let header = TraceLine::ClusterCell(CellHeader {
+                nodes: 2,
+                placement: "rr",
+                dispatch: "ll",
+                chaos: None,
+            });
+            let summary = TraceLine::ClusterSummary(CellSummary {
+                redirected,
+                per_node: vec![
+                    NodeRedirects {
+                        node: 0,
+                        redirected_in: 0,
+                        redirected_out: 1,
+                    },
+                    NodeRedirects {
+                        node: 1,
+                        redirected_in: 1,
+                        redirected_out: 0,
+                    },
+                ],
+                ..CellSummary::default()
+            });
+            format!(
+                "{}\n{}{}\n",
+                header.to_json(),
+                rec.snapshot().export_jsonl(),
+                summary.to_json()
+            )
+        };
+        let good = cell(1);
+        let report = analyze(&parsed(&good), 3);
+        assert!(report.audit_passed());
+        assert_eq!(report.sections[0].name, "cluster 2 nodes / rr / ll");
 
-        let good = format!(
-            "{{\"kind\":\"cluster_cell\",\"nodes\":2,\"placement\":\"rr\",\"dispatch\":\"ll\"}}\n\
-             {events}{{\"kind\":\"cluster_summary\",\"redirected\":1,\"per_node\":[\
-             {{\"node\":0,\"redirected_in\":0,\"redirected_out\":1}},\
-             {{\"node\":1,\"redirected_in\":1,\"redirected_out\":0}}]}}\n"
-        );
-        assert!(analyze(&good, 3).expect("analyze").audit_passed());
-
-        let bad = good.replace("\"redirected\":1", "\"redirected\":2");
-        let report = analyze(&bad, 3).expect("analyze");
+        let bad = cell(2);
+        let report = analyze(&parsed(&bad), 3);
         assert!(!report.audit_passed());
         assert!(report.sections[0]
             .violations
@@ -873,50 +731,27 @@ mod tests {
     #[test]
     fn flight_dump_sections_skip_the_audit() {
         // A ring snapshot legitimately holds an end without its start.
-        let rec = Arc::new(RecorderSink::new());
-        let obs = Obs::new(Arc::clone(&rec) as Arc<dyn vod_obs::Sink>);
+        let (rec, obs) = recorder();
         let trace = TraceId::derive(3, 2);
-        obs.span_end(
-            Instant::ZERO,
-            trace,
-            SpanId::derive(trace, SEQ_REQUEST),
-            SpanStatus::Ok,
-        );
-        let src = format!(
-            "{{\"kind\":\"flight_dump\",\"reason\":\"underflow\"}}\n{}",
-            rec.snapshot().export_jsonl()
-        );
-        let report = analyze(&src, 3).expect("analyze");
+        let root = SpanId::derive(trace, SEQ_REQUEST);
+        obs.span_end(Instant::ZERO, trace, root, SpanStatus::Ok);
+        let dump = TraceLine::FlightDump {
+            reason: "underflow",
+            seq: 1,
+            events: 1,
+            dropped: 0,
+        };
+        let src = format!("{}\n{}", dump.to_json(), rec.snapshot().export_jsonl());
+        let report = analyze(&parsed(&src), 3);
         assert!(report.audit_passed());
         assert!(!report.sections[0].audited);
-    }
-
-    #[test]
-    fn schema_checker_rejects_malformed_lines() {
-        let errs =
-            check_schema("{\"kind\":\"span_start\",\"t\":1.0}\nnot json\n").expect_err("must fail");
-        assert!(errs.iter().any(|e| e.contains("16-hex")));
-        assert!(errs.iter().any(|e| e.contains("not JSON")));
-    }
-
-    #[test]
-    fn empty_trace_detection_ignores_blank_lines_only() {
-        assert!(is_empty_trace(""));
-        assert!(is_empty_trace("\n\n  \n\t\n"));
-        assert!(!is_empty_trace(
-            "{\"kind\":\"experiment\",\"name\":\"t\"}\n"
-        ));
-        assert!(!is_empty_trace("\n\ngarbage\n"));
+        assert_eq!(report.sections[0].name, "flight dump (underflow)");
     }
 
     #[test]
     fn render_mentions_audit_verdict() {
-        let src = format!(
-            "{{\"kind\":\"experiment\",\"name\":\"t\"}}\n{}",
-            lifecycle_jsonl()
-        );
-        let report = analyze(&src, 1).expect("analyze");
-        let text = render(&report);
+        let src = experiment("t") + &lifecycle_jsonl();
+        let text = render(&analyze(&parsed(&src), 1));
         assert!(text.contains("invariant audit: OK"));
         assert!(text.contains("invariant audit OK"));
     }

@@ -1,8 +1,12 @@
 //! The `repro` command line: which flags each subcommand accepts, and how
 //! it refuses the rest. Every case here stops while the arguments (or the
-//! fault script they name) are read, so no experiment or matrix runs.
+//! fault script or trace file they name) are read, so no experiment or
+//! matrix runs.
 
 use std::process::Command;
+
+use vod_obs::{Event, SpanId, SpanKind, SpanStatus, TimeSeries, TraceId, TraceLine};
+use vod_types::Instant;
 
 /// Runs `repro` with the whitespace-separated `args`; returns its exit
 /// code and stderr.
@@ -168,6 +172,78 @@ fn a_bare_domain_line_in_a_fault_script_is_refused() {
         "chaos --script bare_domain.txt --nodes 2",
         "line 1: domain needs a name and at least one member node",
     );
+}
+
+/// Lines a hand-kept schema once let through, each made from a written
+/// line by one edit: an unknown kind, an unknown span kind, an unknown
+/// span status, an event with only its time, and a series point with two
+/// of its three numbers.
+fn lax_lines() -> [String; 5] {
+    let trace = TraceId::derive(1, 0);
+    let span = SpanId::derive(trace, 0);
+    let start = Event::SpanStart {
+        at: Instant::ZERO,
+        trace,
+        span,
+        parent: None,
+        span_kind: SpanKind::Request,
+    };
+    let end = Event::SpanEnd {
+        at: Instant::ZERO,
+        trace,
+        span,
+        status: SpanStatus::Ok,
+    };
+    let mut series = TimeSeries::new("active_streams", 2);
+    series.push(0.0, 1.0);
+    [
+        r#"{"kind":"bogus","t":1.0}"#.to_owned(),
+        start.to_json().replace("\"request\"", "\"nonsense\""),
+        end.to_json().replace("\"ok\"", "\"weird\""),
+        r#"{"kind":"stream_serviced","t":1.0}"#.to_owned(),
+        series.to_json("node0").replace("[[0,0.0,1.0]]", "[[0,1]]"),
+    ]
+}
+
+/// `trace-analyze --schema-only` and `report` refuse every lax line with
+/// its number, after one valid header line.
+#[test]
+fn the_trace_tools_refuse_each_lax_line_by_number() {
+    let header = TraceLine::Experiment {
+        name: "probe",
+        events: 4,
+        events_dropped: 0,
+        spans_dropped: 0,
+    };
+    let lines = lax_lines();
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    std::fs::write(
+        dir.join("lax_lines.jsonl"),
+        format!("{}\n{}\n", header.to_json(), lines.join("\n")),
+    )
+    .expect("trace is writable");
+    for cmd in [
+        "trace-analyze lax_lines.jsonl --schema-only",
+        "report lax_lines.jsonl",
+    ] {
+        let (code, stderr) = repro(cmd);
+        assert_eq!(code, 1, "repro {cmd} exited {code}; stderr:\n{stderr}");
+        for n in 2..=6 {
+            assert!(
+                stderr.contains(&format!("schema: line {n}: ")),
+                "repro {cmd}: no diagnostic for line {n}:\n{stderr}"
+            );
+        }
+        assert!(!stderr.contains("line 1:"), "{stderr}");
+    }
+    for (i, line) in lines.iter().enumerate() {
+        let file = format!("lax_line_{i}.jsonl");
+        std::fs::write(dir.join(&file), format!("{line}\n")).expect("trace is writable");
+        refuses(
+            &format!("trace-analyze {file} --schema-only"),
+            "schema: line 1: ",
+        );
+    }
 }
 
 #[test]

@@ -466,7 +466,7 @@ impl<'a> ChaosState<'a> {
         self.obs
             .span_annotate(at, trace, sp, "from_node", AnnoValue::U64(from as u64));
         self.obs
-            .span_annotate(at, trace, sp, "orig_trace", AnnoValue::U64(orig.raw()));
+            .span_annotate(at, trace, sp, "orig_trace", AnnoValue::Trace(orig));
         let status = match outcome {
             Outcome::Migrated(to) => {
                 self.obs

@@ -5,7 +5,8 @@
 
 use proptest::prelude::*;
 use vod_chaos::{
-    run_chaos, ChaosConfig, FailoverPolicy, Fault, FaultEvent, FaultSchedule, RecoveryPolicy,
+    run_chaos, run_chaos_on, ChaosConfig, FailoverPolicy, Fault, FaultEvent, FaultSchedule,
+    RecoveryPolicy,
 };
 use vod_cluster::{Cluster, ClusterConfig, DispatchPolicy, PlacementPolicy};
 use vod_core::SchemeKind;
@@ -214,4 +215,75 @@ proptest! {
         let b = run_chaos(&cfg, &wl.arrivals, 2, Obs::null()).expect("valid chaos config");
         prop_assert_eq!(a, b);
     }
+}
+
+/// A failover span names the request it continues by trace id. Ids are
+/// splitmix hashes, mostly above 2^53, where a JSON number would round
+/// them; written in the 16-hex-digit form every id uses, each one reads
+/// back from the trace exactly, and names a request the run started.
+#[test]
+fn failover_spans_read_back_the_original_trace_id() {
+    use std::collections::BTreeSet;
+    use std::sync::Arc;
+    use vod_obs::trace::parse_file;
+    use vod_obs::{AnnoValue, Event, EventKind, RecorderSink, SpanKind, TraceId, TraceLine};
+
+    let wl = workload(16, 400.0, 9);
+    let schedule = FaultSchedule::from_events(vec![FaultEvent {
+        at: Instant::from_secs(1800.0),
+        node: 0,
+        fault: Fault::NodeCrash,
+    }]);
+    let recorder = Arc::new(RecorderSink::new().with_kinds(&[
+        EventKind::SpanStart,
+        EventKind::SpanAnnotate,
+        EventKind::SpanEnd,
+    ]));
+    let obs = Obs::new(Arc::clone(&recorder) as Arc<dyn vod_obs::Sink>);
+    let cfg = chaos_cfg(4, 16, schedule);
+    // First-fill service spans only, so the recorder holds the whole run.
+    let mut cluster = Cluster::with_observer(cfg.cluster.clone(), obs).expect("valid cluster");
+    cluster.set_per_cycle_tracing(false);
+    let report = run_chaos_on(cluster, &cfg, &wl.arrivals, 1);
+    assert!(report.summary.migrated >= 1, "{:?}", report.summary);
+
+    let snap = recorder.snapshot();
+    assert_eq!(snap.dropped(), 0);
+    let orig = |e: &Event<'_>| match *e {
+        Event::SpanAnnotate {
+            key: "orig_trace",
+            value,
+            ..
+        } => match value {
+            AnnoValue::Trace(t) => Some(t),
+            other => panic!("orig_trace must be a trace id, not {other:?}"),
+        },
+        _ => None,
+    };
+    let written: Vec<TraceId> = snap.events().iter().filter_map(orig).collect();
+    let jsonl = snap.export_jsonl();
+    let lines = parse_file(&jsonl).expect("the trace parses");
+    let events: Vec<&Event<'_>> = lines
+        .iter()
+        .filter_map(|(_, l)| match l {
+            TraceLine::Event(e) => Some(e),
+            _ => None,
+        })
+        .collect();
+    let read: Vec<TraceId> = events.iter().copied().filter_map(orig).collect();
+    assert_eq!(read, written);
+    assert!(read.len() as u64 >= report.summary.migrated);
+    assert!(read.iter().any(|t| t.raw() > 1 << 53), "{read:?}");
+    let requests: BTreeSet<TraceId> = events
+        .iter()
+        .filter_map(|e| match **e {
+            Event::SpanStart {
+                trace,
+                span_kind: SpanKind::Request,
+                ..
+            } => Some(trace),
+            _ => None,
+        })
+        .collect();
+    assert!(read.iter().all(|t| requests.contains(t)));
 }

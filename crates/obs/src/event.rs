@@ -1,11 +1,17 @@
-//! Typed engine-lifecycle events.
+//! Typed engine-lifecycle events, and their trace-line form.
+//!
+//! [`Event::to_json`] writes an event as one JSONL object and
+//! [`Event::from_json`] reads it back, next to each other: the two
+//! together are the schema of every event line of a trace file (the
+//! non-event lines are [`crate::trace::TraceLine`]'s).
 
 use core::fmt;
 
 use vod_types::{Bits, Instant, RequestId, Seconds};
 
-use crate::json;
+use crate::json::{Json, Object};
 use crate::span::{AnnoValue, SpanId, SpanKind, SpanStatus, TraceId};
+use crate::trace::{field, Field};
 
 /// Why a request was rejected outright (as opposed to deferred).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -28,6 +34,18 @@ impl RejectReason {
             RejectReason::QueueDropped => "queue_dropped",
         }
     }
+
+    /// Parses a [`RejectReason::label`] back.
+    #[must_use]
+    pub fn from_label(s: &str) -> Option<Self> {
+        [
+            RejectReason::DiskFull,
+            RejectReason::MemoryFull,
+            RejectReason::QueueDropped,
+        ]
+        .into_iter()
+        .find(|r| r.label() == s)
+    }
 }
 
 impl fmt::Display for RejectReason {
@@ -37,6 +55,7 @@ impl fmt::Display for RejectReason {
 }
 
 /// The discriminant of an [`Event`], used for filtering and counting.
+/// Declared in index order, the order of the `event_lines!` table.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EventKind {
     /// A service cycle was planned and is about to start.
@@ -76,54 +95,6 @@ pub enum EventKind {
 }
 
 impl EventKind {
-    /// Number of distinct kinds.
-    pub const COUNT: usize = 17;
-
-    /// Every kind, in index order.
-    pub const ALL: [EventKind; EventKind::COUNT] = [
-        EventKind::CyclePlanned,
-        EventKind::StreamServiced,
-        EventKind::RequestAdmitted,
-        EventKind::RequestDeferred,
-        EventKind::RequestRejected,
-        EventKind::BufferAllocated,
-        EventKind::BufferResized,
-        EventKind::BufferFreed,
-        EventKind::EstimatorClamped,
-        EventKind::Underflow,
-        EventKind::PoolOccupancy,
-        EventKind::SpanStart,
-        EventKind::SpanAnnotate,
-        EventKind::SpanEnd,
-        EventKind::FaultInjected,
-        EventKind::NodeRecovered,
-        EventKind::ReplicaRebuilt,
-    ];
-
-    /// Dense index (0-based, stable within a release).
-    #[must_use]
-    pub fn index(self) -> usize {
-        match self {
-            EventKind::CyclePlanned => 0,
-            EventKind::StreamServiced => 1,
-            EventKind::RequestAdmitted => 2,
-            EventKind::RequestDeferred => 3,
-            EventKind::RequestRejected => 4,
-            EventKind::BufferAllocated => 5,
-            EventKind::BufferResized => 6,
-            EventKind::BufferFreed => 7,
-            EventKind::EstimatorClamped => 8,
-            EventKind::Underflow => 9,
-            EventKind::PoolOccupancy => 10,
-            EventKind::SpanStart => 11,
-            EventKind::SpanAnnotate => 12,
-            EventKind::SpanEnd => 13,
-            EventKind::FaultInjected => 14,
-            EventKind::NodeRecovered => 15,
-            EventKind::ReplicaRebuilt => 16,
-        }
-    }
-
     /// True for the three span-lifecycle kinds.
     #[must_use]
     pub fn is_span(self) -> bool {
@@ -133,28 +104,10 @@ impl EventKind {
         )
     }
 
-    /// Stable snake_case label (the `kind` field of the JSONL output).
+    /// Parses an [`EventKind::label`] back.
     #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            EventKind::CyclePlanned => "cycle_planned",
-            EventKind::StreamServiced => "stream_serviced",
-            EventKind::RequestAdmitted => "request_admitted",
-            EventKind::RequestDeferred => "request_deferred",
-            EventKind::RequestRejected => "request_rejected",
-            EventKind::BufferAllocated => "buffer_allocated",
-            EventKind::BufferResized => "buffer_resized",
-            EventKind::BufferFreed => "buffer_freed",
-            EventKind::EstimatorClamped => "estimator_clamped",
-            EventKind::Underflow => "underflow",
-            EventKind::PoolOccupancy => "pool_occupancy",
-            EventKind::SpanStart => "span_start",
-            EventKind::SpanAnnotate => "span_annotate",
-            EventKind::SpanEnd => "span_end",
-            EventKind::FaultInjected => "fault_injected",
-            EventKind::NodeRecovered => "node_recovered",
-            EventKind::ReplicaRebuilt => "replica_rebuilt",
-        }
+    pub fn from_label(s: &str) -> Option<Self> {
+        EventKind::ALL.into_iter().find(|k| k.label() == s)
     }
 }
 
@@ -168,8 +121,10 @@ impl fmt::Display for EventKind {
 ///
 /// Every timestamp is **simulated** time — the event path never reads the
 /// wall clock, so instrumented runs stay deterministic and replayable.
+/// Emitters build `Event<'static>` from static labels; an event read back
+/// from a trace line borrows its labels from that line.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Event {
+pub enum Event<'a> {
     /// A service cycle is about to start.
     CyclePlanned {
         /// Current simulated time when the plan was made.
@@ -317,9 +272,9 @@ pub enum Event {
         /// The annotated span.
         span: SpanId,
         /// Annotation key.
-        key: &'static str,
+        key: &'a str,
         /// Annotation value.
-        value: AnnoValue,
+        value: AnnoValue<'a>,
     },
     /// A lifecycle span closed.
     SpanEnd {
@@ -339,7 +294,7 @@ pub enum Event {
         /// The faulted node's index.
         node: usize,
         /// Stable fault label (`crash`, `slow`, `pressure`, `rejoin`).
-        fault: &'static str,
+        fault: &'a str,
     },
     /// A cluster node recovered (rejoined) after a fault.
     NodeRecovered {
@@ -363,218 +318,159 @@ pub enum Event {
     },
 }
 
-impl Event {
-    /// The event's kind.
-    #[must_use]
-    pub fn kind(&self) -> EventKind {
-        match self {
-            Event::CyclePlanned { .. } => EventKind::CyclePlanned,
-            Event::StreamServiced { .. } => EventKind::StreamServiced,
-            Event::RequestAdmitted { .. } => EventKind::RequestAdmitted,
-            Event::RequestDeferred { .. } => EventKind::RequestDeferred,
-            Event::RequestRejected { .. } => EventKind::RequestRejected,
-            Event::BufferAllocated { .. } => EventKind::BufferAllocated,
-            Event::BufferResized { .. } => EventKind::BufferResized,
-            Event::BufferFreed { .. } => EventKind::BufferFreed,
-            Event::EstimatorClamped { .. } => EventKind::EstimatorClamped,
-            Event::Underflow { .. } => EventKind::Underflow,
-            Event::PoolOccupancy { .. } => EventKind::PoolOccupancy,
-            Event::SpanStart { .. } => EventKind::SpanStart,
-            Event::SpanAnnotate { .. } => EventKind::SpanAnnotate,
-            Event::SpanEnd { .. } => EventKind::SpanEnd,
-            Event::FaultInjected { .. } => EventKind::FaultInjected,
-            Event::NodeRecovered { .. } => EventKind::NodeRecovered,
-            Event::ReplicaRebuilt { .. } => EventKind::ReplicaRebuilt,
-        }
+/// A cycle's insertion budget as a trace-line field: `usize::MAX`
+/// (unconstrained) is written `null`.
+struct Budget(usize);
+
+impl Field<'_> for Budget {
+    const WANT: &'static str = "an integer of at most 2^53, or null";
+
+    fn write(self, o: &mut Object, key: &str) {
+        (self.0 != usize::MAX).then_some(self.0).write(o, key);
     }
 
-    /// Simulated time of the event.
-    #[must_use]
-    pub fn at(&self) -> Instant {
-        match *self {
-            Event::CyclePlanned { at, .. }
-            | Event::StreamServiced { at, .. }
-            | Event::RequestAdmitted { at, .. }
-            | Event::RequestDeferred { at, .. }
-            | Event::RequestRejected { at, .. }
-            | Event::BufferAllocated { at, .. }
-            | Event::BufferResized { at, .. }
-            | Event::BufferFreed { at, .. }
-            | Event::EstimatorClamped { at, .. }
-            | Event::Underflow { at, .. }
-            | Event::PoolOccupancy { at, .. }
-            | Event::SpanStart { at, .. }
-            | Event::SpanAnnotate { at, .. }
-            | Event::SpanEnd { at, .. }
-            | Event::FaultInjected { at, .. }
-            | Event::NodeRecovered { at, .. }
-            | Event::ReplicaRebuilt { at, .. } => at,
-        }
+    fn read(v: &Json<'_>) -> Option<Self> {
+        Option::<usize>::read(v).map(|b| Budget(b.unwrap_or(usize::MAX)))
     }
+}
 
-    /// One-line JSON object (no trailing newline) for JSONL export.
+/// Reads field `$key` of `$line` as its [`Field`] type, or through the
+/// wrapper `$codec`.
+macro_rules! read_field {
+    ($line:ident, $key:literal) => {
+        field($line, $key)?
+    };
+    ($line:ident, $key:literal, $codec:ident) => {
+        field::<$codec>($line, $key)?.0
+    };
+}
+
+/// Every kind, from one list in declaration order: its label, then its
+/// fields after `at` (written `t`) in write order, under their keys. A
+/// field's [`Field`] type writes and reads it, or the wrapper named after
+/// `as`.
+macro_rules! event_lines {
+    ($($kind:ident $label:literal { $($field:ident: $key:literal $(as $codec:ident)?),+ })+) => {
+        impl EventKind {
+            /// Number of distinct kinds.
+            pub const COUNT: usize = [$($label),+].len();
+
+            /// Every kind, in index order.
+            pub const ALL: [EventKind; EventKind::COUNT] = [$(EventKind::$kind),+];
+
+            /// Dense index (0-based, stable within a release).
+            #[must_use]
+            pub fn index(self) -> usize {
+                self as usize
+            }
+
+            /// Stable snake_case label (the `kind` field of the JSONL
+            /// output).
+            #[must_use]
+            pub fn label(self) -> &'static str {
+                match self {
+                    $(EventKind::$kind => $label,)+
+                }
+            }
+        }
+
+        impl<'a> Event<'a> {
+            /// The event's kind.
+            #[must_use]
+            pub fn kind(&self) -> EventKind {
+                match self {
+                    $(Event::$kind { .. } => EventKind::$kind,)+
+                }
+            }
+
+            /// Simulated time of the event.
+            #[must_use]
+            pub fn at(&self) -> Instant {
+                match *self {
+                    $(Event::$kind { at, .. })|+ => at,
+                }
+            }
+
+            /// One-line JSON object (no trailing newline) for JSONL
+            /// export: `kind`, then `t`, then the kind's fields.
+            ///
+            /// Instants and durations are seconds, data sizes are bits.
+            /// Every number is finite and every integer at most 2^53;
+            /// `null` stands only for an absent `due_min`, an unbounded
+            /// `insertion_budget` and a root span's `parent`. Ids are 16
+            /// hex digits.
+            #[must_use]
+            pub fn to_json(&self) -> String {
+                let mut o = Object::new();
+                o.str("kind", self.kind().label());
+                self.at().write(&mut o, "t");
+                match *self {
+                    $(Event::$kind { $($field,)+ .. } => {
+                        $($($codec)?($field).write(&mut o, $key);)+
+                    })+
+                }
+                o.finish()
+            }
+
+            /// The fields of a line whose `kind` names `kind`.
+            pub(crate) fn read(kind: EventKind, line: &Json<'a>) -> Result<Self, String> {
+                let at = field(line, "t")?;
+                Ok(match kind {
+                    $(EventKind::$kind => Event::$kind {
+                        at,
+                        $($field: read_field!(line, $key $(, $codec)?),)+
+                    },)+
+                })
+            }
+        }
+    };
+}
+
+event_lines! {
+    CyclePlanned "cycle_planned" {
+        start: "start", planned: "planned", n: "n", due_min: "due_min",
+        insertion_budget: "insertion_budget" as Budget
+    }
+    StreamServiced "stream_serviced" {
+        id: "id", n: "n", k: "k", read: "read_bits", size: "size_bits",
+        duration: "duration_s", first_fill: "first_fill"
+    }
+    RequestAdmitted "request_admitted" { id: "id", n: "n", waited: "waited_s" }
+    RequestDeferred "request_deferred" { id: "id", n: "n" }
+    RequestRejected "request_rejected" { n: "n", reason: "reason" }
+    BufferAllocated "buffer_allocated" { id: "id", size: "size_bits" }
+    BufferResized "buffer_resized" {
+        id: "id", old_size: "old_size_bits", new_size: "new_size_bits"
+    }
+    BufferFreed "buffer_freed" { id: "id", released: "released_bits" }
+    EstimatorClamped "estimator_clamped" { k_log: "k_log", k_clamped: "k_clamped", cap: "cap" }
+    Underflow "underflow" { id: "id", n: "n", deficit: "deficit_bits" }
+    PoolOccupancy "pool_occupancy" { used: "used_bits", peak: "peak_bits", streams: "streams" }
+    SpanStart "span_start" {
+        trace: "trace", span: "span", parent: "parent", span_kind: "span_kind"
+    }
+    SpanAnnotate "span_annotate" { trace: "trace", span: "span", key: "key", value: "value" }
+    SpanEnd "span_end" { trace: "trace", span: "span", status: "status" }
+    FaultInjected "fault_injected" { node: "node", fault: "fault" }
+    NodeRecovered "node_recovered" { node: "node", warm: "warm" }
+    ReplicaRebuilt "replica_rebuilt" { node: "node", movies: "movies" }
+}
+
+impl<'a> Event<'a> {
+    /// Parses a line [`Event::to_json`] wrote, borrowing its labels from
+    /// `line`.
     ///
-    /// Instants and durations are seconds, data sizes are bits; the first
-    /// field is always `"kind"`.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut o = json::Object::new();
-        o.str("kind", self.kind().label());
-        o.num("t", self.at().as_secs_f64());
-        match *self {
-            Event::CyclePlanned {
-                start,
-                planned,
-                n,
-                due_min,
-                insertion_budget,
-                ..
-            } => {
-                o.num("start", start.as_secs_f64());
-                o.num("planned", planned.as_secs_f64());
-                o.uint("n", n as u64);
-                match due_min {
-                    Some(d) => o.num("due_min", d.as_secs_f64()),
-                    None => o.null("due_min"),
-                }
-                // usize::MAX means "unconstrained"; emit null for clarity.
-                if insertion_budget == usize::MAX {
-                    o.null("insertion_budget");
-                } else {
-                    o.uint("insertion_budget", insertion_budget as u64);
-                }
-            }
-            Event::StreamServiced {
-                id,
-                n,
-                k,
-                read,
-                size,
-                duration,
-                first_fill,
-                ..
-            } => {
-                o.uint("id", id.raw());
-                o.uint("n", n as u64);
-                o.uint("k", k as u64);
-                o.num("read_bits", read.as_f64());
-                o.num("size_bits", size.as_f64());
-                o.num("duration_s", duration.as_secs_f64());
-                o.bool("first_fill", first_fill);
-            }
-            Event::RequestAdmitted { id, n, waited, .. } => {
-                o.uint("id", id.raw());
-                o.uint("n", n as u64);
-                o.num("waited_s", waited.as_secs_f64());
-            }
-            Event::RequestDeferred { id, n, .. } => {
-                o.uint("id", id.raw());
-                o.uint("n", n as u64);
-            }
-            Event::RequestRejected { n, reason, .. } => {
-                o.uint("n", n as u64);
-                o.str("reason", reason.label());
-            }
-            Event::BufferAllocated { id, size, .. } => {
-                o.uint("id", id.raw());
-                o.num("size_bits", size.as_f64());
-            }
-            Event::BufferResized {
-                id,
-                old_size,
-                new_size,
-                ..
-            } => {
-                o.uint("id", id.raw());
-                o.num("old_size_bits", old_size.as_f64());
-                o.num("new_size_bits", new_size.as_f64());
-            }
-            Event::BufferFreed { id, released, .. } => {
-                o.uint("id", id.raw());
-                o.num("released_bits", released.as_f64());
-            }
-            Event::EstimatorClamped {
-                k_log,
-                k_clamped,
-                cap,
-                ..
-            } => {
-                o.uint("k_log", k_log as u64);
-                o.uint("k_clamped", k_clamped as u64);
-                o.uint("cap", cap as u64);
-            }
-            Event::Underflow { id, n, deficit, .. } => {
-                o.uint("id", id.raw());
-                o.uint("n", n as u64);
-                o.num("deficit_bits", deficit.as_f64());
-            }
-            Event::PoolOccupancy {
-                used,
-                peak,
-                streams,
-                ..
-            } => {
-                o.num("used_bits", used.as_f64());
-                o.num("peak_bits", peak.as_f64());
-                o.uint("streams", streams as u64);
-            }
-            // Span ids are emitted as 16-hex-digit strings: a u64 does
-            // not survive a round trip through an f64 JSON number.
-            Event::SpanStart {
-                trace,
-                span,
-                parent,
-                span_kind,
-                ..
-            } => {
-                o.str("trace", &trace.hex());
-                o.str("span", &span.hex());
-                match parent {
-                    Some(p) => o.str("parent", &p.hex()),
-                    None => o.null("parent"),
-                }
-                o.str("span_kind", span_kind.label());
-            }
-            Event::SpanAnnotate {
-                trace,
-                span,
-                key,
-                value,
-                ..
-            } => {
-                o.str("trace", &trace.hex());
-                o.str("span", &span.hex());
-                o.str("key", key);
-                match value {
-                    AnnoValue::U64(v) => o.uint("value", v),
-                    AnnoValue::F64(v) => o.num("value", v),
-                    AnnoValue::Str(v) => o.str("value", v),
-                }
-            }
-            Event::SpanEnd {
-                trace,
-                span,
-                status,
-                ..
-            } => {
-                o.str("trace", &trace.hex());
-                o.str("span", &span.hex());
-                o.str("status", status.label());
-            }
-            Event::FaultInjected { node, fault, .. } => {
-                o.uint("node", node as u64);
-                o.str("fault", fault);
-            }
-            Event::NodeRecovered { node, warm, .. } => {
-                o.uint("node", node as u64);
-                o.bool("warm", warm);
-            }
-            Event::ReplicaRebuilt { node, movies, .. } => {
-                o.uint("node", node as u64);
-                o.uint("movies", movies as u64);
-            }
-        }
-        o.finish()
+    /// # Errors
+    ///
+    /// Names the kind and the problem when the kind is unknown or a field
+    /// is missing, mistyped, `null` where the writer never writes `null`,
+    /// or an unknown label. Extra fields are ignored.
+    pub fn from_json(line: &Json<'a>) -> Result<Self, String> {
+        let label: &str = field(line, "kind")?;
+        EventKind::from_label(label)
+            .ok_or_else(|| "unknown kind".to_owned())
+            .and_then(|kind| Event::read(kind, line))
+            .map_err(|e| format!("{label}: {e}"))
     }
 }
 
@@ -626,8 +522,8 @@ mod tests {
         };
         let j = e.to_json();
         assert!(j.starts_with("{\"kind\":\"span_start\""), "{j}");
-        assert!(j.contains(&format!("\"trace\":\"{}\"", trace.hex())), "{j}");
-        assert!(j.contains(&format!("\"span\":\"{}\"", span.hex())), "{j}");
+        assert!(j.contains(&format!("\"trace\":\"{trace}\"")), "{j}");
+        assert!(j.contains(&format!("\"span\":\"{span}\"")), "{j}");
         assert!(j.contains("\"parent\":null"), "{j}");
         assert!(j.contains("\"span_kind\":\"request\""), "{j}");
 

@@ -33,9 +33,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::event::{Event, EventKind};
-use crate::json;
 use crate::sink::Sink;
 use crate::span::SpanStatus;
+use crate::trace::TraceLine;
 
 /// Default ring capacity (records retained at dump time).
 pub const DEFAULT_FLIGHT_CAPACITY: usize = 4096;
@@ -46,7 +46,7 @@ pub const DEFAULT_MAX_DUMPS: u64 = 8;
 /// A bounded, non-blocking ring of recent events with on-anomaly JSONL
 /// dumps. See the module docs for the design and trigger list.
 pub struct FlightRecorder {
-    slots: Vec<Mutex<Option<Event>>>,
+    slots: Vec<Mutex<Option<Event<'static>>>>,
     cursor: AtomicU64,
     dropped: AtomicU64,
     anomalies: AtomicU64,
@@ -159,13 +159,13 @@ impl FlightRecorder {
                 events.push(e);
             }
         }
-        let mut marker = json::Object::new();
-        marker.str("kind", "flight_dump");
-        marker.str("reason", reason);
-        marker.uint("seq", seq);
-        marker.uint("events", events.len() as u64);
-        marker.uint("dropped", self.dropped());
-        let mut out = marker.finish();
+        let mut out = TraceLine::FlightDump {
+            reason,
+            seq,
+            events: events.len() as u64,
+            dropped: self.dropped(),
+        }
+        .to_json();
         out.push('\n');
         for e in &events {
             out.push_str(&e.to_json());
@@ -175,7 +175,7 @@ impl FlightRecorder {
     }
 
     /// The automatic trigger table (see the module docs).
-    fn anomaly_reason(event: &Event) -> Option<&'static str> {
+    fn anomaly_reason(event: &Event<'_>) -> Option<&'static str> {
         match event {
             Event::Underflow { .. } => Some("underflow"),
             Event::RequestRejected { .. } => Some("overflow_rejection"),
@@ -199,7 +199,7 @@ impl Sink for FlightRecorder {
         true
     }
 
-    fn record(&self, event: &Event) {
+    fn record(&self, event: &Event<'static>) {
         let seq = self.cursor.fetch_add(1, Ordering::AcqRel);
         let slot = &self.slots[(seq % self.slots.len() as u64) as usize];
         match slot.try_lock() {
@@ -220,7 +220,7 @@ mod tests {
     use crate::span::{SpanId, TraceId};
     use vod_types::{Bits, Instant, RequestId};
 
-    fn cycle(t: f64) -> Event {
+    fn cycle(t: f64) -> Event<'static> {
         Event::CyclePlanned {
             at: Instant::from_secs(t),
             start: Instant::from_secs(t),
@@ -231,7 +231,7 @@ mod tests {
         }
     }
 
-    fn underflow(t: f64) -> Event {
+    fn underflow(t: f64) -> Event<'static> {
         Event::Underflow {
             at: Instant::from_secs(t),
             id: RequestId::new(1),

@@ -10,9 +10,12 @@
 //!
 //! The parser reads what the writer produces and answers malformed
 //! input with a positioned error, never a panic: nesting is capped at
-//! [`MAX_DEPTH`] and string decoding is linear in the input.
+//! [`MAX_DEPTH`] and string decoding is linear in the input. A parsed
+//! [`Json`] borrows every string written without escapes from the source
+//! text, and keeps an unsigned integer literal as an exact [`Json::Int`].
 
 use core::fmt::Write as _;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// Escapes `s` for inclusion inside a JSON string literal (no quotes).
@@ -143,27 +146,34 @@ impl Array {
     }
 }
 
-/// A parsed JSON value.
+/// The largest integer [`Json::as_u64`] hands out: 2^53, past which an
+/// `f64` (what most JSON readers hold a number in) no longer tells
+/// neighbouring integers apart.
+pub const MAX_SAFE_INTEGER: u64 = 1 << 53;
+
+/// A parsed JSON value, borrowing its strings from the source text.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Json {
+pub enum Json<'a> {
     /// `null` (also what the writer emits for non-finite floats).
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number, as `f64` (exact for the magnitudes we emit).
+    /// An unsigned integer literal (digits only, fits a `u64`), exact.
+    Int(u64),
+    /// Any other JSON number, as `f64`.
     Num(f64),
-    /// A string.
-    Str(String),
+    /// A string: borrowed when written without escapes, decoded otherwise.
+    Str(Cow<'a, str>),
     /// An array.
-    Arr(Vec<Json>),
+    Arr(Vec<Json<'a>>),
     /// An object. Key order is irrelevant for comparison.
-    Obj(BTreeMap<String, Json>),
+    Obj(BTreeMap<Cow<'a, str>, Json<'a>>),
 }
 
-impl Json {
+impl<'a> Json<'a> {
     /// Member lookup on an object.
     #[must_use]
-    pub fn get(&self, key: &str) -> Option<&Json> {
+    pub fn get(&self, key: &str) -> Option<&Json<'a>> {
         match self {
             Json::Obj(m) => m.get(key),
             _ => None,
@@ -172,22 +182,22 @@ impl Json {
 
     /// The numeric value, if this is a number.
     #[must_use]
+    #[allow(clippy::cast_precision_loss)]
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            Json::Int(u) => Some(*u as f64),
             Json::Num(x) => Some(*x),
             _ => None,
         }
     }
 
-    /// The numeric value as an exact `u64`, if representable.
+    /// The value of an integer literal of at most [`MAX_SAFE_INTEGER`];
+    /// a larger one is refused rather than rounded.
     #[must_use]
     pub fn as_u64(&self) -> Option<u64> {
-        let x = self.as_f64()?;
-        if x >= 0.0 && x.fract() == 0.0 && x <= 2f64.powi(53) {
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-            Some(x as u64)
-        } else {
-            None
+        match self {
+            Json::Int(u) if *u <= MAX_SAFE_INTEGER => Some(*u),
+            _ => None,
         }
     }
 
@@ -200,9 +210,19 @@ impl Json {
         }
     }
 
+    /// The string, if it is one written without escapes: borrowed for
+    /// the source text's whole lifetime, not just this value's.
+    #[must_use]
+    pub(crate) fn as_source_str(&self) -> Option<&'a str> {
+        match self {
+            Json::Str(Cow::Borrowed(s)) => Some(s),
+            _ => None,
+        }
+    }
+
     /// The elements, if this is an array.
     #[must_use]
-    pub fn as_arr(&self) -> Option<&[Json]> {
+    pub fn as_arr(&self) -> Option<&[Json<'a>]> {
         match self {
             Json::Arr(v) => Some(v),
             _ => None,
@@ -221,7 +241,7 @@ pub const MAX_DEPTH: usize = 128;
 ///
 /// Returns a message with a byte offset on malformed input, nesting
 /// deeper than [`MAX_DEPTH`], or trailing garbage.
-pub fn parse(src: &str) -> Result<Json, String> {
+pub fn parse(src: &str) -> Result<Json<'_>, String> {
     let mut p = Parser {
         src,
         b: src.as_bytes(),
@@ -243,7 +263,7 @@ struct Parser<'a> {
     depth: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
     fn skip_ws(&mut self) {
         while matches!(self.b.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
@@ -260,7 +280,7 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    fn value(&mut self) -> Result<Json<'a>, String> {
         self.skip_ws();
         match self.b.get(self.pos) {
             None => Err(format!("unexpected end of input at byte {}", self.pos)),
@@ -275,7 +295,10 @@ impl Parser<'_> {
     }
 
     /// Runs `inner` one nesting level down, refusing past [`MAX_DEPTH`].
-    fn nested(&mut self, inner: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+    fn nested(
+        &mut self,
+        inner: fn(&mut Self) -> Result<Json<'a>, String>,
+    ) -> Result<Json<'a>, String> {
         if self.depth == MAX_DEPTH {
             return Err(format!(
                 "nesting deeper than {MAX_DEPTH} levels at byte {}",
@@ -288,7 +311,7 @@ impl Parser<'_> {
         value
     }
 
-    fn literal(&mut self, lit: &str, value: Json) -> Result<Json, String> {
+    fn literal(&mut self, lit: &str, value: Json<'a>) -> Result<Json<'a>, String> {
         if self.b[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(value)
@@ -297,7 +320,7 @@ impl Parser<'_> {
         }
     }
 
-    fn number(&mut self) -> Result<Json, String> {
+    fn number(&mut self) -> Result<Json<'a>, String> {
         let start = self.pos;
         while matches!(
             self.b.get(self.pos),
@@ -307,31 +330,47 @@ impl Parser<'_> {
         }
         // Every byte taken is ASCII, so the slice is on char boundaries.
         let text = &self.src[start..self.pos];
+        if text.bytes().all(|c| c.is_ascii_digit()) {
+            if let Ok(u) = text.parse::<u64>() {
+                return Ok(Json::Int(u));
+            }
+        }
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| format!("invalid number `{text}` at byte {start}"))
     }
 
-    /// Decodes a string literal. Unescaped runs are copied as whole
+    /// Decodes a string literal. A literal without escapes is borrowed
+    /// from the source; otherwise unescaped runs are copied as whole
     /// slices (they end at an ASCII `"` or `\\`, so on char boundaries
     /// of the already-valid `&str`), which keeps decoding linear.
-    fn string(&mut self) -> Result<String, String> {
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
         self.expect(b'"')?;
         let open = self.pos - 1;
-        let mut out = String::new();
+        let mut out: Option<String> = None;
         loop {
             let run = self.pos;
             while !matches!(self.b.get(self.pos), None | Some(b'"' | b'\\')) {
                 self.pos += 1;
             }
-            out.push_str(&self.src[run..self.pos]);
+            let text = &self.src[run..self.pos];
             match self.b.get(self.pos) {
                 None => return Err(format!("unterminated string opened at byte {open}")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(match out {
+                        None => Cow::Borrowed(text),
+                        Some(mut s) => {
+                            s.push_str(text);
+                            Cow::Owned(s)
+                        }
+                    });
                 }
-                _ => self.escape(&mut out)?,
+                _ => {
+                    let s = out.get_or_insert_with(String::new);
+                    s.push_str(text);
+                    self.escape(s)?;
+                }
             }
         }
     }
@@ -367,7 +406,7 @@ impl Parser<'_> {
         Ok(())
     }
 
-    fn array(&mut self) -> Result<Json, String> {
+    fn array(&mut self) -> Result<Json<'a>, String> {
         self.expect(b'[')?;
         let mut out = Vec::new();
         self.skip_ws();
@@ -389,7 +428,7 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
+    fn object(&mut self) -> Result<Json<'a>, String> {
         self.expect(b'{')?;
         let mut out = BTreeMap::new();
         self.skip_ws();

@@ -49,10 +49,16 @@
 //! ([`Obs::with_metrics`]), so one handle threads both through the
 //! engine.
 //!
+//! # Trace files
+//!
+//! [`trace`] is the format of every `--trace` and flight-dump file:
+//! [`TraceLine`] and [`Event`] write each line kind and parse it back,
+//! so the schema is these types.
+//!
 //! # No external dependencies
 //!
-//! JSON is hand-rolled ([`json`]: the writer and the bench-document
-//! parser); the recorder uses `std::sync::Mutex`.
+//! JSON is hand-rolled ([`json`]: the writer and the parser of bench
+//! documents and trace lines); the recorder uses `std::sync::Mutex`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -66,6 +72,7 @@ pub mod recorder;
 pub mod sink;
 pub mod span;
 pub mod timeseries;
+pub mod trace;
 
 pub use event::{Event, EventKind, RejectReason};
 pub use flight::FlightRecorder;
@@ -78,3 +85,6 @@ pub use recorder::{
 pub use sink::{Obs, Sink, TeeSink};
 pub use span::{AnnoValue, SpanId, SpanKind, SpanStatus, TraceId};
 pub use timeseries::{Point, Series, SeriesRecorder, TimeSeries};
+pub use trace::{
+    CellHeader, CellSummary, ChaosCounters, ChaosHeader, NodeRedirects, SeriesLine, TraceLine,
+};

@@ -17,7 +17,7 @@ pub const HIST_POOL_OCCUPANCY: &str = "pool_occupancy_mib";
 
 struct RecorderState {
     counters: [u64; EventKind::COUNT],
-    events: Vec<Event>,
+    events: Vec<Event<'static>>,
     events_dropped: u64,
     spans_dropped: u64,
     service_latency: LogHistogram,
@@ -110,7 +110,7 @@ impl Sink for RecorderSink {
         self.enabled[kind.index()]
     }
 
-    fn record(&self, event: &Event) {
+    fn record(&self, event: &Event<'static>) {
         if !self.enabled[event.kind().index()] {
             return;
         }
@@ -146,7 +146,7 @@ impl Sink for RecorderSink {
 #[derive(Clone, Debug)]
 pub struct RecorderSnapshot {
     counters: [u64; EventKind::COUNT],
-    events: Vec<Event>,
+    events: Vec<Event<'static>>,
     events_dropped: u64,
     spans_dropped: u64,
     histograms: Vec<HistoSnapshot>,
@@ -161,7 +161,7 @@ impl RecorderSnapshot {
 
     /// Raw events retained (at most the recorder's capacity).
     #[must_use]
-    pub fn events(&self) -> &[Event] {
+    pub fn events(&self) -> &[Event<'static>] {
         &self.events
     }
 
@@ -236,7 +236,7 @@ mod tests {
     use super::*;
     use vod_types::{Bits, Instant, RequestId, Seconds};
 
-    fn underflow(t: f64) -> Event {
+    fn underflow(t: f64) -> Event<'static> {
         Event::Underflow {
             at: Instant::from_secs(t),
             id: RequestId::new(1),

@@ -17,7 +17,7 @@ pub trait Sink: Send + Sync {
     fn enabled(&self, kind: EventKind) -> bool;
 
     /// Records one event. Only called for kinds where `enabled` is true.
-    fn record(&self, event: &Event);
+    fn record(&self, event: &Event<'static>);
 }
 
 /// Fans one event stream out to two sinks.
@@ -43,7 +43,7 @@ impl Sink for TeeSink {
         self.a.enabled(kind) || self.b.enabled(kind)
     }
 
-    fn record(&self, event: &Event) {
+    fn record(&self, event: &Event<'static>) {
         let kind = event.kind();
         if self.a.enabled(kind) {
             self.a.record(event);
@@ -129,7 +129,7 @@ impl Obs {
 
     /// Records `event` if its kind is enabled.
     #[inline]
-    pub fn emit(&self, event: &Event) {
+    pub fn emit(&self, event: &Event<'static>) {
         if let Some(s) = &self.sink {
             if s.enabled(event.kind()) {
                 s.record(event);
@@ -141,7 +141,7 @@ impl Obs {
     /// enabled — the zero-cost path for events whose payload takes any
     /// work to assemble.
     #[inline]
-    pub fn emit_with(&self, kind: EventKind, build: impl FnOnce() -> Event) {
+    pub fn emit_with(&self, kind: EventKind, build: impl FnOnce() -> Event<'static>) {
         if let Some(s) = &self.sink {
             if s.enabled(kind) {
                 s.record(&build());

@@ -65,6 +65,7 @@ pub const SEQ_HOP_RETRY: u64 = (1 << 62) | 3;
 pub const SEQ_FAILOVER: u64 = (1 << 62) | 4;
 
 /// Identifies one request's journey end to end (across cluster hops).
+/// Displays as 16 hex digits, the form trace lines carry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TraceId(u64);
 
@@ -83,7 +84,7 @@ impl TraceId {
         TraceId(if id == 0 { 1 } else { id })
     }
 
-    /// Wraps a raw id (for parsers reconstructing traces from JSONL).
+    /// Wraps a raw id (what a trace line's 16 hex digits hold).
     #[must_use]
     pub fn from_raw(raw: u64) -> Self {
         TraceId(raw)
@@ -100,13 +101,6 @@ impl TraceId {
     pub fn is_none(self) -> bool {
         self.0 == 0
     }
-
-    /// The 16-hex-digit form used in JSONL (exact — u64 does not
-    /// survive a round-trip through f64 JSON numbers).
-    #[must_use]
-    pub fn hex(self) -> String {
-        format!("{:016x}", self.0)
-    }
 }
 
 impl fmt::Display for TraceId {
@@ -115,7 +109,8 @@ impl fmt::Display for TraceId {
     }
 }
 
-/// Identifies one span within (and derived from) a trace.
+/// Identifies one span within (and derived from) a trace. Displays as
+/// 16 hex digits, the form trace lines carry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SpanId(u64);
 
@@ -127,7 +122,7 @@ impl SpanId {
         SpanId(mix64(trace.raw() ^ mix64(seq)))
     }
 
-    /// Wraps a raw id (for parsers reconstructing traces from JSONL).
+    /// Wraps a raw id (what a trace line's 16 hex digits hold).
     #[must_use]
     pub fn from_raw(raw: u64) -> Self {
         SpanId(raw)
@@ -137,12 +132,6 @@ impl SpanId {
     #[must_use]
     pub fn raw(self) -> u64 {
         self.0
-    }
-
-    /// The 16-hex-digit form used in JSONL.
-    #[must_use]
-    pub fn hex(self) -> String {
-        format!("{:016x}", self.0)
     }
 }
 
@@ -197,7 +186,7 @@ impl SpanKind {
         }
     }
 
-    /// Parses a label back (for the trace analyzer).
+    /// Parses a [`SpanKind::label`] back.
     #[must_use]
     pub fn from_label(s: &str) -> Option<Self> {
         SpanKind::ALL.iter().copied().find(|k| k.label() == s)
@@ -244,7 +233,7 @@ impl SpanStatus {
         }
     }
 
-    /// Parses a label back (for the trace analyzer).
+    /// Parses a [`SpanStatus::label`] back.
     #[must_use]
     pub fn from_label(s: &str) -> Option<Self> {
         SpanStatus::ALL.iter().copied().find(|k| k.label() == s)
@@ -257,24 +246,32 @@ impl fmt::Display for SpanStatus {
     }
 }
 
-/// A span-annotation value. Keys are `&'static str` and values are
-/// `Copy` so annotation events allocate nothing on the emit path.
+/// A span-annotation value. Emitters pass static keys and labels and
+/// values are `Copy`, so annotation events allocate nothing on the emit
+/// path.
+///
+/// In a trace line the value's JSON type names the variant: an integer
+/// literal is `U64` (at most 2^53), any other number `F64`, a string of
+/// exactly 16 hex digits a `Trace`, and any other string a `Str`.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub enum AnnoValue {
-    /// An unsigned integer (counts, ids, node indexes).
+pub enum AnnoValue<'a> {
+    /// An unsigned integer (counts, node indexes) of at most 2^53.
     U64(u64),
     /// A float (durations, sizes).
     F64(f64),
-    /// A static label (reasons, constraint names).
-    Str(&'static str),
+    /// A label (reasons, constraint names).
+    Str(&'a str),
+    /// A trace id, such as the request a failover span continues.
+    Trace(TraceId),
 }
 
-impl fmt::Display for AnnoValue {
+impl fmt::Display for AnnoValue<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
             AnnoValue::U64(v) => write!(f, "{v}"),
             AnnoValue::F64(v) => write!(f, "{v}"),
             AnnoValue::Str(v) => f.write_str(v),
+            AnnoValue::Trace(t) => write!(f, "{t}"),
         }
     }
 }
@@ -316,7 +313,7 @@ impl Obs {
         trace: TraceId,
         span: SpanId,
         key: &'static str,
-        value: AnnoValue,
+        value: AnnoValue<'static>,
     ) {
         self.emit(&Event::SpanAnnotate {
             at,
@@ -376,11 +373,10 @@ mod tests {
     }
 
     #[test]
-    fn hex_round_trips() {
+    fn ids_display_as_16_hex_digits() {
         let t = TraceId::derive(42, 9);
-        let parsed = u64::from_str_radix(&t.hex(), 16).unwrap();
-        assert_eq!(TraceId::from_raw(parsed), t);
-        assert_eq!(t.hex().len(), 16);
+        assert_eq!(format!("{t}"), format!("{:016x}", t.raw()));
+        assert_eq!(format!("{}", TraceId::from_raw(1)), "0000000000000001");
     }
 
     #[test]

@@ -38,10 +38,11 @@
 //! only the resolution, never which values appear at the indices both
 //! keep (property-tested in `tests/timeseries_properties.rs`).
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use crate::json;
+use crate::trace::{SeriesLine, TraceLine};
 
 /// Default point capacity of a series (even; see the module docs).
 pub const DEFAULT_SERIES_CAPACITY: usize = 512;
@@ -133,40 +134,23 @@ impl TimeSeries {
         self.points.push(Point { index, t, value });
     }
 
+    /// The series as the `series` line of `scope`.
+    #[must_use]
+    pub(crate) fn line<'s>(&'s self, scope: &'s str) -> SeriesLine<'s> {
+        SeriesLine {
+            scope,
+            name: &self.name,
+            stride: self.stride,
+            count: self.count,
+            points: Cow::Borrowed(&self.points),
+        }
+    }
+
     /// One JSONL line:
     /// `{"kind":"series","scope":..,"name":..,"stride":..,"count":..,"points":[[index,t,value],..]}`.
     #[must_use]
     pub fn to_json(&self, scope: &str) -> String {
-        let mut o = json::Object::new();
-        o.str("kind", "series");
-        o.str("scope", scope);
-        o.str("name", &self.name);
-        o.uint("stride", self.stride);
-        o.uint("count", self.count);
-        let mut arr = json::Array::new();
-        for p in &self.points {
-            let mut triple = json::Array::new();
-            triple.raw(&p.index.to_string());
-            triple.num(p.t);
-            triple.num(p.value);
-            arr.raw(&triple.finish());
-        }
-        o.raw("points", &arr.finish());
-        o.finish()
-    }
-
-    /// Appends `scope,name,index,t,value` CSV rows (no header).
-    pub fn append_csv(&self, scope: &str, out: &mut String) {
-        for p in &self.points {
-            out.push_str(&format!(
-                "{},{},{},{},{}\n",
-                scope,
-                self.name,
-                p.index,
-                json::number(p.t),
-                json::number(p.value),
-            ));
-        }
+        TraceLine::Series(self.line(scope)).to_json()
     }
 }
 
@@ -263,7 +247,7 @@ impl SeriesRecorder {
     pub fn export_csv(&self) -> String {
         let mut out = String::new();
         for s in self.snapshot() {
-            s.append_csv(&self.scope, &mut out);
+            s.line(&self.scope).append_csv(&mut out);
         }
         out
     }

@@ -336,7 +336,7 @@ fn bits_eq(a: &Json, b: &Json) -> bool {
 /// The document the property tests write: one field of every writer
 /// kind per entry, plus a nested array of the floats. Returns the text
 /// and the value it must parse back to.
-fn written_document(fields: &[(String, u64, u64, bool, String)]) -> (String, Json) {
+fn written_document(fields: &[(String, u64, u64, bool, String)]) -> (String, Json<'static>) {
     let mut doc = Object::new();
     let mut expected = BTreeMap::new();
     let mut floats = Array::new();
@@ -357,19 +357,19 @@ fn written_document(fields: &[(String, u64, u64, bool, String)]) -> (String, Jso
         };
         expected_floats.push(x_json.clone());
         let fields = BTreeMap::from([
-            ("text".to_owned(), Json::Str(text.clone())),
-            ("x".to_owned(), x_json),
-            ("n".to_owned(), Json::Num(*uint as f64)),
-            ("flag".to_owned(), Json::Bool(*flag)),
-            ("none".to_owned(), Json::Null),
+            ("text".into(), Json::Str(text.clone().into())),
+            ("x".into(), x_json),
+            ("n".into(), Json::Int(*uint)),
+            ("flag".into(), Json::Bool(*flag)),
+            ("none".into(), Json::Null),
         ]);
         // Index-prefixed keys stay unique whatever the generated text.
         let key = format!("{i}:{key}");
         doc.raw(&key, &inner.finish());
-        expected.insert(key, Json::Obj(fields));
+        expected.insert(key.into(), Json::Obj(fields));
     }
     doc.raw("floats", &floats.finish());
-    expected.insert("floats".to_owned(), Json::Arr(expected_floats));
+    expected.insert("floats".into(), Json::Arr(expected_floats));
     (doc.finish(), Json::Obj(expected))
 }
 
