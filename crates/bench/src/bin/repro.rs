@@ -12,8 +12,7 @@
 //!       [--flight <file.jsonl>]
 //! repro trace-analyze <file.jsonl> [--schema-only] [--top <k>]
 //! repro report <trace.jsonl> [--out <file.md>] [--series-csv <file.csv>]
-//! repro report --chaos-delta <old.json> <new.json> [--out <file.md>]
-//! repro compare <old.json> <new.json> [--tolerance <x>]
+//! repro compare <old.json> <new.json>
 //! repro --list
 //! ```
 //!
@@ -151,8 +150,7 @@ fn print_usage() {
     );
     eprintln!("       repro trace-analyze <file.jsonl> [--schema-only] [--top <k>]");
     eprintln!("       repro report <trace.jsonl> [--out <file.md>] [--series-csv <file.csv>]");
-    eprintln!("       repro report --chaos-delta <old.json> <new.json> [--out <file.md>]");
-    eprintln!("       repro compare <old.json> <new.json> [--tolerance <x>]");
+    eprintln!("       repro compare <old.json> <new.json>");
     eprintln!("experiments:");
     for (name, desc) in EXPERIMENTS {
         eprintln!("  {name:<6} {desc}");
@@ -351,22 +349,13 @@ fn trace_analyze_main(args: &[String]) -> Run {
 /// latency breakdowns, estimator audits, flight-dump cross-references)
 /// from a trace file. `--series-csv` additionally re-exports every
 /// embedded series as flat CSV.
-///
-/// `repro report --chaos-delta <old.json> <new.json> [--out <file.md>]`
-/// instead renders the degradation-envelope delta table between two
-/// chaos documents (exit 1 when the candidate leaves the envelope).
 fn report_main(args: &[String]) -> Run {
     let mut file: Option<PathBuf> = None;
     let mut out: Option<PathBuf> = None;
     let mut csv: Option<PathBuf> = None;
-    let mut chaos_delta: Option<(PathBuf, PathBuf)> = None;
     let mut args = Args::new(args, "unknown report option");
     while let Some(a) = args.next() {
         match a {
-            "--chaos-delta" => {
-                let what = "two document arguments: <old.json> <new.json>";
-                chaos_delta = Some((args.value(what, |_| true)?, args.value(what, |_| true)?));
-            }
             "--out" => out = Some(args.path()?),
             "--series-csv" => csv = Some(args.path()?),
             other if !other.starts_with("--") && file.is_none() => {
@@ -374,32 +363,6 @@ fn report_main(args: &[String]) -> Run {
             }
             other => return args.unknown(other),
         }
-    }
-    if let Some((old_path, new_path)) = chaos_delta {
-        if file.is_some() || csv.is_some() {
-            eprintln!("--chaos-delta takes two chaos documents, not a trace file");
-            return Err(ExitCode::FAILURE);
-        }
-        let (old, new) = (read_file(&old_path)?, read_file(&new_path)?);
-        let md = report::render_envelope_delta(&old, &new).map_err(|problems| {
-            for p in problems {
-                eprintln!("error: {p}");
-            }
-            ExitCode::from(2)
-        })?;
-        let within = md.contains("within envelope");
-        match &out {
-            Some(out_path) => {
-                write_file("", out_path, &md)?;
-                eprintln!("[envelope delta -> {}]", out_path.display());
-            }
-            None => print!("{md}"),
-        }
-        return Ok(if within {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        });
     }
     let (path, src) = read_trace("report", file)?;
     let lines = parse_trace("report", &path, &src)?;
@@ -421,17 +384,15 @@ fn report_main(args: &[String]) -> Run {
     Ok(ExitCode::SUCCESS)
 }
 
-/// `repro compare <old.json> <new.json> [--tolerance <x>]`: cross-run
-/// regression analytics over two saved bench documents. Exit 0 when the
-/// new run matches, 1 on regression, 2 when the documents are not
-/// comparable (different schema, fingerprint, or matrix shape).
+/// `repro compare <old.json> <new.json>`: the regression gate over two
+/// saved bench documents. Exit 0 when every field of every cell matches,
+/// 1 when one differs, 2 when the documents are not comparable
+/// (different schema, fingerprint, or matrix shape).
 fn compare_main(args: &[String]) -> Run {
     let mut files: Vec<PathBuf> = Vec::new();
-    let mut tolerance = compare::DEFAULT_TOLERANCE;
     let mut args = Args::new(args, "unknown compare option");
     while let Some(a) = args.next() {
         match a {
-            "--tolerance" => tolerance = args.value("a factor >= 1.0", |x| *x >= 1.0)?,
             other if !other.starts_with("--") && files.len() < 2 => {
                 files.push(PathBuf::from(other));
             }
@@ -443,18 +404,14 @@ fn compare_main(args: &[String]) -> Run {
         print_usage();
         return Err(ExitCode::FAILURE);
     };
-    let result =
-        compare::compare_documents(&read_file(old_path)?, &read_file(new_path)?, tolerance);
-    for line in &result.info {
-        eprintln!("compare: {line}");
-    }
+    let result = compare::compare_documents(&read_file(old_path)?, &read_file(new_path)?);
     for problem in &result.problems {
         eprintln!("compare PROBLEM: {problem}");
     }
     let (old, new) = (old_path.display(), new_path.display());
     Ok(match result.verdict {
         compare::CompareVerdict::Matches => {
-            eprintln!("[compare OK: {new} matches {old} (tolerance {tolerance}x)]");
+            eprintln!("[compare OK: {new} matches {old}]");
             ExitCode::SUCCESS
         }
         compare::CompareVerdict::Regression => {
@@ -469,17 +426,19 @@ fn compare_main(args: &[String]) -> Run {
 }
 
 /// Runs `mode`'s matrix (sequentially and traced into `trace`, if
-/// given), prints `line` for each cell with its wall-clock seconds, and
-/// writes the document to `out`.
+/// given), prints `line` for each cell, and writes the document to
+/// `out`. Stdout carries counters only; the wall time goes to the
+/// stderr status line.
 fn run_matrix_main<M: Matrix>(
     mode: M,
     jobs: usize,
     obs: &Obs,
     trace: Option<&Path>,
     out: &Path,
-    line: impl Fn(&M::Cell, f64) -> String,
+    line: impl Fn(&M::Cell) -> String,
 ) -> Result<(), ExitCode> {
     let progress = |line: &str| eprintln!("{line}");
+    let started = Instant::now();
     let report = match trace {
         Some(path) => {
             if jobs > 1 {
@@ -493,15 +452,15 @@ fn run_matrix_main<M: Matrix>(
         }
         None => run_matrix(mode, jobs, obs, None, &progress),
     };
-    for (cell, &wall) in report.cells.iter().zip(&report.wall_clock_s) {
-        println!("{}", line(cell, wall));
+    let elapsed = started.elapsed();
+    for cell in &report.cells {
+        println!("{}", line(cell));
     }
     write_file("", out, report.to_json() + "\n")?;
     eprintln!(
-        "[{} {} done in {:.1}s -> {}]",
+        "[{} {} done in {elapsed:.1?} -> {}]",
         M::KIND,
         mode.label(),
-        report.total_wall_clock_s,
         out.display()
     );
     Ok(())
@@ -522,14 +481,16 @@ fn bench_main(args: &[String]) -> Run {
             other => return args.unknown(other),
         }
     }
-    run_matrix_main(mode, jobs, &Obs::null(), None, &out, |c, wall| {
+    run_matrix_main(mode, jobs, &Obs::null(), None, &out, |c| {
         format!(
-            "{:<14} {:<12} θ={:<4} {:>9} cycles  {:>10.0} cycles/s  {:>8.2} MiB peak  {wall:.2}s",
+            "{:<14} {:<12} θ={:<4} {:>9} cycles  {:>10} services  {:>5} admitted  \
+             {:>8.2} MiB peak",
             format!("{:?}", c.scheme),
             c.method.label(),
             c.theta,
             c.stats.cycles,
-            c.cycles_per_sec(wall),
+            c.stats.services,
+            c.stats.admitted,
             c.stats.peak_memory.as_mebibytes(),
         )
     })?;
@@ -571,10 +532,10 @@ fn cluster_main(args: &[String]) -> Run {
         None => Obs::null(),
     }
     .with_metrics(Metrics::new(Arc::clone(&registry)));
-    run_matrix_main(mode, jobs, &obs, trace_path.as_deref(), &out, |c, wall| {
+    run_matrix_main(mode, jobs, &obs, trace_path.as_deref(), &out, |c| {
         format!(
             "{:>2} nodes  {:<14} {:<13} {:>6} arrivals  {:>5} deferred  {:>5} redirected  \
-             imbalance {:>5.2}  {:>8.2} MiB peak  {wall:.2}s",
+             imbalance {:>5.2}  {:>8.2} MiB peak",
             c.spec.nodes,
             c.spec.placement.label(),
             c.spec.dispatch.label(),
@@ -598,8 +559,7 @@ fn cluster_main(args: &[String]) -> Run {
 /// [--flight <file.jsonl>]`:
 /// the fault-injection matrix (scenario × failover policy × nodes) over
 /// the pinned replicated cluster shape, writing `BENCH_chaos.json`.
-/// `repro compare` gates it (counters and the degradation envelope);
-/// `repro report --chaos-delta` renders the envelope table.
+/// `repro compare` gates it exactly, like every bench document.
 ///
 /// `repro chaos (--seed <n> | --script <file>) [--nodes <n>]
 /// [--reseed-after <secs>] [--flight <file.jsonl>]` instead runs a
@@ -731,11 +691,11 @@ fn chaos_main(args: &[String]) -> Run {
         return Ok(ExitCode::SUCCESS);
     }
 
-    run_matrix_main(mode, jobs, &obs, trace_path.as_deref(), &out, |c, wall| {
+    run_matrix_main(mode, jobs, &obs, trace_path.as_deref(), &out, |c| {
         let s = &c.report.summary;
         format!(
             "{:>2} nodes  {:<9} {:<8} {:>6} arrivals  {:>4} interrupted  {:>4} migrated  \
-             {:>4} dropped  avail {:>6.4}  {:>2} underflows  {wall:.2}s",
+             {:>4} dropped  avail {:>6.4}  {:>2} underflows",
             c.spec.nodes,
             c.spec.scenario.label(),
             c.spec.failover.label(),

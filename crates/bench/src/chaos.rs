@@ -22,8 +22,7 @@
 //! Determinism matches the cluster matrix: each cell is a pure function
 //! of `(mode, cell spec)`, and [`ChaosBenchMode`] is a [`Matrix`], so the
 //! shared runner ([`crate::matrix::run_matrix`]) collects cells by matrix
-//! index and the document is byte-identical at any `--jobs` once the
-//! wall-clock fields are set aside. The workload (seed, catalog,
+//! index and the document is byte-identical at any `--jobs`. The workload (seed, catalog,
 //! arrivals per node, horizon) is the cluster matrix's
 //! ([`ChaosBenchMode::cluster`]).
 
@@ -408,7 +407,7 @@ impl Matrix for ChaosBenchMode {
 
     /// The cell's shape, the front end's counters (the same keys as a
     /// cluster cell), then the degradation accounting.
-    fn cell_json(c: &ChaosCellResult, wall_clock_s: f64) -> String {
+    fn cell_json(c: &ChaosCellResult) -> String {
         let s = &c.report.summary;
         let mut o = Object::new();
         o.uint("nodes", c.spec.nodes as u64);
@@ -417,7 +416,6 @@ impl Matrix for ChaosBenchMode {
         // The pinned shape, spelled out like a cluster cell's.
         o.str("placement", "replicated_hot");
         o.str("dispatch", "least_loaded");
-        o.num("wall_clock_s", wall_clock_s);
         write_front_end(&c.report.cluster, &mut o);
         o.uint("faults_injected", s.faults_injected);
         o.uint("interrupted", s.interrupted);
@@ -635,16 +633,9 @@ mod tests {
         assert!(json.contains("\"scenario\":\"zone_crash_reseed\""));
         assert!(json.contains("\"rereplications\""));
         assert!(json.contains("\"availability\""));
-        // The committed chaos document still describes this run, to the
-        // last deterministic bit, and its envelope holds.
+        // The committed chaos document is this run's, byte for byte.
         let committed = include_str!("../../../BENCH_chaos.json");
-        let r = crate::compare::compare_documents(committed, &json, f64::INFINITY);
-        assert_eq!(
-            r.verdict,
-            crate::compare::CompareVerdict::Matches,
-            "{:?}",
-            r.problems
-        );
+        assert_eq!(json + "\n", committed);
     }
 
     /// The traced chaos matrix writes the same document as the untraced
@@ -661,10 +652,7 @@ mod tests {
             Some(&mut trace),
             &|_| {},
         );
-        assert_eq!(
-            plain.without_wall_clock().to_json(),
-            traced.without_wall_clock().to_json()
-        );
+        assert_eq!(plain.to_json(), traced.to_json());
         assert!(
             trace.contains("\"kind\":\"fault_injected\""),
             "fault events must appear in the trace"

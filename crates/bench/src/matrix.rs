@@ -6,17 +6,16 @@
 //! between the three: its cells, its fingerprint and document stamp, how
 //! one cell runs, the cell's JSON writer, and for `--trace` the recorder
 //! kinds and the cell's section fields. [`run_matrix`] owns the rest:
-//! the worker pool, progress lines, wall-clock timing, the shared trace
-//! cache, the traced section writer and the document envelope.
+//! the worker pool, progress lines, the shared trace cache, the traced
+//! section writer and the document's outer fields.
 //!
 //! Every cell is a pure function of `(mode, cell spec)` and results are
-//! collected by matrix index, so every field of a [`Report`] except the
-//! host-dependent ones (`wall_clock_s`, `total_wall_clock_s`, and the
-//! engine's `cycles_per_sec` and `phases`) is byte-identical whatever the
-//! job count.
+//! collected by matrix index. A document holds only what the simulation
+//! computes, no host clock, so it is byte-identical whatever the job
+//! count and whether or not the run was traced. Wall time is the
+//! caller's to measure (`repro` prints it on its stderr status line).
 
 use std::sync::Arc;
-use std::time::Instant as WallInstant;
 
 use vod_cluster::map_indexed;
 use vod_obs::json::{Array, Object};
@@ -82,7 +81,7 @@ pub trait Matrix: Copy + Send + Sync {
     ) -> Self::Cell;
 
     /// Renders one cell of the document.
-    fn cell_json(cell: &Self::Cell, wall_clock_s: f64) -> String;
+    fn cell_json(cell: &Self::Cell) -> String;
 
     /// A traced section's `cluster_cell` header. Only the cluster and
     /// chaos matrices are traced: the engine matrix keeps no
@@ -137,16 +136,12 @@ impl SharedTraces {
     }
 }
 
-/// A matrix run: every cell of the mode, with its wall-clock time.
+/// A matrix run: every cell of the mode.
 pub struct Report<M: Matrix> {
     /// The mode that was run.
     pub mode: M,
     /// Per-cell measurements, in matrix order.
     pub cells: Vec<M::Cell>,
-    /// Wall-clock seconds each cell took, in matrix order.
-    pub wall_clock_s: Vec<f64>,
-    /// Wall-clock seconds for the whole matrix.
-    pub total_wall_clock_s: f64,
 }
 
 impl<M: Matrix> Report<M> {
@@ -160,11 +155,10 @@ impl<M: Matrix> Report<M> {
         o.str("mode", self.mode.label());
         self.mode.stamp(&mut o);
         let mut cells = Array::new();
-        for (cell, &wall) in self.cells.iter().zip(&self.wall_clock_s) {
-            cells.raw(&M::cell_json(cell, wall));
+        for cell in &self.cells {
+            cells.raw(&M::cell_json(cell));
         }
         o.raw("cells", &cells.finish());
-        o.num("total_wall_clock_s", self.total_wall_clock_s);
         o.finish()
     }
 }
@@ -198,7 +192,6 @@ pub fn run_matrix<M: Matrix>(
 ) -> Report<M> {
     let specs = mode.cells();
     let total = specs.len();
-    let t0 = WallInstant::now();
     let traces = mode.traces();
     let announce = |i: usize, suffix: &str| {
         progress(&format!(
@@ -209,10 +202,10 @@ pub fn run_matrix<M: Matrix>(
         ));
     };
 
-    let timed: Vec<(M::Cell, f64)> = match trace {
+    let cells = match trace {
         None => map_indexed(total, jobs, |i| {
             announce(i, "");
-            timed(|| mode.run_cell(&specs[i], &traces, obs, None))
+            mode.run_cell(&specs[i], &traces, obs, None)
         }),
         Some(out) => (0..total)
             .map(|i| {
@@ -221,19 +214,7 @@ pub fn run_matrix<M: Matrix>(
             })
             .collect(),
     };
-    let (cells, wall_clock_s) = timed.into_iter().unzip();
-    Report {
-        mode,
-        cells,
-        wall_clock_s,
-        total_wall_clock_s: t0.elapsed().as_secs_f64(),
-    }
-}
-
-fn timed<T>(run: impl FnOnce() -> T) -> (T, f64) {
-    let t0 = WallInstant::now();
-    let out = run();
-    (out, t0.elapsed().as_secs_f64())
+    Report { mode, cells }
 }
 
 /// Runs one cell under a private recorder and appends its section.
@@ -243,7 +224,7 @@ fn traced_cell<M: Matrix>(
     traces: &SharedTraces,
     base_obs: &Obs,
     out: &mut String,
-) -> (M::Cell, f64) {
+) -> M::Cell {
     let recorder = Arc::new(RecorderSink::new().with_kinds(M::TRACE_KINDS));
     let recorder_sink = Arc::clone(&recorder) as Arc<dyn Sink>;
     let sink: Arc<dyn Sink> = match base_obs.sink() {
@@ -252,7 +233,7 @@ fn traced_cell<M: Matrix>(
     };
     let obs = Obs::new(sink).with_metrics(base_obs.metrics().clone());
     let mut trailer = String::new();
-    let (cell, wall) = timed(|| mode.run_cell(spec, traces, &obs, Some(&mut trailer)));
+    let cell = mode.run_cell(spec, traces, &obs, Some(&mut trailer));
     let snap = recorder.snapshot();
 
     let summary = CellSummary {
@@ -267,18 +248,7 @@ fn traced_cell<M: Matrix>(
     out.push_str(&TraceLine::ClusterSummary(summary).to_json());
     out.push('\n');
     out.push_str(&trailer);
-    (cell, wall)
-}
-
-#[cfg(test)]
-impl<M: Matrix> Report<M> {
-    /// The run with every wall-clock time zeroed: its document is what a
-    /// run must reproduce byte for byte at any job count, traced or not.
-    pub(crate) fn without_wall_clock(mut self) -> Self {
-        self.wall_clock_s.iter_mut().for_each(|w| *w = 0.0);
-        self.total_wall_clock_s = 0.0;
-        self
-    }
+    cell
 }
 
 #[cfg(test)]
@@ -288,32 +258,20 @@ mod tests {
     use crate::cluster::ClusterBenchMode;
     use crate::perf::BenchMode;
 
-    /// The document of a `jobs`-worker smoke run with its host-dependent
-    /// fields zeroed; `scrub` clears a cell's own (the engine phases).
-    fn host_free_doc<M: Matrix>(mode: M, jobs: usize, scrub: fn(&mut M::Cell)) -> String {
-        let mut report = run_matrix(mode, jobs, &Obs::null(), None, &|_| {});
-        report.cells.iter_mut().for_each(scrub);
-        report.without_wall_clock().to_json()
+    /// The document of a `jobs`-worker smoke run.
+    fn doc<M: Matrix>(mode: M, jobs: usize) -> String {
+        run_matrix(mode, jobs, &Obs::null(), None, &|_| {}).to_json()
     }
 
     /// The acceptance bar for `--jobs`: in all three matrices, the
-    /// document is byte-identical at one and two workers once the
-    /// host-dependent fields are zeroed.
+    /// document is byte-identical at one and two workers.
     #[test]
     fn every_matrix_document_is_byte_identical_across_job_counts() {
-        // Engine phase histograms time the host; they are dropped.
-        let engine = |c: &mut crate::perf::CellResult| c.metrics = Default::default();
+        assert_eq!(doc(BenchMode::Smoke, 1), doc(BenchMode::Smoke, 2));
         assert_eq!(
-            host_free_doc(BenchMode::Smoke, 1, engine),
-            host_free_doc(BenchMode::Smoke, 2, engine)
+            doc(ClusterBenchMode::Smoke, 1),
+            doc(ClusterBenchMode::Smoke, 2)
         );
-        assert_eq!(
-            host_free_doc(ClusterBenchMode::Smoke, 1, |_| {}),
-            host_free_doc(ClusterBenchMode::Smoke, 2, |_| {})
-        );
-        assert_eq!(
-            host_free_doc(ChaosBenchMode::Smoke, 1, |_| {}),
-            host_free_doc(ChaosBenchMode::Smoke, 2, |_| {})
-        );
+        assert_eq!(doc(ChaosBenchMode::Smoke, 1), doc(ChaosBenchMode::Smoke, 2));
     }
 }

@@ -1,53 +1,28 @@
-//! `repro bench`: a fixed-matrix performance harness.
+//! `repro bench`: a fixed-matrix engine harness.
 //!
 //! Runs a pinned set of paper cells (buffer scheme × scheduling method × θ)
-//! with pinned seeds. Every cell gets a fresh [`MetricsRegistry`], so the
-//! phase histograms recorded by the engine ([`PHASE_CYCLE_PLAN`],
-//! [`PHASE_SERVICE`], …) describe exactly that cell. The result renders as
-//! the `BENCH_perf.json` document CI archives: per-cell wall-clock,
-//! cycles/second, admission counters, peak pool memory, and p50/p95/max
-//! per instrumented phase.
+//! with pinned seeds. The result renders as the `BENCH_perf.json`
+//! document: per cell the engine's cycle, service and admission counters,
+//! underflows and peak buffer memory, merged over the seeds. Every field
+//! is a pure function of the pinned configuration, so `repro compare`
+//! diffs documents exactly. [`BenchMode`] is a [`Matrix`]: the shared
+//! runner ([`crate::matrix::run_matrix`]) runs its cells on a scoped
+//! thread pool (`repro bench --jobs N`) and collects them by matrix index,
+//! so the document is byte-identical whatever the job count.
 //!
-//! The engine phases are sampled per cycle, not per service:
-//! [`PHASE_CYCLE_PLAN`] holds one sample per cycle boundary (departures,
-//! boundary admissions, order rebuild and cycle plan), and
-//! [`PHASE_SERVICE`] one sample per cycle that read anything, the rest of
-//! the cycle's wall time divided by its services. A service p95 is
-//! therefore the p95 over cycles of the average per-service cost, not of
-//! single services.
-//!
-//! The wall-clock fields, `cycles_per_sec` and the phase histograms are
-//! host-dependent; the counters and peak memory are deterministic for a
-//! given seed list. [`BenchMode`] is a [`Matrix`]: the shared runner
-//! ([`crate::matrix::run_matrix`]) runs its cells on a scoped thread pool
-//! (`repro bench --jobs N`) and collects them by matrix index, so every
-//! deterministic field is byte-identical whatever the job count (under
-//! `--jobs > 1` the per-cell wall-clocks include scheduling noise from
-//! neighbours).
-
-use std::sync::Arc;
+//! The document times nothing. Engine speed is measured by the `vodbench`
+//! benchmark crate (one engine, one core, probes off), and the engine's
+//! per-phase timers are covered by the `vod-sim` tests.
 
 use vod_core::SchemeKind;
 use vod_obs::json::{Array, Object};
-use vod_obs::metrics::{
-    PHASE_ADMISSION, PHASE_CYCLE_PLAN, PHASE_SERVICE, PHASE_TABLE_BUILD, PHASE_WORKLOAD_GEN,
-};
-use vod_obs::{Metrics, MetricsRegistry, MetricsSnapshot, Obs};
+use vod_obs::Obs;
 use vod_sched::SchedulingMethod;
 use vod_sim::{run_latency_experiment, DiskRunStats};
 
 use crate::experiments::experiment;
 use crate::matrix::{Matrix, SharedTraces};
 use crate::scale::Scale;
-
-/// Every phase histogram the engine and runner feed, in report order.
-pub const PHASES: [&str; 5] = [
-    PHASE_TABLE_BUILD,
-    PHASE_WORKLOAD_GEN,
-    PHASE_ADMISSION,
-    PHASE_CYCLE_PLAN,
-    PHASE_SERVICE,
-];
 
 /// Which slice of the matrix to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -163,20 +138,16 @@ impl Matrix for BenchMode {
         )
     }
 
-    /// Runs one cell against a fresh registry of its own, so its phase
-    /// histograms describe exactly that cell; `obs` is not used.
     fn run_cell(
         self,
         &(scheme, method, theta): &CellSpec,
         _traces: &SharedTraces,
-        _obs: &Obs,
+        obs: &Obs,
         _trailer: Option<&mut String>,
     ) -> CellResult {
-        let registry = Arc::new(MetricsRegistry::new());
-        let obs = Obs::null().with_metrics(Metrics::new(Arc::clone(&registry)));
         let mut exp = experiment(self.scale(), method, scheme, theta);
         exp.seeds = self.seeds();
-        let out = run_latency_experiment(&exp, &obs).unwrap_or_else(|e| {
+        let out = run_latency_experiment(&exp, obs).unwrap_or_else(|e| {
             panic!(
                 "bench cell ({scheme:?} / {} / θ = {theta}) has a pinned config; it must validate: {e}",
                 method.label()
@@ -187,32 +158,22 @@ impl Matrix for BenchMode {
             method,
             theta,
             stats: out.stats,
-            metrics: registry.snapshot(),
         }
     }
 
-    fn cell_json(c: &CellResult, wall_clock_s: f64) -> String {
+    fn cell_json(c: &CellResult) -> String {
         let mut o = Object::new();
         o.str("scheme", scheme_label(c.scheme));
         o.str("method", c.method.label());
         o.num("theta", c.theta);
-        o.num("wall_clock_s", wall_clock_s);
         let stats = &c.stats;
         o.uint("cycles", stats.cycles);
-        o.num("cycles_per_sec", c.cycles_per_sec(wall_clock_s));
         o.uint("services", stats.services);
         o.uint("admitted", stats.admitted);
         o.uint("deferred", stats.deferrals);
         o.uint("rejected", stats.rejected);
         o.uint("underflows", stats.underflows);
         o.num("peak_memory_mib", stats.peak_memory.as_mebibytes());
-        let mut phases = Object::new();
-        for name in PHASES {
-            if let Some(h) = c.metrics.histogram(name) {
-                phases.raw(name, &h.to_json());
-            }
-        }
-        o.raw("phases", &phases.finish());
         o.finish()
     }
 }
@@ -229,21 +190,6 @@ pub struct CellResult {
     /// The engine's counters and peak memory, merged over seeds (counts
     /// summed, peak memory the maximum).
     pub stats: DiskRunStats,
-    /// The cell's private metrics registry, frozen after the run.
-    pub metrics: MetricsSnapshot,
-}
-
-impl CellResult {
-    /// Simulated cycles per wall-clock second over `wall_clock_s` (0 when
-    /// the cell ran too fast to time).
-    #[must_use]
-    pub fn cycles_per_sec(&self, wall_clock_s: f64) -> f64 {
-        if wall_clock_s > 0.0 {
-            self.stats.cycles as f64 / wall_clock_s
-        } else {
-            0.0
-        }
-    }
 }
 
 fn scheme_label(scheme: SchemeKind) -> &'static str {
@@ -273,7 +219,7 @@ mod tests {
     }
 
     #[test]
-    fn smoke_bench_reports_every_instrumented_phase() {
+    fn smoke_bench_writes_the_committed_baseline() {
         let report = run_matrix(BenchMode::Smoke, 1, &Obs::null(), None, &|_| {});
         assert_eq!(report.cells.len(), 2);
         for cell in &report.cells {
@@ -281,32 +227,10 @@ mod tests {
             assert!(cell.stats.services > 0);
             assert!(cell.stats.admitted > 0);
             assert!(cell.stats.peak_memory.as_mebibytes() > 0.0);
-            // Static cells never build a BS_k(n) table; every other phase
-            // must have samples in every cell.
-            for name in PHASES {
-                let h = cell.metrics.histogram(name);
-                if name == PHASE_TABLE_BUILD && cell.scheme == SchemeKind::Static {
-                    continue;
-                }
-                let h = h.unwrap_or_else(|| panic!("missing phase {name}"));
-                assert!(h.count > 0, "phase {name} recorded no samples");
-            }
         }
-        let json = report.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"mode\":\"smoke\""));
-        assert!(json.contains("\"cycles_per_sec\""));
-        assert!(json.contains(PHASE_CYCLE_PLAN));
-        // The committed baseline still describes this run: every
-        // deterministic field matches exactly (an infinite tolerance
-        // keeps debug-build wall clocks out of it).
+        // The committed baseline is this run's document, byte for byte
+        // (`repro` ends the file with a newline).
         let committed = include_str!("../../../BENCH_baseline.json");
-        let r = crate::compare::compare_documents(committed, &json, f64::INFINITY);
-        assert_eq!(
-            r.verdict,
-            crate::compare::CompareVerdict::Matches,
-            "{:?}",
-            r.problems
-        );
+        assert_eq!(report.to_json() + "\n", committed);
     }
 }

@@ -291,54 +291,6 @@ pub fn render_run_report(lines: &[(usize, TraceLine<'_>)]) -> String {
     out
 }
 
-/// Renders the degradation-envelope delta between two chaos documents
-/// (`repro report --chaos-delta old.json new.json`) as a markdown
-/// table: one row per (cell, envelope metric) with the drift and its
-/// tolerance, plus a verdict line. Pure function of the two documents.
-///
-/// # Errors
-///
-/// Returns the incompatibility reasons when the documents cannot be
-/// compared (see [`crate::compare::envelope_delta`]).
-pub fn render_envelope_delta(old_src: &str, new_src: &str) -> Result<String, Vec<String>> {
-    let env = crate::compare::envelope_delta(old_src, new_src)?;
-    let mut out = String::from("# Degradation-envelope delta\n");
-    out.push_str(
-        "\nAvailability, failover split (fractions of interrupted streams), and \
-         time-to-recover per chaos cell, baseline vs candidate.\n",
-    );
-    out.push_str("\n| cell | metric | old | new | Δ | tolerance | verdict |\n");
-    out.push_str("|---|---|---:|---:|---:|---:|---|\n");
-    for cell in &env.cells {
-        for m in &cell.metrics {
-            let fmt = |v: Option<f64>| v.map_or_else(|| "-".to_owned(), |x| format!("{x:.4}"));
-            let delta = match (m.old, m.new) {
-                (Some(a), Some(b)) => format!("{:+.4}", b - a),
-                _ => "-".to_owned(),
-            };
-            out.push_str(&format!(
-                "| {} | {} | {} | {} | {delta} | ±{:.4} | {} |\n",
-                cell.label,
-                m.name,
-                fmt(m.old),
-                fmt(m.new),
-                m.tolerance,
-                if m.ok { "OK" } else { "**DRIFT**" },
-            ));
-        }
-    }
-    out.push('\n');
-    if env.passed() {
-        out.push_str("**Verdict: within envelope.**\n");
-    } else {
-        out.push_str("**Verdict: outside envelope.**\n\n");
-        for p in &env.problems {
-            out.push_str(&format!("- {p}\n"));
-        }
-    }
-    Ok(out)
-}
-
 /// Re-renders every `series` line of a trace as the flat CSV exchange
 /// format (`scope,name,index,t,value` — the same shape
 /// [`vod_obs::timeseries::SeriesRecorder::export_csv`] writes), in file
@@ -488,33 +440,5 @@ mod tests {
     fn empty_trace_still_renders() {
         let md = render_run_report(&[]);
         assert!(md.contains("No series lines"));
-    }
-
-    #[test]
-    fn envelope_delta_renders_a_verdicted_table() {
-        let doc = |avail: f64| {
-            format!(
-                concat!(
-                    r#"{{"version":2,"mode":"cluster_chaos_smoke","config_fingerprint":"feed","#,
-                    r#""matrix":{{"cells":1}},"cells":[{{"nodes":4,"#,
-                    r#""placement":"replicated_hot","dispatch":"least_loaded","#,
-                    r#""scenario":"zone_crash","failover":"migrate","interrupted":10,"#,
-                    r#""migrated":10,"parked_failover":0,"dropped":0,"#,
-                    r#""rereplicated_streams":0,"mean_time_to_recover_s":100.0,"#,
-                    r#""availability":{avail}}}]}}"#
-                ),
-                avail = avail,
-            )
-        };
-        let md = render_envelope_delta(&doc(0.98), &doc(0.98)).expect("comparable");
-        assert!(md.contains("# Degradation-envelope delta"));
-        assert!(md.contains("| availability |"), "{md}");
-        assert!(md.contains("within envelope"), "{md}");
-
-        let md = render_envelope_delta(&doc(0.98), &doc(0.90)).expect("comparable");
-        assert!(md.contains("**DRIFT**"), "{md}");
-        assert!(md.contains("outside envelope"), "{md}");
-
-        render_envelope_delta("{}", "{}").expect_err("unstamped docs are refused");
     }
 }

@@ -63,11 +63,11 @@ fn every_subcommand_accepts_its_flags_and_names_an_unknown_option() {
             "unknown trace-analyze option `--bogus`",
         ),
         (
-            "report t.jsonl --out r.md --series-csv s.csv --chaos-delta a.json b.json --bogus",
+            "report t.jsonl --out r.md --series-csv s.csv --bogus",
             "unknown report option `--bogus`",
         ),
         (
-            "compare a.json b.json --tolerance 2 --bogus",
+            "compare a.json b.json --bogus",
             "unknown compare option `--bogus`",
         ),
     ] {
@@ -106,18 +106,6 @@ fn a_value_flag_without_its_value_is_refused() {
             "report --series-csv",
             "--series-csv requires a file argument",
         ),
-        (
-            "report --chaos-delta a.json",
-            "--chaos-delta requires two document arguments: <old.json> <new.json>",
-        ),
-        (
-            "compare a.json b.json --tolerance 0.5",
-            "--tolerance requires a factor >= 1.0",
-        ),
-        (
-            "compare --tolerance",
-            "--tolerance requires a factor >= 1.0",
-        ),
     ] {
         refuses(args, message);
     }
@@ -132,6 +120,20 @@ fn the_removed_idle_path_switch_is_an_unknown_option() {
     refuses(
         "cluster --no-fast-forward",
         "unknown cluster option `--no-fast-forward`",
+    );
+}
+
+/// `compare` has one exact rule and `report` reads traces only: the
+/// tolerance factor and the chaos-envelope table are gone.
+#[test]
+fn the_removed_gate_options_are_unknown_options() {
+    refuses(
+        "compare a.json b.json --tolerance 4",
+        "unknown compare option `--tolerance`",
+    );
+    refuses(
+        "report --chaos-delta a.json b.json",
+        "unknown report option `--chaos-delta`",
     );
 }
 

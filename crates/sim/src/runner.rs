@@ -3,7 +3,8 @@
 //! The paper runs each simulation five times with different seeds to tame
 //! noise (§5.2). [`run_latency_experiment`] reproduces that: it generates
 //! one workload per seed, replays each against the configured engine on
-//! its own thread, and merges the measurements.
+//! its own thread (in seed order on the calling thread when a sink is
+//! attached), and merges the measurements.
 
 use vod_core::SchemeKind;
 use vod_obs::Obs;
@@ -59,6 +60,12 @@ pub struct LatencyResult {
 /// to a clone of `obs`; a shared [`vod_obs::RecorderSink`] or metrics
 /// registry behind it aggregates across seeds (both are thread-safe).
 ///
+/// With a sink attached ([`Obs::is_attached`]) the seeds run one after
+/// another on the calling thread, in seed order, so the sink sees the
+/// same event sequence on every run: a bounded recorder keeps the same
+/// records and drops the same count. A metrics registry alone does not
+/// serialize the run. The merged stats are the same either way.
+///
 /// # Errors
 ///
 /// Returns [`ConfigError`] when the engine or workload configuration is
@@ -71,40 +78,43 @@ pub fn run_latency_experiment(
     // Engine::with_observer validates; build one up-front to fail fast.
     drop(DiskEngine::with_observer(exp.engine.clone(), Obs::null())?);
 
-    let results: Vec<DiskRunStats> = std::thread::scope(|scope| {
-        let handles: Vec<_> = exp
-            .seeds
-            .iter()
-            .map(|&seed| {
-                let engine_cfg = exp.engine.clone();
-                let wl_cfg = exp.workload.clone();
-                let obs = obs.clone();
-                scope.spawn(move || {
-                    let workload = obs
-                        .metrics()
-                        .histogram(vod_obs::metrics::PHASE_WORKLOAD_GEN)
-                        .time(|| generate(&wl_cfg, seed))
-                        .expect("workload config validated above");
-                    let audit_counter = obs
-                        .metrics()
-                        .counter(vod_obs::metrics::CTR_AUDIT_VIOLATIONS);
-                    let trace_scope = engine_cfg.latency_seed ^ vod_obs::span::mix64(seed);
-                    let mut engine = DiskEngine::with_observer(engine_cfg, obs)
-                        .expect("engine config validated above");
-                    // Each seed thread traces under its own scope, so a
-                    // shared sink sees collision-free trace ids.
-                    engine.set_trace_scope(trace_scope);
-                    let stats = engine.run(&workload.arrivals);
-                    audit_counter.add(stats.audit.violations as u64);
-                    stats
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("seed thread panicked"))
-            .collect()
-    });
+    let run_seed = |seed: u64| {
+        let workload = obs
+            .metrics()
+            .histogram(vod_obs::metrics::PHASE_WORKLOAD_GEN)
+            .time(|| generate(&exp.workload, seed))
+            .expect("workload config validated above");
+        let audit_counter = obs
+            .metrics()
+            .counter(vod_obs::metrics::CTR_AUDIT_VIOLATIONS);
+        let trace_scope = exp.engine.latency_seed ^ vod_obs::span::mix64(seed);
+        let mut engine = DiskEngine::with_observer(exp.engine.clone(), obs.clone())
+            .expect("engine config validated above");
+        // Each seed traces under its own scope, so a shared sink sees
+        // collision-free trace ids.
+        engine.set_trace_scope(trace_scope);
+        let stats = engine.run(&workload.arrivals);
+        audit_counter.add(stats.audit.violations as u64);
+        stats
+    };
+    let results: Vec<DiskRunStats> = if obs.is_attached() {
+        // A sink sees the seeds' events in seed order, so a bounded
+        // recorder keeps the same records on every run.
+        exp.seeds.iter().map(|&seed| run_seed(seed)).collect()
+    } else {
+        let run_seed = &run_seed;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = exp
+                .seeds
+                .iter()
+                .map(|&seed| scope.spawn(move || run_seed(seed)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("seed thread panicked"))
+                .collect()
+        })
+    };
 
     let seeds = results.len();
     let audit = AuditOutcome::pooled(results.iter().map(|stats| &stats.audit));
@@ -219,6 +229,34 @@ mod tests {
         );
         assert!((mf - mr).abs() < 1e-9, "means diverged: {mf} vs {mr}");
         assert_eq!(f.audit.samples, r.audit.samples);
+    }
+
+    /// A traced run is reproducible: with a sink attached the seeds run
+    /// in seed order, so a recorder too small for the whole run keeps
+    /// the same records and drops the same counts on every run.
+    #[test]
+    fn traced_runs_record_identical_events() {
+        use std::sync::Arc;
+        use vod_obs::RecorderSink;
+
+        let mut exp = small_experiment(SchemeKind::Dynamic);
+        exp.seeds = vec![1, 2, 3, 4];
+        let traced = || {
+            let recorder = Arc::new(RecorderSink::with_capacity(20_000));
+            let obs = Obs::new(Arc::clone(&recorder) as Arc<dyn vod_obs::Sink>);
+            let res = run_latency_experiment(&exp, &obs).expect("valid experiment");
+            (res, recorder.snapshot())
+        };
+        let (res, a) = traced();
+        let (_, b) = traced();
+        assert!(a.events_dropped() > 0, "the bound must bite");
+        assert_eq!(a.events(), b.events());
+        assert_eq!(
+            (a.events_dropped(), a.spans_dropped()),
+            (b.events_dropped(), b.spans_dropped())
+        );
+        // Running in order changes no merged counter.
+        assert_eq!(counters(&res), counters(&run(&exp)));
     }
 
     #[test]
