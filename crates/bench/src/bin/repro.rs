@@ -568,8 +568,9 @@ fn cluster_main(args: &[String]) -> Run {
 /// (`domain <name> <node>...` declarations, then
 /// `<t_secs> <node|@domain> crash|slow:<f>|pressure:<f>|degrade:<d>:<f>|`
 /// `error:<r>|rejoin[:warm|:cold]` per line), `--reseed-after <secs>`
-/// arms fault-triggered re-replication, and the degradation summary
-/// prints to stdout. A flag of one mode given in the other is an error.
+/// arms fault-triggered re-replication, and the cluster's admission
+/// counts and the degradation summary print to stdout. A flag of one
+/// mode given in the other is an error.
 fn chaos_main(args: &[String]) -> Run {
     let mut mode = ChaosBenchMode::Full;
     let mut out = PathBuf::from("BENCH_chaos.json");
@@ -662,6 +663,15 @@ fn chaos_main(args: &[String]) -> Run {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         })?;
+        let c = &report.cluster;
+        println!(
+            "dispatched {}  admitted {}  deferred {}  rejected {}  services {}",
+            c.dispatched,
+            c.admitted(),
+            c.deferrals(),
+            c.rejected(),
+            c.services()
+        );
         let s = &report.summary;
         println!(
             "faults {} ({} domain)  interrupted {}  migrated {}  parked {}  dropped {}  unplaceable {}",

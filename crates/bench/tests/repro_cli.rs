@@ -1,7 +1,7 @@
 //! The `repro` command line: which flags each subcommand accepts, and how
-//! it refuses the rest. Every case here stops while the arguments (or the
-//! fault script or trace file they name) are read, so no experiment or
-//! matrix runs.
+//! it refuses the rest. Every case but one stops while the arguments (or
+//! the fault script or trace file they name) are read, so no experiment or
+//! matrix runs; the one runs a single two-node chaos episode.
 
 use std::process::Command;
 
@@ -174,6 +174,34 @@ fn a_bare_domain_line_in_a_fault_script_is_refused() {
         "chaos --script bare_domain.txt --nodes 2",
         "line 1: domain needs a name and at least one member node",
     );
+}
+
+/// An ad-hoc episode prints what the cluster did, not only the fault
+/// splits: a throttle that admits less shows in this line.
+#[test]
+fn a_chaos_episode_prints_the_cluster_admission_counts() {
+    let script = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("one_slowdown.txt");
+    std::fs::write(&script, "600 0 slow:8\n").expect("script is writable");
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["chaos", "--script", "one_slowdown.txt"])
+        .current_dir(env!("CARGO_TARGET_TMPDIR"))
+        .output()
+        .expect("repro starts");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "stdout:\n{stdout}");
+    let counts = stdout
+        .lines()
+        .find(|l| l.starts_with("dispatched "))
+        .unwrap_or_else(|| panic!("no admission line in:\n{stdout}"));
+    let words: Vec<&str> = counts.split_whitespace().collect();
+    let keys: Vec<&str> = words.iter().step_by(2).copied().collect();
+    assert_eq!(
+        keys,
+        ["dispatched", "admitted", "deferred", "rejected", "services"]
+    );
+    let value = |i: usize| -> u64 { words[2 * i + 1].parse().expect("a count") };
+    assert!(value(0) > 0 && value(4) > 0, "{counts}");
+    assert!(value(1) + value(3) <= value(0), "{counts}");
 }
 
 /// Lines a hand-kept schema once let through, each made from a written

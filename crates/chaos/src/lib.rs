@@ -36,6 +36,10 @@
 //! [`Fault::DiskDegrade`] throttles one disk's share of the admission
 //! bound and a [`Fault::DiskError`] maps an error rate `r` to a `1 − r`
 //! capacity multiplier — deterministic, admission-only, underflow-free.
+//! The runner keeps each node's factors, each fault setting only its
+//! own and a rejoin resetting all of them, and hands the engine their
+//! composition as its two admission limits
+//! ([`vod_sim::DiskEngine::set_admission_limits`]).
 //!
 //! Correlated failures are modelled by a [`DomainMap`] (racks/zones
 //! layered over placement) whose [`DomainEvent`]s expand into flat

@@ -123,7 +123,7 @@ pub struct ChaosReport {
 /// # Errors
 ///
 /// Returns [`ConfigError`] for infeasible cluster parameters or a
-/// schedule referencing a node the cluster does not have.
+/// schedule referencing a node or disk the cluster does not have.
 pub fn run_chaos(
     cfg: &ChaosConfig,
     arrivals: &[Arrival],
@@ -162,7 +162,9 @@ pub fn run_chaos(
 /// # Panics
 ///
 /// Panics if the arrival trace is not time-sorted (same contract as
-/// [`Cluster::run`]) or the schedule targets a node outside the cluster.
+/// [`Cluster::run`]), or if the schedule targets a node outside the
+/// cluster or a disk outside `cfg.cluster.engine.disks` ([`run_chaos`]
+/// refuses both with an error instead).
 #[must_use]
 pub fn run_chaos_on(
     mut cluster: Cluster,
@@ -233,6 +235,46 @@ struct ChaosState<'a> {
     /// Nodes whose hot set was already re-replicated this down-interval
     /// (reset on rejoin, so a later crash can trigger a fresh rebuild).
     reseeded: Vec<bool>,
+    /// Each node's active fault factors.
+    factors: Vec<NodeFactors>,
+}
+
+/// One node's fault factors. Each fault sets only its own
+/// factor; a rejoin resets them all. The engine sees their composition
+/// as two admission limits (see [`NodeFactors::capacity`]).
+#[derive(Clone, Debug)]
+struct NodeFactors {
+    /// [`Fault::NodeSlow`]: the fraction `1/factor` of the disk bound
+    /// the node keeps (`1.0` = healthy).
+    slow: f64,
+    /// [`Fault::MemoryPressure`]: the fraction `1 − fraction` of the
+    /// memory budget the node keeps (`1.0` = healthy).
+    memory: f64,
+    /// [`Fault::DiskDegrade`]: per disk, the fraction of its `1/d` share
+    /// of the disk bound it keeps (`1.0` = healthy).
+    disks: Vec<f64>,
+    /// [`Fault::DiskError`]: the fraction of service the node's disks
+    /// waste on failed requests (`0.0` = healthy).
+    error: f64,
+}
+
+impl NodeFactors {
+    fn healthy(disks: usize) -> Self {
+        Self {
+            slow: 1.0,
+            memory: 1.0,
+            disks: vec![1.0; disks],
+            error: 0.0,
+        }
+    }
+
+    /// The capacity limit `slow × (1 − error) × (Σ disks / d)`: a slower
+    /// disk is a smaller `N`, and an error rate `r` wastes `r` of the
+    /// service budget. Healthy factors give exactly `1.0`.
+    fn capacity(&self) -> f64 {
+        let mean_disk = self.disks.iter().sum::<f64>() / self.disks.len() as f64;
+        self.slow * (1.0 - self.error) * mean_disk
+    }
 }
 
 impl<'a> ChaosState<'a> {
@@ -256,6 +298,7 @@ impl<'a> ChaosState<'a> {
             horizon: Instant::ZERO,
             migrations: 0,
             reseeded: vec![false; cluster.node_count()],
+            factors: vec![NodeFactors::healthy(cfg.cluster.engine.disks); cluster.node_count()],
         }
     }
 
@@ -286,29 +329,46 @@ impl<'a> ChaosState<'a> {
             }
             Fault::NodeSlow { factor } => {
                 self.summary.slowdowns += 1;
-                cluster.throttle_node(f.node, 1.0 / factor.max(1.0), 1.0);
+                self.factors[f.node].slow = 1.0 / factor.max(1.0);
+                self.limit(cluster, f.node);
             }
             Fault::MemoryPressure { fraction } => {
                 self.summary.pressures += 1;
-                cluster.throttle_node(f.node, 1.0, 1.0 - fraction.clamp(0.0, 1.0));
+                self.factors[f.node].memory = 1.0 - fraction.clamp(0.0, 1.0);
+                self.limit(cluster, f.node);
             }
             Fault::NodeRejoin { mode } => {
                 self.rejoin(cluster, f.at, f.node, mode);
             }
             Fault::DiskDegrade { disk, factor } => {
                 self.summary.disk_degradations += 1;
+                let disks = &mut self.factors[f.node].disks;
+                assert!(
+                    disk < disks.len(),
+                    "fault degrades disk {disk} but each node has {} disk(s)",
+                    disks.len()
+                );
                 // A disk `factor`× slower keeps `1/factor` of its share
                 // — the same equivalence NodeSlow uses, scoped to one
                 // disk.
-                cluster.degrade_disk(f.node, disk, 1.0 / factor.max(1.0));
+                disks[disk] = 1.0 / factor.max(1.0);
+                self.limit(cluster, f.node);
                 self.obs.metrics().counter(CTR_DISK_DEGRADATIONS).add(1);
             }
             Fault::DiskError { rate } => {
                 self.summary.disk_errors += 1;
-                cluster.set_disk_error(f.node, rate.clamp(0.0, 1.0));
+                self.factors[f.node].error = rate.clamp(0.0, 1.0);
+                self.limit(cluster, f.node);
                 self.obs.metrics().counter(CTR_DISK_DEGRADATIONS).add(1);
             }
         }
+    }
+
+    /// Hands node `node`'s composed factors to its engine as the two
+    /// admission limits.
+    fn limit(&self, cluster: &mut Cluster, node: usize) {
+        let f = &self.factors[node];
+        cluster.throttle_node(node, f.capacity(), f.memory);
     }
 
     /// Fault-triggered re-replication: any node down for at least
@@ -521,6 +581,8 @@ impl<'a> ChaosState<'a> {
             self.ttr.push((at - since).as_secs_f64());
         }
         self.reseeded[node] = false;
+        self.factors[node] = NodeFactors::healthy(self.cfg.cluster.engine.disks);
+        self.limit(cluster, node);
         cluster.rejoin_node(node);
         // Re-admission pass: parked requests whose candidates include
         // this node get their strict-FIFO retry now.

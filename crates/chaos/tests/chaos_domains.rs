@@ -7,10 +7,11 @@
 
 use proptest::prelude::*;
 use vod_chaos::{
-    run_chaos, ChaosConfig, ChaosSummary, DomainEvent, DomainFault, DomainMap, FailoverPolicy,
-    Fault, FaultEvent, FaultSchedule, RecoveryPolicy,
+    run_chaos, run_chaos_on, ChaosConfig, ChaosSummary, DomainEvent, DomainFault, DomainMap,
+    FailoverPolicy, Fault, FaultEvent, FaultSchedule, RecoveryPolicy,
 };
-use vod_cluster::{ClusterConfig, DispatchPolicy, PlacementPolicy};
+use vod_cluster::{Cluster, ClusterConfig, DispatchPolicy, PlacementPolicy};
+use vod_core::memory::min_memory_static;
 use vod_core::SchemeKind;
 use vod_obs::Obs;
 use vod_sched::SchedulingMethod;
@@ -233,6 +234,65 @@ fn out_of_range_disk_is_rejected() {
     )
     .unwrap_err();
     assert!(err.to_string().contains("disk 3"), "{err}");
+}
+
+/// `run_chaos_on` takes an already-built cluster, so it cannot return
+/// the refusal `run_chaos` gives; its panic still names the disk.
+#[test]
+#[should_panic(expected = "disk 3")]
+fn out_of_range_disk_panics_naming_the_disk_on_a_built_cluster() {
+    let schedule = FaultSchedule::from_script("10 0 degrade:3:2\n").expect("parses fine");
+    let cfg = chaos_cfg(cluster_cfg(2, 8, 2), schedule);
+    let cluster = Cluster::with_observer(cfg.cluster.clone(), Obs::null()).expect("valid config");
+    let _ = run_chaos_on(cluster, &cfg, &[], 1);
+}
+
+/// Each fault sets only its own factor: appending an identity fault
+/// (`slow:1` or `pressure:0`) to a throttled schedule leaves the run
+/// unchanged, so a slowdown never lifts memory pressure and pressure
+/// never lifts a slowdown.
+#[test]
+fn identity_fault_keeps_the_other_throttle() {
+    let wl = workload(16, 600.0, 11);
+    let mut cluster = cluster_cfg(2, 16, 2);
+    let n = cluster.engine.params.max_requests();
+    cluster.engine.memory_budget = Some(min_memory_static(&cluster.engine.params, n));
+    let run = |script: &str| {
+        let schedule = FaultSchedule::from_script(script).expect("valid");
+        run_chaos(
+            &chaos_cfg(cluster.clone(), schedule),
+            &wl.arrivals,
+            1,
+            Obs::null(),
+        )
+        .expect("valid config")
+    };
+    let healthy = run("");
+    let cases = [
+        ("pressure:0.9", "slow:1"),
+        ("slow:8", "pressure:0"),
+        ("degrade:1:8", "pressure:0"),
+        ("error:0.8", "slow:1"),
+    ];
+    for (fault, identity) in cases {
+        let base = run(&format!("600 0 {fault}\n600 1 {fault}\n"));
+        assert!(
+            base.cluster.admitted() < healthy.cluster.admitted(),
+            "{fault} throttles admission"
+        );
+        let with = run(&format!(
+            "600 0 {fault}\n600 1 {fault}\n1200 0 {identity}\n1200 1 {identity}\n"
+        ));
+        assert_eq!(with.cluster, base.cluster, "{identity} after {fault}");
+        let mut expected = base.summary.clone();
+        expected.faults_injected += 2;
+        if identity.starts_with("slow") {
+            expected.slowdowns += 2;
+        } else {
+            expected.pressures += 2;
+        }
+        assert_eq!(with.summary, expected, "{identity} after {fault}");
+    }
 }
 
 /// Fault-triggered re-replication: a node down past `reseed_after` gets

@@ -621,35 +621,19 @@ impl Cluster {
         self.nodes[ni].engine.evict_all()
     }
 
-    /// Throttles node `ni`'s admission capacity and memory budget (both
-    /// factors in `[0, 1]`; `1.0` = healthy). See
-    /// [`DiskEngine::set_capacity_factor`] / [`DiskEngine::set_memory_factor`].
+    /// Sets node `ni`'s admission limits: the fraction `capacity` of
+    /// its disk bound `N` and the fraction `memory` of its memory budget
+    /// (both clamped to `[0, 1]`; `1.0` = healthy). See
+    /// [`DiskEngine::set_admission_limits`].
     pub fn throttle_node(&mut self, ni: usize, capacity: f64, memory: f64) {
-        self.nodes[ni].engine.set_capacity_factor(capacity);
-        self.nodes[ni].engine.set_memory_factor(memory);
+        self.nodes[ni].engine.set_admission_limits(capacity, memory);
     }
 
-    /// Degrades one disk of node `ni` to `fraction` of its capacity
-    /// share (see [`DiskEngine::set_disk_factor`]) — a partial fault:
-    /// the node stays up and routable, only its admission bound shrinks
-    /// by the degraded share.
-    pub fn degrade_disk(&mut self, ni: usize, disk: usize, fraction: f64) {
-        self.nodes[ni].engine.set_disk_factor(disk, fraction);
-    }
-
-    /// Sets node `ni`'s deterministic disk error rate (see
-    /// [`DiskEngine::set_error_rate`]): a rate `r` multiplies the
-    /// admission bound by `1 − r`.
-    pub fn set_disk_error(&mut self, ni: usize, rate: f64) {
-        self.nodes[ni].engine.set_error_rate(rate);
-    }
-
-    /// Rejoins node `ni`: marks it up and clears every throttle —
-    /// whole-node and per-disk. The caller re-admits parked streams via
-    /// [`Self::retry_parked`].
+    /// Rejoins node `ni`: marks it up. Its admission limits are the
+    /// caller's to restore (see [`Self::throttle_node`]); the caller
+    /// re-admits parked streams via [`Self::retry_parked`].
     pub fn rejoin_node(&mut self, ni: usize) {
         self.nodes[ni].down = false;
-        self.nodes[ni].engine.clear_throttles();
     }
 
     /// Retries the overflow queue at `now` outside an arrival step — the

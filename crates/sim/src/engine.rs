@@ -3,7 +3,9 @@
 //! See the crate docs for the service model. The engine is deterministic:
 //! it consumes a pre-generated arrival trace and charges worst-case disk
 //! latencies (the paper's own modelling assumption), so two runs of the
-//! same trace are bit-identical.
+//! same trace are bit-identical. Beyond the paper's rules, admission
+//! honours two limits a cluster may set, on `N` and on the memory budget
+//! (see [`DiskEngine::set_admission_limits`] and the crate docs).
 //!
 //! # Observability
 //!
@@ -74,10 +76,10 @@ pub struct EngineConfig {
     /// [`LatencyModel::WorstCase`]).
     pub latency_seed: u64,
     /// Number of physical disks the node's capacity is striped over
-    /// (≥ 1). Purely an admission-side partition: each disk carries an
-    /// equal share of the stream bound `N`, and a chaos `DiskDegrade`
-    /// fault throttles one share without downing the node. `1` (the
-    /// paper's single-disk model) is the default and the healthy path.
+    /// (≥ 1; `1`, the paper's single-disk model, is the default). The
+    /// engine only validates it: admission sees one combined capacity
+    /// limit (see [`DiskEngine::set_admission_limits`]), and `vod-chaos`
+    /// reads this count to size its per-disk state.
     pub disks: usize,
 }
 
@@ -336,34 +338,15 @@ pub struct DiskEngine {
     /// Cycle-boundary time-series handles; `None` (the default) skips
     /// sampling entirely.
     series: Option<EngineSeries>,
-    /// Chaos throttle on the effective stream bound: admission treats the
-    /// disk bound as `max(1, ⌊capacity_factor·N⌋)`. `1.0` (the default)
-    /// is the healthy path — every throttle site is gated on `< 1.0`, so
-    /// an unthrottled run takes bit-identical branches to a build without
-    /// the hook. A slower disk is exactly a smaller service capacity `N`,
-    /// so tightening admission models `NodeSlow` without ever risking an
-    /// Assumption-1 underflow.
-    capacity_factor: f64,
-    /// Chaos throttle on the memory budget: admission's reservation check
-    /// compares against `memory_factor × budget`. `1.0` = healthy (same
-    /// gating discipline as `capacity_factor`); no-op when the config has
-    /// no budget.
-    memory_factor: f64,
-    /// Per-disk chaos throttles: the fraction of each disk's capacity
-    /// share still available (`1.0` = healthy). One entry per configured
-    /// disk. A degraded disk shrinks the node's effective stream bound
-    /// by its share — partial capacity loss without downing the node.
-    disk_factors: Vec<f64>,
-    /// Chaos error-rate throttle in `[0, 1]`: the fraction of requests
-    /// the node's disks fail and retry. Deterministic by the paper's
-    /// equivalence — an error rate `r` is a capacity multiplier `1 − r`
-    /// on the admission bound, never a random per-request coin flip.
-    error_rate: f64,
-    /// Cached product of every capacity-side throttle
-    /// (`capacity_factor × (1 − error_rate) × mean(disk_factors)`),
-    /// recomputed on each setter call so the admission path pays one
-    /// comparison. Exactly `1.0` when healthy.
-    capacity_combined: f64,
+    /// Admission limit on the disk bound: admission treats `N` as
+    /// `max(1, ⌊capacity_limit·N⌋)`. `1.0` (the default) is the paper's
+    /// engine — every limit site is gated on `< 1.0`, so an unlimited
+    /// run takes bit-identical branches to a build without the limit.
+    capacity_limit: f64,
+    /// Admission limit on the memory budget: the reservation check
+    /// compares against `memory_limit × budget`. `1.0` = the full
+    /// budget; no effect when the config has no budget.
+    memory_limit: f64,
 }
 
 /// One stream (active or queued) evicted from a crashed engine — what a
@@ -448,7 +431,6 @@ impl DiskEngine {
                 SchemeState::Dynamic(Box::new(ctl))
             }
         };
-        let disk_factors = vec![1.0; cfg.disks];
         Ok(DiskEngine {
             big_n: cfg.params.max_requests(),
             video_size: cfg.params.cr() * cfg.video_length,
@@ -486,11 +468,8 @@ impl DiskEngine {
             cycle_seq: 0,
             trace_per_cycle: true,
             series: None,
-            capacity_factor: 1.0,
-            memory_factor: 1.0,
-            disk_factors,
-            error_rate: 0.0,
-            capacity_combined: 1.0,
+            capacity_limit: 1.0,
+            memory_limit: 1.0,
         }
         .with_default_trace_scope())
     }
@@ -816,22 +795,10 @@ impl DiskEngine {
 
     // ---------- steppable node API ----------
 
-    /// The engine's simulated clock.
-    #[must_use]
-    pub fn now(&self) -> Instant {
-        self.t
-    }
-
     /// Streams currently in service.
     #[must_use]
     pub fn in_service(&self) -> usize {
         self.streams.len()
-    }
-
-    /// Requests waiting in the node-local admission queue `Q`.
-    #[must_use]
-    pub fn queued(&self) -> usize {
-        self.pending.len()
     }
 
     /// Total load offered to this node: in-service plus queued streams.
@@ -841,18 +808,12 @@ impl DiskEngine {
         self.streams.len() + self.pending.len()
     }
 
-    /// Requests deferred by Assumption-1 enforcement so far.
-    #[must_use]
-    pub fn deferrals(&self) -> u64 {
-        self.stats.deferrals
-    }
-
     /// How many more requests this node could take *right now* without
     /// an Assumption-1 deferral: `min(min_i(n_i + k_i), N)` minus
     /// everything already offered (in service or queued). Static/naive
     /// schemes only enforce the disk bound `N`. (`&mut` only to advance
     /// the controller's min-aggregate cursor; nothing is perturbed.)
-    pub fn admission_headroom(&mut self) -> usize {
+    fn admission_headroom(&mut self) -> usize {
         let offered = self.streams.len() + self.pending.len();
         let eff = self.effective_max_requests();
         let bound = match &mut self.scheme {
@@ -862,90 +823,32 @@ impl DiskEngine {
         bound.saturating_sub(offered)
     }
 
-    /// The disk-stream bound admission enforces: `N`, throttled to
-    /// `max(1, ⌊combined·N⌋)` while any capacity-side fault is active,
-    /// where `combined = capacity_factor × (1 − error_rate) ×
-    /// mean(disk_factors)`. Scheduling (cycle planning, buffer sizing)
-    /// keeps using the true `N` — only *admission* tightens, which can
-    /// never cause an underflow.
+    /// The disk-stream bound admission enforces: `N`, or
+    /// `max(1, ⌊capacity_limit·N⌋)` while the capacity limit is below
+    /// `1.0`. Scheduling (cycle planning, buffer sizing) keeps using the
+    /// true `N` — only *admission* tightens, which can never cause an
+    /// underflow.
     fn effective_max_requests(&self) -> usize {
         let n = self.big_n;
-        if self.capacity_combined < 1.0 {
+        if self.capacity_limit < 1.0 {
             #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-            let throttled = (n as f64 * self.capacity_combined).floor() as usize;
+            let throttled = (n as f64 * self.capacity_limit).floor() as usize;
             throttled.max(1)
         } else {
             n
         }
     }
 
-    /// Refreshes the cached capacity throttle product after any setter.
-    /// The product of all-1.0 factors is exactly `1.0`, so a healthy
-    /// engine keeps taking the unthrottled branch bit for bit.
-    fn recompute_capacity_combined(&mut self) {
-        let mean_disk = self.disk_factors.iter().sum::<f64>() / self.disk_factors.len() as f64;
-        self.capacity_combined = self.capacity_factor * (1.0 - self.error_rate) * mean_disk;
-    }
-
-    /// Chaos hook: throttles this node's effective stream bound to
-    /// `factor × N` (clamped to `[0, 1]`; `1.0` restores full capacity).
-    /// Deterministic and admission-only: cycle planning and buffer sizing
-    /// keep the true `N`.
-    pub fn set_capacity_factor(&mut self, factor: f64) {
-        self.capacity_factor = factor.clamp(0.0, 1.0);
-        self.recompute_capacity_combined();
-    }
-
-    /// Chaos hook for a *partial* disk fault: disk `disk` keeps only
-    /// `fraction` of its capacity share (clamped to `[0, 1]`; `1.0`
-    /// heals it). With `d` configured disks each owns `N/d` of the
-    /// stream bound, so degrading one disk multiplies the node's
-    /// admission capacity by `(d − 1 + fraction) / d` — a fraction of
-    /// the node throttles, the node stays up.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `disk` is outside the configured disk count.
-    pub fn set_disk_factor(&mut self, disk: usize, fraction: f64) {
-        assert!(
-            disk < self.disk_factors.len(),
-            "disk {disk} outside the {}-disk engine",
-            self.disk_factors.len()
-        );
-        self.disk_factors[disk] = fraction.clamp(0.0, 1.0);
-        self.recompute_capacity_combined();
-    }
-
-    /// Chaos hook: a deterministic error-rate fault. A disk failing a
-    /// fraction `rate` of requests serves `(1 − rate) × N` streams, so
-    /// under the paper's "slower disk ≡ smaller N" equivalence the rate
-    /// maps to a capacity multiplier on the admission bound — no random
-    /// per-request failures, runs stay replayable. Clamped to `[0, 1]`;
-    /// `0.0` heals.
-    pub fn set_error_rate(&mut self, rate: f64) {
-        self.error_rate = rate.clamp(0.0, 1.0);
-        self.recompute_capacity_combined();
-    }
-
-    /// Chaos hook: clears every throttle — capacity, memory, per-disk
-    /// factors, and error rate — restoring the healthy path (a node
-    /// rejoin heals partial faults along with whole-node ones).
-    pub fn clear_throttles(&mut self) {
-        self.capacity_factor = 1.0;
-        self.memory_factor = 1.0;
-        self.disk_factors.fill(1.0);
-        self.error_rate = 0.0;
-        self.capacity_combined = 1.0;
-    }
-
-    /// Chaos hook: scales the memory budget seen by admission's
-    /// reservation check to `factor × budget` (clamped to `[0, 1]`;
-    /// `1.0` restores the full budget). No-op when the engine has no
-    /// memory budget configured. Existing streams keep their buffers —
-    /// pressure only refuses *new* reservations, exactly like a shrunk
-    /// budget at arrival time.
-    pub fn set_memory_factor(&mut self, factor: f64) {
-        self.memory_factor = factor.clamp(0.0, 1.0);
+    /// Sets the two admission limits, each clamped to `[0, 1]`: the
+    /// fraction `capacity` of the disk bound `N` admission may fill,
+    /// and the fraction `memory` of the memory budget reservations are
+    /// checked against. Disk speed enters the paper's model only
+    /// through `N`, so a tighter limit never risks an Assumption-1
+    /// underflow; streams already admitted keep their slots and buffers.
+    /// `(1.0, 1.0)` restores the paper's engine.
+    pub fn set_admission_limits(&mut self, capacity: f64, memory: f64) {
+        self.capacity_limit = capacity.clamp(0.0, 1.0);
+        self.memory_limit = memory.clamp(0.0, 1.0);
     }
 
     /// Memory headroom left under this node's budget if one more stream
@@ -1054,15 +957,15 @@ impl DiskEngine {
         self.finalize()
     }
 
-    /// Chaos hook: a node crash. Evicts every active stream (in the
-    /// deterministic admission-ring order) and every queued request
-    /// (FIFO), closing their lifecycle spans `Refused` with an
-    /// `"evicted"` annotation, and returns descriptors a failover policy
-    /// can re-dispatch. An evicted stream leaves through the same retire
+    /// Empties the engine, as when its node goes down. Evicts every
+    /// active stream (in the deterministic admission-ring order) and
+    /// every queued request (FIFO), closing their lifecycle spans
+    /// `Refused` with an `"evicted"` annotation, and returns descriptors
+    /// a failover policy can re-dispatch. An evicted stream leaves through the same retire
     /// path as a departure — memory released, concurrency decremented,
     /// the controller notified — so the run stays internally consistent; the
     /// evictions are *not* counted as departures-with-service or as
-    /// rejections (chaos accounting owns those outcomes). The engine
+    /// rejections (the caller accounts those outcomes). The engine
     /// survives empty: it can be advanced, rejoined, and offered new
     /// arrivals, with its estimator log and cumulative stats intact.
     pub fn evict_all(&mut self) -> Vec<EvictedStream> {
@@ -1260,10 +1163,10 @@ impl DiskEngine {
         self.reservation_memory(prospective_n, now) <= budget
     }
 
-    /// The memory budget after any active `MemoryPressure` throttle.
+    /// The memory budget under the memory admission limit.
     fn throttled_budget(&self, budget: Bits) -> Bits {
-        if self.memory_factor < 1.0 {
-            budget * self.memory_factor
+        if self.memory_limit < 1.0 {
+            budget * self.memory_limit
         } else {
             budget
         }

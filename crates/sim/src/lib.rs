@@ -37,6 +37,18 @@
 //! allocation and released memory is immediately reusable — the
 //! use-it-and-toss-it policy of §2.1.
 //!
+//! # Admission limits
+//!
+//! Disk speed enters the paper's model in one place, the admission bound
+//! `min(min_i(n_i + k_i), N)`: a slower disk is a smaller `N`. Memory
+//! enters through the budget that reservations are checked against. A
+//! cluster tightens exactly these two numbers through
+//! [`engine::DiskEngine::set_admission_limits`]: the fraction of `N`
+//! admission may fill and the fraction of the budget it may reserve.
+//! Scheduling keeps the true `N`, so a limit only refuses new streams and
+//! never causes an underflow. `vod-chaos` composes each fault kind it
+//! defines into this pair.
+//!
 //! # The memory model
 //!
 //! §2.1 of the paper fixes the memory model, and the engine keeps exactly
