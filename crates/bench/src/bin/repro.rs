@@ -155,12 +155,17 @@ fn print_usage() {
     for (name, desc) in EXPERIMENTS {
         eprintln!("  {name:<6} {desc}");
     }
-    eprintln!("  bench    pinned performance matrix -> BENCH_perf.json");
     eprintln!(
-        "  cluster  cluster_scaling matrix (nodes x placement x dispatch) -> BENCH_cluster.json"
+        "  bench    pinned performance matrix -> BENCH_perf.json \
+         (--smoke: BENCH_baseline.json)"
     );
     eprintln!(
-        "  chaos    fault-injection matrix (scenario x failover x nodes) -> BENCH_chaos.json; \
+        "  cluster  cluster_scaling matrix (nodes x placement x dispatch) -> \
+         BENCH_cluster_full.json (--smoke: BENCH_cluster_smoke.json)"
+    );
+    eprintln!(
+        "  chaos    fault-injection matrix (scenario x failover x nodes) -> \
+         BENCH_chaos_full.json (--smoke: BENCH_chaos.json); \
          --seed/--script run one ad-hoc episode"
     );
     eprintln!("  trace-analyze  span trees, latency breakdowns, invariant audit of a trace");
@@ -427,16 +432,18 @@ fn compare_main(args: &[String]) -> Run {
 
 /// Runs `mode`'s matrix (sequentially and traced into `trace`, if
 /// given), prints `line` for each cell, and writes the document to
-/// `out`. Stdout carries counters only; the wall time goes to the
+/// `out`, or to the mode's committed pin ([`Matrix::pin`]) when `out`
+/// is `None`. Stdout carries counters only; the wall time goes to the
 /// stderr status line.
 fn run_matrix_main<M: Matrix>(
     mode: M,
     jobs: usize,
     obs: &Obs,
     trace: Option<&Path>,
-    out: &Path,
+    out: Option<PathBuf>,
     line: impl Fn(&M::Cell) -> String,
 ) -> Result<(), ExitCode> {
+    let out = out.unwrap_or_else(|| mode.pin().into());
     let progress = |line: &str| eprintln!("{line}");
     let started = Instant::now();
     let report = match trace {
@@ -456,7 +463,7 @@ fn run_matrix_main<M: Matrix>(
     for cell in &report.cells {
         println!("{}", line(cell));
     }
-    write_file("", out, report.to_json() + "\n")?;
+    write_file("", &out, report.to_json() + "\n")?;
     eprintln!(
         "[{} {} done in {elapsed:.1?} -> {}]",
         M::KIND,
@@ -470,18 +477,18 @@ fn run_matrix_main<M: Matrix>(
 /// performance matrix.
 fn bench_main(args: &[String]) -> Run {
     let mut mode = BenchMode::Full;
-    let mut out = PathBuf::from("BENCH_perf.json");
+    let mut out: Option<PathBuf> = None;
     let mut jobs = all_cores();
     let mut args = Args::new(args, "unknown bench option");
     while let Some(a) = args.next() {
         match a {
             "--smoke" => mode = BenchMode::Smoke,
-            "--out" => out = args.path()?,
+            "--out" => out = Some(args.path()?),
             "--jobs" => jobs = args.positive()?,
             other => return args.unknown(other),
         }
     }
-    run_matrix_main(mode, jobs, &Obs::null(), None, &out, |c| {
+    run_matrix_main(mode, jobs, &Obs::null(), None, out, |c| {
         format!(
             "{:<14} {:<12} θ={:<4} {:>9} cycles  {:>10} services  {:>5} admitted  \
              {:>8.2} MiB peak",
@@ -502,12 +509,12 @@ fn bench_main(args: &[String]) -> Run {
 /// the `cluster_scaling` matrix (node count × placement × dispatch).
 ///
 /// `--metrics` dumps the accumulated registry (per-node counters across
-/// every cell) in Prometheus text. The committed smoke run is
-/// `BENCH_cluster_smoke.json`; CI diffs a fresh one against it with
-/// `repro compare`.
+/// every cell) in Prometheus text. The committed runs are
+/// `BENCH_cluster_full.json` and `BENCH_cluster_smoke.json`; CI diffs a
+/// fresh run of each against it with `repro compare`.
 fn cluster_main(args: &[String]) -> Run {
     let mut mode = ClusterBenchMode::Full;
-    let mut out = PathBuf::from("BENCH_cluster.json");
+    let mut out: Option<PathBuf> = None;
     let mut metrics_path: Option<PathBuf> = None;
     let mut trace_path: Option<PathBuf> = None;
     let mut flight_path: Option<PathBuf> = None;
@@ -518,7 +525,7 @@ fn cluster_main(args: &[String]) -> Run {
             "--smoke" => mode = ClusterBenchMode::Smoke,
             "--trace" => trace_path = Some(args.path()?),
             "--flight" => flight_path = Some(args.path()?),
-            "--out" => out = args.path()?,
+            "--out" => out = Some(args.path()?),
             "--metrics" => metrics_path = Some(args.path()?),
             "--jobs" => jobs = args.positive()?,
             other => return args.unknown(other),
@@ -532,7 +539,7 @@ fn cluster_main(args: &[String]) -> Run {
         None => Obs::null(),
     }
     .with_metrics(Metrics::new(Arc::clone(&registry)));
-    run_matrix_main(mode, jobs, &obs, trace_path.as_deref(), &out, |c| {
+    run_matrix_main(mode, jobs, &obs, trace_path.as_deref(), out, |c| {
         format!(
             "{:>2} nodes  {:<14} {:<13} {:>6} arrivals  {:>5} deferred  {:>5} redirected  \
              imbalance {:>5.2}  {:>8.2} MiB peak",
@@ -558,7 +565,8 @@ fn cluster_main(args: &[String]) -> Run {
 /// `repro chaos [--smoke] [--jobs <n>] [--out <file>] [--trace <file.jsonl>]
 /// [--flight <file.jsonl>]`:
 /// the fault-injection matrix (scenario × failover policy × nodes) over
-/// the pinned replicated cluster shape, writing `BENCH_chaos.json`.
+/// the pinned replicated cluster shape, writing `BENCH_chaos_full.json`
+/// (`BENCH_chaos.json` with `--smoke`).
 /// `repro compare` gates it exactly, like every bench document.
 ///
 /// `repro chaos (--seed <n> | --script <file>) [--nodes <n>]
@@ -573,7 +581,7 @@ fn cluster_main(args: &[String]) -> Run {
 /// mode given in the other is an error.
 fn chaos_main(args: &[String]) -> Run {
     let mut mode = ChaosBenchMode::Full;
-    let mut out = PathBuf::from("BENCH_chaos.json");
+    let mut out: Option<PathBuf> = None;
     let mut trace_path: Option<PathBuf> = None;
     let mut flight_path: Option<PathBuf> = None;
     let mut seed: Option<u64> = None;
@@ -596,7 +604,7 @@ fn chaos_main(args: &[String]) -> Run {
             "--seed" => seed = Some(args.value("an unsigned integer", |_| true)?),
             "--nodes" => adhoc_nodes = args.positive()?,
             "--script" => script = Some(args.path()?),
-            "--out" => out = args.path()?,
+            "--out" => out = Some(args.path()?),
             "--trace" => trace_path = Some(args.path()?),
             "--flight" => flight_path = Some(args.path()?),
             "--jobs" => jobs = args.positive()?,
@@ -701,7 +709,7 @@ fn chaos_main(args: &[String]) -> Run {
         return Ok(ExitCode::SUCCESS);
     }
 
-    run_matrix_main(mode, jobs, &obs, trace_path.as_deref(), &out, |c| {
+    run_matrix_main(mode, jobs, &obs, trace_path.as_deref(), out, |c| {
         let s = &c.report.summary;
         format!(
             "{:>2} nodes  {:<9} {:<8} {:>6} arrivals  {:>4} interrupted  {:>4} migrated  \

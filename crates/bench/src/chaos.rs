@@ -270,6 +270,13 @@ impl Matrix for ChaosBenchMode {
         }
     }
 
+    fn pin(self) -> &'static str {
+        match self {
+            ChaosBenchMode::Full => "BENCH_chaos_full.json",
+            ChaosBenchMode::Smoke => "BENCH_chaos.json",
+        }
+    }
+
     fn cells(self) -> Vec<ChaosCellSpec> {
         match self {
             ChaosBenchMode::Full => {

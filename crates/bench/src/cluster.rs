@@ -137,6 +137,13 @@ impl Matrix for ClusterBenchMode {
         }
     }
 
+    fn pin(self) -> &'static str {
+        match self {
+            ClusterBenchMode::Full => "BENCH_cluster_full.json",
+            ClusterBenchMode::Smoke => "BENCH_cluster_smoke.json",
+        }
+    }
+
     fn cells(self) -> Vec<ClusterCellSpec> {
         let hot = (self.movies() / 4).max(1);
         match self {

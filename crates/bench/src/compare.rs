@@ -2,12 +2,13 @@
 //! documents.
 //!
 //! `compare` diffs any two saved engine (`BENCH_perf.json`), cluster
-//! (`BENCH_cluster.json`) or chaos (`BENCH_chaos.json`) documents, most
-//! often a committed one against a fresh run. A document holds only what
-//! the simulation computes, so one rule covers every kind: each key of
-//! each cell must match exactly, numbers by their `f64` bits, nested
-//! `per_node` arrays included. A key present in one document only is a
-//! mismatch too. Non-zero exit on any mismatch makes it the CI gate.
+//! (`BENCH_cluster_full.json`) or chaos (`BENCH_chaos_full.json`)
+//! documents, most often a committed one against a fresh run. A
+//! document holds only what the simulation computes, so one rule covers
+//! every kind: each key of each cell must match exactly, numbers by
+//! their `f64` bits, nested `per_node` arrays included. A key present in
+//! one document only is a mismatch too. Non-zero exit on any mismatch
+//! makes it the CI gate.
 //!
 //! ## Compatibility refusal
 //!

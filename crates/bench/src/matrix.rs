@@ -43,6 +43,10 @@ pub trait Matrix: Copy + Send + Sync {
     /// Mode tag written as the document's `mode`.
     fn label(self) -> &'static str;
 
+    /// The committed document this mode's run is gated against, and
+    /// where `repro` writes the run when no `--out` is given.
+    fn pin(self) -> &'static str;
+
     /// The cells of this mode, in run order.
     fn cells(self) -> Vec<Self::Spec>;
 
@@ -145,9 +149,8 @@ pub struct Report<M: Matrix> {
 }
 
 impl<M: Matrix> Report<M> {
-    /// Renders the bench document (`BENCH_perf.json`,
-    /// `BENCH_cluster.json` or `BENCH_chaos.json`), the shape
-    /// `repro compare` gates.
+    /// Renders the bench document (the file [`Matrix::pin`] names), the
+    /// shape `repro compare` gates.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut o = Object::new();
@@ -273,5 +276,41 @@ mod tests {
             doc(ClusterBenchMode::Smoke, 2)
         );
         assert_eq!(doc(ChaosBenchMode::Smoke, 1), doc(ChaosBenchMode::Smoke, 2));
+    }
+
+    /// `repro`'s default `--out` for each mode is its own committed
+    /// document, not another mode's.
+    #[test]
+    fn each_mode_pins_its_own_committed_document() {
+        fn mode_of<M: Matrix>(mode: M) -> (&'static str, &'static str, String) {
+            let path = format!("{}/../../{}", env!("CARGO_MANIFEST_DIR"), mode.pin());
+            let text = std::fs::read_to_string(&path).expect("the pin is committed");
+            let doc = vod_obs::json::parse(&text).expect("the pin parses");
+            let written = doc.get("mode").and_then(|m| m.as_str()).expect("a mode");
+            (mode.pin(), mode.label(), written.to_owned())
+        }
+        let table = [
+            mode_of(BenchMode::Full),
+            mode_of(BenchMode::Smoke),
+            mode_of(ClusterBenchMode::Full),
+            mode_of(ClusterBenchMode::Smoke),
+            mode_of(ChaosBenchMode::Full),
+            mode_of(ChaosBenchMode::Smoke),
+        ];
+        let pins: Vec<_> = table.iter().map(|(pin, _, _)| *pin).collect();
+        assert_eq!(
+            pins,
+            [
+                "BENCH_perf.json",
+                "BENCH_baseline.json",
+                "BENCH_cluster_full.json",
+                "BENCH_cluster_smoke.json",
+                "BENCH_chaos_full.json",
+                "BENCH_chaos.json",
+            ]
+        );
+        for (pin, label, written) in &table {
+            assert_eq!(label, written, "{pin} holds another mode's run");
+        }
     }
 }

@@ -70,6 +70,13 @@ impl Matrix for BenchMode {
         }
     }
 
+    fn pin(self) -> &'static str {
+        match self {
+            BenchMode::Full => "BENCH_perf.json",
+            BenchMode::Smoke => "BENCH_baseline.json",
+        }
+    }
+
     fn cells(self) -> Vec<CellSpec> {
         match self {
             BenchMode::Full => {

@@ -1,7 +1,8 @@
 //! The `repro` command line: which flags each subcommand accepts, and how
-//! it refuses the rest. Every case but one stops while the arguments (or
+//! it refuses the rest. Every case but two stops while the arguments (or
 //! the fault script or trace file they name) are read, so no experiment or
-//! matrix runs; the one runs a single two-node chaos episode.
+//! matrix runs; one runs a single two-node chaos episode, and one the
+//! two-cell engine smoke matrix.
 
 use std::process::Command;
 
@@ -288,6 +289,31 @@ fn missing_arguments_are_refused() {
     refuses(
         "compare a.json",
         "compare requires exactly two document arguments",
+    );
+}
+
+/// A matrix run given no `--out` writes its mode's committed pin in the
+/// working directory, equal byte for byte to the committed file.
+#[test]
+fn a_smoke_run_writes_its_committed_pin_by_default() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("default_out");
+    _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("a fresh directory");
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["bench", "--smoke", "--jobs", "1"])
+        .current_dir(&dir)
+        .output()
+        .expect("repro starts");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stderr:\n{stderr}");
+    let written: Vec<_> = std::fs::read_dir(&dir)
+        .expect("the directory lists")
+        .map(|e| e.expect("an entry").file_name())
+        .collect();
+    assert_eq!(written, ["BENCH_baseline.json"]);
+    assert_eq!(
+        std::fs::read_to_string(dir.join("BENCH_baseline.json")).expect("the run's document"),
+        include_str!("../../../BENCH_baseline.json")
     );
 }
 

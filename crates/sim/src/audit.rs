@@ -13,6 +13,14 @@
 //! come can land inside it, so the window is scored and dropped. Memory
 //! is O(open windows + arrivals since the oldest open window), not
 //! O(allocations).
+//!
+//! Windows can stay open long after they end: a cluster holds every
+//! node's floor at its oldest parked request, so while a request waits
+//! for capacity each node keeps every window it opens. An open window
+//! therefore costs 8 bytes, its start. Its length and `k` are kept
+//! run-length encoded, since consecutive allocations mostly share one
+//! shape, and its end is recomputed as `at + window`, the same `f64`
+//! sum an unencoded window would store.
 
 use std::collections::VecDeque;
 
@@ -63,12 +71,19 @@ impl AuditOutcome {
     }
 }
 
-/// One allocation's window, open until the arrival floor passes `end`.
+/// A run of consecutive open windows with one length (bit for bit) and
+/// one `k`.
 #[derive(Clone, Copy, Debug)]
-struct Window {
-    at: Instant,
-    end: Instant,
+struct Shape {
+    window: Seconds,
     k: usize,
+    count: usize,
+}
+
+impl Shape {
+    fn fits(&self, window: Seconds, k: usize) -> bool {
+        self.k == k && self.window.as_secs_f64().to_bits() == window.as_secs_f64().to_bits()
+    }
 }
 
 /// Streaming scorer of audit windows against arrival instants.
@@ -81,8 +96,11 @@ pub struct AuditScorer {
     /// Arrival instants, ascending. Instants at or below the oldest open
     /// window's start are dropped once no window can count them.
     arrivals: VecDeque<Instant>,
-    /// Open windows in allocation order.
-    open: VecDeque<Window>,
+    /// Open windows' starts, in allocation order.
+    starts: VecDeque<Instant>,
+    /// Open windows' lengths and `k`, run-length encoded in the same
+    /// order: the counts sum to `starts.len()`.
+    shapes: VecDeque<Shape>,
     /// No arrival still to come carries an instant below this (the
     /// clock starts at zero).
     floor: Instant,
@@ -121,12 +139,12 @@ impl AuditScorer {
     /// is scored at once and never queued.
     pub fn open(&mut self, at: Instant, window: Seconds, k: usize) {
         debug_assert!(
-            self.open.back().map(|w| w.at) <= Some(at),
+            self.starts.back().copied() <= Some(at),
             "audit windows must open in allocation order"
         );
         let end = at + window;
         if end < self.floor {
-            if self.open.is_empty() {
+            if self.starts.is_empty() {
                 self.prune_through(at);
             }
             // Only arrivals after `at` can count; on a monotone clock
@@ -140,7 +158,15 @@ impl AuditScorer {
                 .count();
             self.score(k, actual);
         } else {
-            self.open.push_back(Window { at, end, k });
+            self.starts.push_back(at);
+            match self.shapes.back_mut() {
+                Some(run) if run.fits(window, k) => run.count += 1,
+                _ => self.shapes.push_back(Shape {
+                    window,
+                    k,
+                    count: 1,
+                }),
+            }
         }
     }
 
@@ -152,23 +178,34 @@ impl AuditScorer {
             return;
         }
         self.floor = floor;
-        while let Some(&w) = self.open.front() {
-            if w.end >= floor {
-                break;
+        while let Some(&Shape { window, k, count }) = self.shapes.front() {
+            let mut closed = 0;
+            while closed < count {
+                let at = self.starts[0];
+                let end = at + window;
+                if end >= floor {
+                    break;
+                }
+                self.starts.pop_front();
+                closed += 1;
+                // Windows close in start order, so arrivals up to this
+                // start count for no open or future window.
+                self.prune_through(at);
+                let actual = self.arrivals.iter().take_while(|&&x| x <= end).count();
+                self.score(k, actual);
             }
-            self.open.pop_front();
-            // Windows close in start order, so arrivals up to this start
-            // count for no open or future window.
-            self.prune_through(w.at);
-            let actual = self.arrivals.iter().take_while(|&&x| x <= w.end).count();
-            self.score(w.k, actual);
+            if closed < count {
+                self.shapes[0].count -= closed;
+                return;
+            }
+            self.shapes.pop_front();
         }
     }
 
     /// Windows still waiting for the floor to pass their end.
     #[must_use]
     pub fn open_windows(&self) -> usize {
-        self.open.len()
+        self.starts.len()
     }
 
     /// Scores every window still open — no further arrivals come — and
@@ -307,6 +344,28 @@ mod tests {
         assert_eq!(out.samples, 3);
         assert_eq!(out.violations, 1, "(1, 5] saw one arrival against k = 0");
         assert_eq!(out.mean_actual, 2.0 / 3.0);
+    }
+
+    #[test]
+    fn same_shape_windows_behind_a_held_floor_share_one_run() {
+        let mut s = AuditScorer::default();
+        s.settle_before(Instant::from_secs(1.0));
+        for i in 0..100_000 {
+            let at = Instant::from_secs(1.0 + f64::from(i) * 0.01);
+            s.open(at, Seconds::from_secs(2.0), 3);
+        }
+        assert_eq!(s.open_windows(), 100_000);
+        assert_eq!(s.shapes.len(), 1);
+        // A new length or a new `k` starts a run; so does `-0.0` after
+        // `0.0`, which compares equal but has other bits.
+        let at = Instant::from_secs(1_001.0);
+        for (window, k) in [(2.5, 3), (2.5, 4), (0.0, 4), (-0.0, 4), (-0.0, 4)] {
+            s.open(at, Seconds::from_secs(window), k);
+        }
+        assert_eq!(s.shapes.len(), 5);
+        let out = s.finish();
+        assert_eq!(out.samples, 100_005);
+        assert_eq!(out.violations, 0);
     }
 
     #[test]

@@ -22,6 +22,12 @@ enum Op {
     Arrival(u32),
     /// Raise the floor by this many ticks.
     Settle(u32),
+    /// Open this many windows of `len` ticks at the clock, one tick
+    /// apart, with no floor advance in between: the first half estimate
+    /// `k`, the rest `k + 1`, so the shape changes mid-queue. A zero
+    /// `len` alternates `0.0` and `-0.0`, which compare equal but differ
+    /// in their bits.
+    Burst(u32, u32, usize),
 }
 
 fn ops() -> impl Strategy<Value = Vec<Op>> {
@@ -31,6 +37,7 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
             ((0u32..12), (0usize..4)).prop_map(|(len, k)| Op::Window(len, k)),
             (0u32..16).prop_map(Op::Arrival),
             (0u32..8).prop_map(Op::Settle),
+            ((1u32..40), (0u32..3), (0usize..3)).prop_map(|(n, len, k)| Op::Burst(n, len, k)),
         ],
         0..120,
     )
@@ -88,6 +95,15 @@ proptest! {
                 Op::Settle(n) => {
                     floor += ticks(n);
                     scorer.settle_before(Instant::from_secs(floor));
+                }
+                Op::Burst(count, len, k) => {
+                    for i in 0..count {
+                        let window = if len == 0 && i % 2 == 1 { -0.0 } else { ticks(len) };
+                        let k = if i < count / 2 { k } else { k + 1 };
+                        scorer.open(Instant::from_secs(now), Seconds::from_secs(window), k);
+                        windows.push((now, window, k));
+                        now += TICK;
+                    }
                 }
             }
             prop_assert!(scorer.open_windows() <= windows.len());
