@@ -23,7 +23,9 @@
 //! Observability (simulated experiments only; analytic ones emit nothing):
 //!
 //! * `--trace <file.jsonl>` — records every engine event, spans
-//!   included, and writes them as JSON Lines. Each experiment
+//!   included, and writes them as JSON Lines. Events carry each
+//!   request's numbers and name it by its trace id; spans carry only its
+//!   lifecycle (request, admission, first-fill service). Each experiment
 //!   contributes an `experiment` header line followed by its events.
 //!   Feed the file to `repro trace-analyze`.
 //! * `--flight <file.jsonl>` — arms a bounded flight recorder teed
@@ -50,8 +52,9 @@
 //!
 //! `repro cluster --trace <file.jsonl>` runs the matrix sequentially with
 //! a per-cell span recorder and writes sections opened by a
-//! `cluster_cell` line (lifecycle spans + admission outcomes; per-cycle
-//! detail gated off so nothing is dropped), each closed by a
+//! `cluster_cell` line (lifecycle spans + admission outcomes; the
+//! recorder's kind filter keeps per-cycle events out so nothing is
+//! dropped), each closed by a
 //! `cluster_summary` line and followed by its `series` and `audit` lines.
 //! The schema of every line is the `vod_obs` types: `vod_obs::TraceLine`
 //! and `vod_obs::Event` write each kind and parse it back. `repro

@@ -384,17 +384,16 @@ impl Matrix for ChaosBenchMode {
     /// single-threaded: the chaos runner interleaves faults with
     /// arrivals, which is inherently sequential, and only the end-of-run
     /// drain parallelizes, which at bench-cell node counts is not worth
-    /// a pool. A traced cell keeps lifecycle spans only and has no
-    /// trailer.
+    /// a pool. A traced cell writes no trailer.
     fn run_cell(
         self,
         spec: &ChaosCellSpec,
         traces: &SharedTraces,
         obs: &Obs,
-        trailer: Option<&mut String>,
+        _trailer: Option<&mut String>,
     ) -> ChaosCellResult {
         let cfg = cell_chaos_config(self, *spec);
-        let mut cluster =
+        let cluster =
             Cluster::with_observer(cfg.cluster.clone(), obs.clone()).unwrap_or_else(|e| {
                 panic!(
                     "chaos bench cell ({} nodes, {}/{}) must validate: {e}",
@@ -403,9 +402,6 @@ impl Matrix for ChaosBenchMode {
                     spec.failover.label()
                 )
             });
-        if trailer.is_some() {
-            cluster.set_per_cycle_tracing(false);
-        }
         ChaosCellResult {
             spec: *spec,
             report: run_chaos_on(cluster, &cfg, &traces.for_nodes(spec.nodes).arrivals, 1),

@@ -117,9 +117,10 @@ impl Matrix for ClusterBenchMode {
     type Cell = ClusterCellResult;
     const KIND: &'static str = "cluster";
     /// Span lifecycles plus the admission-outcome events the audit
-    /// reconciles against; per-cycle telemetry (services, buffer events,
-    /// pool occupancy) stays off so a multi-hour cell fits the
-    /// recorder's capacity bound with nothing dropped.
+    /// reconciles against. This kind filter is the trace's only volume
+    /// control: per-cycle telemetry (services, buffer events, pool
+    /// occupancy) stays off so a multi-hour cell fits the recorder's
+    /// capacity bound with nothing dropped.
     const TRACE_KINDS: &'static [EventKind] = &[
         EventKind::SpanStart,
         EventKind::SpanAnnotate,
@@ -231,13 +232,11 @@ impl Matrix for ClusterBenchMode {
         SharedTraces::generate(self.cells().iter().map(|c| c.nodes), |n| self.workload(n))
     }
 
-    /// Drives a fresh cluster over the shared trace. A traced cell keeps
-    /// first-fill service spans but skips steady-state per-cycle ones
-    /// (see [`Cluster::set_per_cycle_tracing`]), and samples time series
-    /// (one cluster-wide scope plus one per node) into its trailer,
-    /// followed by one estimator-audit marker per node. Like span
-    /// emission, sampling reads state the cluster already maintains, so
-    /// it never perturbs the deterministic counters.
+    /// Drives a fresh cluster over the shared trace. A traced cell
+    /// samples time series (one cluster-wide scope plus one per node)
+    /// into its trailer, followed by one estimator-audit marker per node.
+    /// Like span emission, sampling reads state the cluster already
+    /// maintains, so it never perturbs the deterministic counters.
     fn run_cell(
         self,
         spec: &ClusterCellSpec,
@@ -256,7 +255,6 @@ impl Matrix for ClusterBenchMode {
         });
         let series = trailer.is_some().then(|| CellSeries::new(spec.nodes));
         if let Some(s) = &series {
-            cluster.set_per_cycle_tracing(false);
             cluster.set_series_recorders(&s.cluster, &s.nodes);
         }
         let report = cluster.run(&traces.for_nodes(spec.nodes).arrivals);

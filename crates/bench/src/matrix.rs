@@ -74,8 +74,8 @@ pub trait Matrix: Copy + Send + Sync {
     }
 
     /// Runs one cell against `obs`. `trailer` is set for a traced run:
-    /// the cell then emits lifecycle spans only and may append lines
-    /// (time series, audit markers) to follow its section summary.
+    /// the cell may then append lines (time series, audit markers) to
+    /// follow its section summary.
     fn run_cell(
         self,
         spec: &Self::Spec,

@@ -326,8 +326,8 @@ pub fn series_inventory(lines: &[(usize, TraceLine<'_>)]) -> BTreeMap<String, Ve
 mod tests {
     use super::*;
     use vod_obs::trace::parse_file;
-    use vod_obs::{CellHeader, CellSummary, Event, Point};
-    use vod_types::{Bits, Instant, RequestId};
+    use vod_obs::{CellHeader, CellSummary, Event, Point, TraceId};
+    use vod_types::{Bits, Instant};
 
     #[test]
     fn sparkline_maps_range_to_glyphs() {
@@ -383,7 +383,7 @@ mod tests {
             },
             TraceLine::Event(Event::Underflow {
                 at: Instant::from_secs(1.75),
-                id: RequestId::new(3),
+                trace: TraceId::derive(0, 3),
                 n: 7,
                 deficit: Bits::new(64.0),
             }),

@@ -19,9 +19,15 @@
 //!    `cluster_summary` is present) hop spans reconcile one-for-one
 //!    with the redirection counters, per node and in total.
 //! 2. **Latency breakdowns** — per-trace deferral wait (admission span
-//!    duration), hop count, and time-to-first-service (first
-//!    `first_fill` service span end minus request start), plus the
-//!    top-k slowest traces rendered as span trees.
+//!    duration), hop count, and time-to-first-service (the end of the
+//!    trace's first-fill service span, `SpanId::derive(trace,
+//!    SEQ_FIRST_SERVICE)`, minus request start), plus the top-k slowest
+//!    traces rendered as span trees.
+//!
+//! Time to first service ends when the first service *completes* (seek
+//! plus transfer). Fig. 11's initial latency ends earlier, when the
+//! first fill's seek does and data starts to flow (`IlSample` in
+//! `vod-sim`), so the two differ by the first transfer time.
 //!
 //! Trace ids may repeat across sections (each cell derives them from
 //! the same pinned seed) and across sub-runs inside one experiment
@@ -31,6 +37,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use vod_obs::span::SEQ_FIRST_SERVICE;
 use vod_obs::{AnnoValue, CellSummary, Event, SpanId, SpanKind, SpanStatus, TraceId, TraceLine};
 
 /// Everything known about one span id within a section.
@@ -87,8 +94,9 @@ pub struct TraceBreakdown {
     pub deferral_wait_s: Option<f64>,
     /// Redirection hops the request took before landing on a node.
     pub hops: usize,
-    /// First `first_fill` service-span end minus request start: the
-    /// traced time-to-first-service, seconds.
+    /// First-fill service-span end minus request start: the traced
+    /// time-to-first-service, seconds. It includes the first transfer,
+    /// which Fig. 11's initial latency does not.
     pub time_to_first_service_s: Option<f64>,
 }
 
@@ -382,7 +390,8 @@ fn finish_section(state: SectionState<'_, '_>, top_k: usize) -> SectionReport {
         let mut hops = 0usize;
         let mut first_service_end: Option<f64> = None;
         let mut admitted = false;
-        for (_, rec) in state.trace_spans(trace) {
+        let first_fill = SpanId::derive(trace, SEQ_FIRST_SERVICE);
+        for (span, rec) in state.trace_spans(trace) {
             match rec.kind {
                 Some(SpanKind::Request) => root_start = rec.first_start_t,
                 Some(SpanKind::Admission) => {
@@ -392,12 +401,7 @@ fn finish_section(state: SectionState<'_, '_>, top_k: usize) -> SectionReport {
                     }
                 }
                 Some(SpanKind::Hop) => hops += usize::try_from(rec.starts).unwrap_or(usize::MAX),
-                Some(SpanKind::Service) if rec.anno_u64("first_fill") == Some(1) => {
-                    let end = rec.last_end_t;
-                    if first_service_end.is_none() || (end.is_some() && end < first_service_end) {
-                        first_service_end = end;
-                    }
-                }
+                Some(SpanKind::Service) if span == first_fill => first_service_end = rec.last_end_t,
                 _ => {}
             }
         }
@@ -579,7 +583,7 @@ fn mean_label(xs: &[f64]) -> String {
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use vod_obs::span::{SEQ_ADMISSION, SEQ_FIRST_SERVICE, SEQ_HOP_DISPATCH, SEQ_REQUEST};
+    use vod_obs::span::{SEQ_ADMISSION, SEQ_HOP_DISPATCH, SEQ_REQUEST};
     use vod_obs::trace::parse_file;
     use vod_obs::{CellHeader, NodeRedirects, Obs, RecorderSink};
     use vod_types::Instant;
@@ -620,12 +624,11 @@ mod tests {
         obs.span_end(t(1.5), trace, adm, SpanStatus::Admitted);
         obs.emit(&Event::RequestAdmitted {
             at: t(1.5),
-            id: vod_types::RequestId::new(0),
+            trace,
             n: 1,
             waited: vod_types::Seconds::from_secs(1.5),
         });
         obs.span_start(t(1.5), trace, svc, Some(root), SpanKind::Service);
-        obs.span_annotate(t(2.0), trace, svc, "first_fill", AnnoValue::U64(1));
         obs.span_end(t(2.0), trace, svc, SpanStatus::Ok);
         obs.span_end(t(5.0), trace, root, SpanStatus::Ok);
         rec.snapshot().export_jsonl()
@@ -637,7 +640,7 @@ mod tests {
         let lines = parsed(&src);
         let summary = SchemaSummary::of(&lines);
         assert_eq!(summary.markers, 1);
-        assert!(summary.span_events >= 7);
+        assert_eq!(summary.span_events, 6);
         let report = analyze(&lines, 3);
         assert!(report.audit_passed(), "{:?}", report.sections[0].violations);
         let s = &report.sections[0];

@@ -20,7 +20,7 @@ fn full_matrix_stats_are_bit_identical_with_tracing() {
     let mut span_starts_total = 0u64;
     for (scheme, method, theta) in cells {
         // Half a simulated hour of short viewings: enough load for
-        // admissions, deferrals, and per-cycle service spans, while the
+        // admissions, deferrals, and thousands of services, while the
         // full event stream (spans included) fits the recorder ring.
         let mut wl_cfg = WorkloadConfig::paper_single_disk(theta, 60.0);
         wl_cfg.duration = vod_types::Seconds::from_minutes(30.0);

@@ -241,9 +241,9 @@ fn failover_spans_read_back_the_original_trace_id() {
     ]));
     let obs = Obs::new(Arc::clone(&recorder) as Arc<dyn vod_obs::Sink>);
     let cfg = chaos_cfg(4, 16, schedule);
-    // First-fill service spans only, so the recorder holds the whole run.
-    let mut cluster = Cluster::with_observer(cfg.cluster.clone(), obs).expect("valid cluster");
-    cluster.set_per_cycle_tracing(false);
+    // Lifecycle spans only (a stream's one service span is its first
+    // fill), so the recorder holds the whole run.
+    let cluster = Cluster::with_observer(cfg.cluster.clone(), obs).expect("valid cluster");
     let report = run_chaos_on(cluster, &cfg, &wl.arrivals, 1);
     assert!(report.summary.migrated >= 1, "{:?}", report.summary);
 

@@ -181,17 +181,6 @@ impl Cluster {
         })
     }
 
-    /// Forwards [`vod_sim::DiskEngine::set_per_cycle_tracing`] to every
-    /// node: with `false`, traced runs keep first-fill service spans but
-    /// skip steady-state per-cycle ones (the cluster bench's trace mode —
-    /// full per-cycle detail would swamp a bounded recorder on long
-    /// horizons). Emission-only; results are identical either way.
-    pub fn set_per_cycle_tracing(&mut self, on: bool) {
-        for node in &mut self.nodes {
-            node.engine.set_per_cycle_tracing(on);
-        }
-    }
-
     /// Attaches time-series recorders: `cluster` receives the
     /// cluster-scope imbalance-ratio series (one sample per dispatched
     /// arrival) and `nodes[i]` receives node `i`'s front-end series

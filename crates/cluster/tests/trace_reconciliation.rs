@@ -57,20 +57,18 @@ proptest! {
         wl_cfg.peak = vod_types::Seconds::from_hours(1.0);
         let wl = multi_movie(&wl_cfg, seed).expect("valid multi-movie config");
 
-        // Lifecycle spans only, with per-cycle detail gated off — the
-        // same volume policy as `repro cluster --trace` — so a 2 h run
-        // fits the ring with nothing dropped.
+        // Span records only — the same kind filter as `repro cluster
+        // --trace` — so a 2 h run fits the ring with nothing dropped.
         let recorder = Arc::new(RecorderSink::new().with_kinds(&[
             vod_obs::EventKind::SpanStart,
             vod_obs::EventKind::SpanAnnotate,
             vod_obs::EventKind::SpanEnd,
         ]));
-        let mut cluster = Cluster::with_observer(
+        let cluster = Cluster::with_observer(
             cfg,
             Obs::new(Arc::clone(&recorder) as Arc<dyn vod_obs::Sink>),
         )
         .expect("valid cluster config");
-        cluster.set_per_cycle_tracing(false);
         let report = cluster.run(&wl.arrivals);
 
         let snap = recorder.snapshot();

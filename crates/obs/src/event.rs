@@ -7,7 +7,7 @@
 
 use core::fmt;
 
-use vod_types::{Bits, Instant, RequestId, Seconds};
+use vod_types::{Bits, Instant, Seconds};
 
 use crate::json::{Json, Object};
 use crate::span::{AnnoValue, SpanId, SpanKind, SpanStatus, TraceId};
@@ -144,8 +144,8 @@ pub enum Event<'a> {
     StreamServiced {
         /// Completion time of the service (seek + transfer).
         at: Instant,
-        /// The serviced stream.
-        id: RequestId,
+        /// The serviced stream's request trace.
+        trace: TraceId,
         /// `n_c` used for the allocation.
         n: usize,
         /// `k_c` used for the allocation.
@@ -163,8 +163,8 @@ pub enum Event<'a> {
     RequestAdmitted {
         /// Admission time.
         at: Instant,
-        /// The admitted request.
-        id: RequestId,
+        /// The admitted request's trace.
+        trace: TraceId,
         /// Streams in service after admission.
         n: usize,
         /// Queue wait: admission − arrival.
@@ -174,8 +174,8 @@ pub enum Event<'a> {
     RequestDeferred {
         /// Time of the failed attempt.
         at: Instant,
-        /// The deferred request.
-        id: RequestId,
+        /// The deferred request's trace.
+        trace: TraceId,
         /// Streams in service at the attempt.
         n: usize,
     },
@@ -183,6 +183,8 @@ pub enum Event<'a> {
     RequestRejected {
         /// Rejection time.
         at: Instant,
+        /// The rejected request's trace.
+        trace: TraceId,
         /// Streams in service (queued included, as admission counts them).
         n: usize,
         /// Why the request could not be taken.
@@ -192,8 +194,8 @@ pub enum Event<'a> {
     BufferAllocated {
         /// Allocation time.
         at: Instant,
-        /// The owning stream.
-        id: RequestId,
+        /// The owning stream's request trace.
+        trace: TraceId,
         /// Allocated size.
         size: Bits,
     },
@@ -201,8 +203,8 @@ pub enum Event<'a> {
     BufferResized {
         /// Reallocation time.
         at: Instant,
-        /// The owning stream.
-        id: RequestId,
+        /// The owning stream's request trace.
+        trace: TraceId,
         /// Previous allocation.
         old_size: Bits,
         /// New allocation.
@@ -212,8 +214,8 @@ pub enum Event<'a> {
     BufferFreed {
         /// Departure time.
         at: Instant,
-        /// The departing stream.
-        id: RequestId,
+        /// The departing stream's request trace.
+        trace: TraceId,
         /// Data still held at departure (released to the pool).
         released: Bits,
     },
@@ -232,8 +234,8 @@ pub enum Event<'a> {
     Underflow {
         /// Time the deficit was observed.
         at: Instant,
-        /// The starved stream.
-        id: RequestId,
+        /// The starved stream's request trace.
+        trace: TraceId,
         /// Streams in service.
         n: usize,
         /// Unserved consumption.
@@ -243,10 +245,8 @@ pub enum Event<'a> {
     PoolOccupancy {
         /// Observation time.
         at: Instant,
-        /// Occupancy at the observation (the new peak).
+        /// Occupancy at the observation: the new high-water mark.
         used: Bits,
-        /// High-water mark (equals `used` on high-water events).
-        peak: Bits,
         /// Streams holding buffers.
         streams: usize,
     },
@@ -432,20 +432,20 @@ event_lines! {
         insertion_budget: "insertion_budget" as Budget
     }
     StreamServiced "stream_serviced" {
-        id: "id", n: "n", k: "k", read: "read_bits", size: "size_bits",
+        trace: "trace", n: "n", k: "k", read: "read_bits", size: "size_bits",
         duration: "duration_s", first_fill: "first_fill"
     }
-    RequestAdmitted "request_admitted" { id: "id", n: "n", waited: "waited_s" }
-    RequestDeferred "request_deferred" { id: "id", n: "n" }
-    RequestRejected "request_rejected" { n: "n", reason: "reason" }
-    BufferAllocated "buffer_allocated" { id: "id", size: "size_bits" }
+    RequestAdmitted "request_admitted" { trace: "trace", n: "n", waited: "waited_s" }
+    RequestDeferred "request_deferred" { trace: "trace", n: "n" }
+    RequestRejected "request_rejected" { trace: "trace", n: "n", reason: "reason" }
+    BufferAllocated "buffer_allocated" { trace: "trace", size: "size_bits" }
     BufferResized "buffer_resized" {
-        id: "id", old_size: "old_size_bits", new_size: "new_size_bits"
+        trace: "trace", old_size: "old_size_bits", new_size: "new_size_bits"
     }
-    BufferFreed "buffer_freed" { id: "id", released: "released_bits" }
+    BufferFreed "buffer_freed" { trace: "trace", released: "released_bits" }
     EstimatorClamped "estimator_clamped" { k_log: "k_log", k_clamped: "k_clamped", cap: "cap" }
-    Underflow "underflow" { id: "id", n: "n", deficit: "deficit_bits" }
-    PoolOccupancy "pool_occupancy" { used: "used_bits", peak: "peak_bits", streams: "streams" }
+    Underflow "underflow" { trace: "trace", n: "n", deficit: "deficit_bits" }
+    PoolOccupancy "pool_occupancy" { used: "used_bits", streams: "streams" }
     SpanStart "span_start" {
         trace: "trace", span: "span", parent: "parent", span_kind: "span_kind"
     }
@@ -495,16 +495,17 @@ mod tests {
 
     #[test]
     fn json_has_kind_and_time() {
+        let trace = TraceId::derive(1, 7);
         let e = Event::Underflow {
             at: Instant::from_secs(12.5),
-            id: RequestId::new(7),
+            trace,
             n: 3,
             deficit: Bits::new(64.0),
         };
         let j = e.to_json();
         assert!(j.starts_with("{\"kind\":\"underflow\""), "{j}");
         assert!(j.contains("\"t\":12.5"), "{j}");
-        assert!(j.contains("\"id\":7"), "{j}");
+        assert!(j.contains(&format!("\"trace\":\"{trace}\"")), "{j}");
         assert!(j.contains("\"deficit_bits\":64"), "{j}");
         assert!(j.ends_with('}'), "{j}");
     }

@@ -218,7 +218,7 @@ impl Sink for FlightRecorder {
 mod tests {
     use super::*;
     use crate::span::{SpanId, TraceId};
-    use vod_types::{Bits, Instant, RequestId};
+    use vod_types::{Bits, Instant};
 
     fn cycle(t: f64) -> Event<'static> {
         Event::CyclePlanned {
@@ -234,7 +234,7 @@ mod tests {
     fn underflow(t: f64) -> Event<'static> {
         Event::Underflow {
             at: Instant::from_secs(t),
-            id: RequestId::new(1),
+            trace: TraceId::derive(0, 1),
             n: 1,
             deficit: Bits::new(8.0),
         }
@@ -266,6 +266,7 @@ mod tests {
         assert!(fr.last_dump().unwrap().contains("\"reason\":\"underflow\""));
         fr.record(&Event::RequestRejected {
             at: Instant::from_secs(2.0),
+            trace: TraceId::derive(0, 2),
             n: 3,
             reason: crate::RejectReason::DiskFull,
         });

@@ -27,7 +27,9 @@
 //! stream: deterministic [`TraceId`]/[`SpanId`]s derived from seed +
 //! arrival index (never a clock), emitted as `SpanStart` /
 //! `SpanAnnotate` / `SpanEnd` [`Event`] variants so every sink sees
-//! them unchanged.
+//! them unchanged. Spans carry a request's lifecycle and events its
+//! numbers; each per-request event names its request's [`TraceId`], so
+//! the two join on it.
 //!
 //! # Determinism
 //!

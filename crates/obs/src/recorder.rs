@@ -234,12 +234,13 @@ impl RecorderSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vod_types::{Bits, Instant, RequestId, Seconds};
+    use crate::span::TraceId;
+    use vod_types::{Bits, Instant, Seconds};
 
     fn underflow(t: f64) -> Event<'static> {
         Event::Underflow {
             at: Instant::from_secs(t),
-            id: RequestId::new(1),
+            trace: TraceId::derive(0, 1),
             n: 1,
             deficit: Bits::new(8.0),
         }
@@ -320,7 +321,7 @@ mod tests {
         let rec = RecorderSink::new();
         rec.record(&Event::StreamServiced {
             at: Instant::from_secs(1.0),
-            id: RequestId::new(1),
+            trace: TraceId::derive(0, 1),
             n: 2,
             k: 1,
             read: Bits::new(100.0),

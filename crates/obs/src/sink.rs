@@ -162,7 +162,8 @@ impl fmt::Debug for Obs {
 mod tests {
     use super::*;
     use crate::recorder::RecorderSink;
-    use vod_types::{Bits, Instant, RequestId};
+    use crate::span::TraceId;
+    use vod_types::{Bits, Instant};
 
     #[test]
     fn null_obs_never_builds_events() {
@@ -174,7 +175,7 @@ mod tests {
             built = true;
             Event::Underflow {
                 at: Instant::ZERO,
-                id: RequestId::new(0),
+                trace: TraceId::derive(0, 0),
                 n: 0,
                 deficit: Bits::ZERO,
             }
@@ -189,7 +190,7 @@ mod tests {
         assert!(obs.is_attached());
         obs.emit(&Event::Underflow {
             at: Instant::from_secs(1.0),
-            id: RequestId::new(3),
+            trace: TraceId::derive(0, 3),
             n: 2,
             deficit: Bits::new(10.0),
         });
@@ -218,7 +219,7 @@ mod tests {
         let obs = Obs::new(Arc::new(tee));
         obs.emit(&Event::Underflow {
             at: Instant::from_secs(1.0),
-            id: RequestId::new(1),
+            trace: TraceId::derive(0, 1),
             n: 1,
             deficit: Bits::new(8.0),
         });

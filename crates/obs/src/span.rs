@@ -20,15 +20,21 @@
 //! |----------------------|-----------------------------------------|
 //! | `0`                  | request root (arrival → departure)      |
 //! | `1`                  | admission (queue wait, defer/admit)     |
-//! | `2 + i`              | i-th per-cycle service of the stream    |
+//! | `2`                  | first-fill service of the stream        |
 //! | `SEQ_DISPATCH`       | cluster dispatch attempt                |
 //! | `SEQ_RETRY`          | overflow-queue retry / final flush      |
 //! | `SEQ_HOP_DISPATCH`   | redirection hop taken at dispatch       |
 //! | `SEQ_HOP_RETRY`      | redirection hop taken at retry          |
 //! | `SEQ_FAILOVER`       | failover migration of an evicted stream |
 //!
-//! The cluster salts live above `1 << 62`, far beyond any realistic
-//! service count, so the two spaces cannot overlap.
+//! The cluster salts live above `1 << 62`, so the two spaces cannot
+//! overlap.
+//!
+//! Spans carry a request's lifecycle and events carry its numbers: each
+//! per-request [`Event`] names its request by the same [`TraceId`], so
+//! a reader joins the two on it. Only a stream's first fill gets a
+//! service span, because it closes the time-to-first-service window;
+//! every refill is one `StreamServiced` event.
 
 use core::fmt;
 
@@ -50,8 +56,8 @@ pub fn mix64(mut x: u64) -> u64 {
 pub const SEQ_REQUEST: u64 = 0;
 /// Salt for the admission span (queue entry → admit/refuse).
 pub const SEQ_ADMISSION: u64 = 1;
-/// Salt of a stream's first per-cycle service span; the i-th service
-/// uses `SEQ_FIRST_SERVICE + i`.
+/// Salt of a stream's service span: its first fill, the one service
+/// that gets a span.
 pub const SEQ_FIRST_SERVICE: u64 = 2;
 /// Salt for the cluster dispatch span.
 pub const SEQ_DISPATCH: u64 = 1 << 62;
@@ -94,12 +100,6 @@ impl TraceId {
     #[must_use]
     pub fn raw(self) -> u64 {
         self.0
-    }
-
-    /// True when this is the [`TraceId::NONE`] sentinel.
-    #[must_use]
-    pub fn is_none(self) -> bool {
-        self.0 == 0
     }
 }
 
@@ -148,10 +148,8 @@ pub enum SpanKind {
     Request,
     /// Queue wait at the admission controller.
     Admission,
-    /// One per-cycle buffer refill.
+    /// A stream's first buffer fill.
     Service,
-    /// One engine service cycle (engine-scoped, not per-request).
-    Cycle,
     /// A cluster dispatch attempt for one arrival.
     Dispatch,
     /// One redirection hop between cluster nodes.
@@ -162,11 +160,10 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// Every kind, in a stable order.
-    pub const ALL: [SpanKind; 7] = [
+    pub const ALL: [SpanKind; 6] = [
         SpanKind::Request,
         SpanKind::Admission,
         SpanKind::Service,
-        SpanKind::Cycle,
         SpanKind::Dispatch,
         SpanKind::Hop,
         SpanKind::Failover,
@@ -179,7 +176,6 @@ impl SpanKind {
             SpanKind::Request => "request",
             SpanKind::Admission => "admission",
             SpanKind::Service => "service",
-            SpanKind::Cycle => "cycle",
             SpanKind::Dispatch => "dispatch",
             SpanKind::Hop => "hop",
             SpanKind::Failover => "failover",
@@ -347,7 +343,7 @@ mod tests {
         assert_eq!(TraceId::derive(7, 0), TraceId::derive(7, 0));
         assert_ne!(TraceId::derive(7, 0), TraceId::derive(7, 1));
         assert_ne!(TraceId::derive(7, 0), TraceId::derive(8, 0));
-        assert!(!TraceId::derive(0, 0).is_none());
+        assert_ne!(TraceId::derive(0, 0), TraceId::NONE);
     }
 
     #[test]
@@ -357,7 +353,6 @@ mod tests {
             SEQ_REQUEST,
             SEQ_ADMISSION,
             SEQ_FIRST_SERVICE,
-            SEQ_FIRST_SERVICE + 1,
             SEQ_DISPATCH,
             SEQ_RETRY,
             SEQ_HOP_DISPATCH,
@@ -369,7 +364,7 @@ mod tests {
         .collect();
         ids.sort_unstable();
         ids.dedup();
-        assert_eq!(ids.len(), 9, "seq salts must not collide");
+        assert_eq!(ids.len(), 8, "seq salts must not collide");
     }
 
     #[test]

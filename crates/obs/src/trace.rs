@@ -25,7 +25,7 @@
 
 use std::borrow::Cow;
 
-use vod_types::{Bits, Instant, RequestId, Seconds};
+use vod_types::{Bits, Instant, Seconds};
 
 use crate::event::{Event, EventKind, RejectReason};
 use crate::json::{self, Array, Json, Object};
@@ -475,8 +475,6 @@ fields! {
     u64: "an integer of at most 2^53", |o, k, x| o.uint(k, x), |v| v.as_u64();
     usize: "an integer of at most 2^53", |o, k, x| o.uint(k, x as u64),
         |v| v.as_u64().and_then(|x| usize::try_from(x).ok());
-    RequestId: "an integer of at most 2^53", |o, k, x| o.uint(k, x.raw()),
-        |v| v.as_u64().map(RequestId::new);
     bool: "a boolean", |o, k, x| o.bool(k, x), |v| match v {
         Json::Bool(b) => Some(*b),
         _ => None,
@@ -582,7 +580,7 @@ mod tests {
         );
         assert_eq!(
             refusal(r#"{"kind":"stream_serviced","t":1.0}"#),
-            "stream_serviced: missing field `id`"
+            "stream_serviced: missing field `trace`"
         );
         assert_eq!(
             refusal(

@@ -15,7 +15,7 @@ use vod_obs::{
     NodeRedirects, Point, RejectReason, SeriesLine, SpanId, SpanKind, SpanStatus, TraceId,
     TraceLine,
 };
-use vod_types::{Bits, Instant, RequestId, Seconds};
+use vod_types::{Bits, Instant, Seconds};
 
 /// Identifiers a label may be: any text the writer does not escape,
 /// other than 16 hex digits (which reads back as a trace id).
@@ -83,7 +83,7 @@ fn event(kind: EventKind, r: Raw) -> Event<'static> {
         },
         EventKind::StreamServiced => Event::StreamServiced {
             at,
-            id: RequestId::new(i),
+            trace,
             n: vs,
             k: ws,
             read: Bits::new(y),
@@ -93,17 +93,14 @@ fn event(kind: EventKind, r: Raw) -> Event<'static> {
         },
         EventKind::RequestAdmitted => Event::RequestAdmitted {
             at,
-            id: RequestId::new(i),
+            trace,
             n: vs,
             waited: Seconds::from_secs(y),
         },
-        EventKind::RequestDeferred => Event::RequestDeferred {
-            at,
-            id: RequestId::new(i),
-            n: vs,
-        },
+        EventKind::RequestDeferred => Event::RequestDeferred { at, trace, n: vs },
         EventKind::RequestRejected => Event::RequestRejected {
             at,
+            trace,
             n: us,
             reason: [
                 RejectReason::DiskFull,
@@ -113,18 +110,18 @@ fn event(kind: EventKind, r: Raw) -> Event<'static> {
         },
         EventKind::BufferAllocated => Event::BufferAllocated {
             at,
-            id: RequestId::new(i),
+            trace,
             size: Bits::new(y),
         },
         EventKind::BufferResized => Event::BufferResized {
             at,
-            id: RequestId::new(i),
+            trace,
             old_size: Bits::new(y),
             new_size: Bits::new(z),
         },
         EventKind::BufferFreed => Event::BufferFreed {
             at,
-            id: RequestId::new(i),
+            trace,
             released: Bits::new(y),
         },
         EventKind::EstimatorClamped => Event::EstimatorClamped {
@@ -135,14 +132,13 @@ fn event(kind: EventKind, r: Raw) -> Event<'static> {
         },
         EventKind::Underflow => Event::Underflow {
             at,
-            id: RequestId::new(i),
+            trace,
             n: vs,
             deficit: Bits::new(y),
         },
         EventKind::PoolOccupancy => Event::PoolOccupancy {
             at,
             used: Bits::new(y),
-            peak: Bits::new(z),
             streams: us,
         },
         EventKind::SpanStart => Event::SpanStart {
@@ -281,16 +277,18 @@ fn every_kind_round_trips_at_its_edges() {
 
 #[test]
 fn integers_past_two_to_the_53_are_refused_not_rounded() {
-    let line = |id: u64| format!(r#"{{"kind":"request_deferred","t":1.0,"id":{id},"n":2}}"#);
+    let line = |n: u64| {
+        format!(r#"{{"kind":"request_deferred","t":1.0,"trace":"0000000000000001","n":{n}}}"#)
+    };
     let text = line(MAX_SAFE_INTEGER);
     let at_bound = TraceLine::parse(&text).expect("2^53 is exact");
     assert!(matches!(
         at_bound,
-        TraceLine::Event(Event::RequestDeferred { id, .. }) if id.raw() == MAX_SAFE_INTEGER
+        TraceLine::Event(Event::RequestDeferred { n, .. }) if n as u64 == MAX_SAFE_INTEGER
     ));
-    for id in [MAX_SAFE_INTEGER + 1, 4_175_401_687_802_144_684, u64::MAX] {
-        let err = TraceLine::parse(&line(id)).expect_err("too large for an f64");
-        assert!(err.contains("`id`"), "{err}");
+    for n in [MAX_SAFE_INTEGER + 1, 4_175_401_687_802_144_684, u64::MAX] {
+        let err = TraceLine::parse(&line(n)).expect_err("too large for an f64");
+        assert!(err.contains("`n`"), "{err}");
     }
     // An annotation value too: a u64 past 2^53 names no exact number.
     let anno = r#"{"kind":"span_annotate","t":0.0,"trace":"0000000000000001","span":"0000000000000002","key":"orig_trace","value":4175401687802144684}"#;

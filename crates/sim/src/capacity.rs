@@ -27,8 +27,8 @@ use std::collections::BinaryHeap;
 
 use vod_core::scheme::Sizer;
 use vod_core::{memory, ArrivalLog, SchemeKind, SystemParams};
-use vod_obs::{Event, EventKind, Obs, RejectReason};
-use vod_types::{Bits, ConfigError, Instant, RequestId, Seconds};
+use vod_obs::{Event, EventKind, Obs, RejectReason, TraceId};
+use vod_types::{Bits, ConfigError, Instant, Seconds};
 use vod_workload::Workload;
 
 /// Configuration of one capacity run.
@@ -214,8 +214,9 @@ impl CapacitySim {
         let mut concurrent = 0usize;
 
         for (idx, a) in workload.arrivals.iter().enumerate() {
-            // Request ids for observability: the arrival's workload index.
-            let rid = RequestId::new(idx as u64);
+            // The request's trace for observability, derived from its
+            // workload index as the engine's `ingest` derives one.
+            let trace = || TraceId::derive(0, idx as u64);
             // Release departures up to this arrival.
             let limit = order_key(a.at);
             while let Some(&dep) = departures.peek() {
@@ -243,6 +244,7 @@ impl CapacitySim {
                 self.obs
                     .emit_with(EventKind::RequestRejected, || Event::RequestRejected {
                         at: a.at,
+                        trace: trace(),
                         n: concurrent,
                         reason: RejectReason::DiskFull,
                     });
@@ -256,6 +258,7 @@ impl CapacitySim {
                 self.obs
                     .emit_with(EventKind::RequestRejected, || Event::RequestRejected {
                         at: a.at,
+                        trace: trace(),
                         n: concurrent,
                         reason: RejectReason::DiskFull,
                     });
@@ -275,6 +278,7 @@ impl CapacitySim {
                 self.obs
                     .emit_with(EventKind::RequestRejected, || Event::RequestRejected {
                         at: a.at,
+                        trace: trace(),
                         n: concurrent,
                         reason: RejectReason::MemoryFull,
                     });
@@ -292,7 +296,7 @@ impl CapacitySim {
             self.obs
                 .emit_with(EventKind::RequestAdmitted, || Event::RequestAdmitted {
                     at: a.at,
-                    id: rid,
+                    trace: trace(),
                     n: concurrent,
                     waited: Seconds::ZERO,
                 });
@@ -302,7 +306,6 @@ impl CapacitySim {
                     .emit_with(EventKind::PoolOccupancy, || Event::PoolOccupancy {
                         at: a.at,
                         used: total_reserved,
-                        peak: result.peak_reserved,
                         streams: concurrent,
                     });
             }

@@ -323,18 +323,6 @@ pub struct DiskEngine {
     /// Scope seed for deterministic trace derivation (defaults to the
     /// latency seed; see [`Self::set_trace_scope`]).
     trace_seed: u64,
-    /// The open cycle span, when tracing (trace + span id).
-    cycle_span: Option<(TraceId, SpanId)>,
-    /// Monotone cycle-span sequence (advances whether or not tracing is
-    /// on, so span ids never depend on when a sink was attached).
-    cycle_seq: u64,
-    /// Whether per-cycle spans — cycle spans and steady-state service
-    /// spans — are emitted when tracing (first-fill service spans always
-    /// are). Long traced runs — the cluster bench — turn this off:
-    /// per-cycle spans dominate the event volume without feeding the
-    /// lifecycle audit. Emission-only; span sequence numbers advance
-    /// regardless.
-    trace_per_cycle: bool,
     /// Cycle-boundary time-series handles; `None` (the default) skips
     /// sampling entirely.
     series: Option<EngineSeries>,
@@ -365,10 +353,6 @@ pub struct EvictedStream {
     /// True for in-service streams, false for queued requests.
     pub was_active: bool,
 }
-
-/// Scope salt separating the engine's cycle-span trace from request
-/// traces derived under the same seed.
-const ENGINE_TRACE_SCOPE: u64 = 0x0063_7963_6c65; // "cycle"
 
 /// The largest consumption deficit, in bits, that is float dust rather
 /// than starvation. Levels are `f64` bit counts built from fills and
@@ -464,9 +448,6 @@ impl DiskEngine {
             next_request_id: 0,
             iters: 0,
             trace_seed: 0,
-            cycle_span: None,
-            cycle_seq: 0,
-            trace_per_cycle: true,
             series: None,
             capacity_limit: 1.0,
             memory_limit: 1.0,
@@ -486,15 +467,6 @@ impl DiskEngine {
     /// service decision reads it.
     pub fn set_trace_scope(&mut self, seed: u64) {
         self.trace_seed = seed;
-    }
-
-    /// Toggles per-cycle spans — cycle spans and steady-state service
-    /// spans (default on). With `false`, only each stream's *first-fill*
-    /// service span is emitted — the one that closes the
-    /// time-to-first-service window. Affects emission only: span
-    /// sequencing and every scheduling decision are identical either way.
-    pub fn set_per_cycle_tracing(&mut self, on: bool) {
-        self.trace_per_cycle = on;
     }
 
     /// Attaches a [`SeriesRecorder`]: at every completed service cycle
@@ -531,11 +503,6 @@ impl DiskEngine {
         if let Some(p) = period {
             series.cycle_service.push(ts, p);
         }
-    }
-
-    /// The engine-scoped trace carrying cycle spans.
-    fn engine_trace(&self) -> TraceId {
-        TraceId::derive(self.trace_seed ^ ENGINE_TRACE_SCOPE, 0)
     }
 
     /// Runs the engine over a time-sorted arrival trace (all targeting
@@ -613,9 +580,6 @@ impl DiskEngine {
                     self.m.close_cycle(boundary, self.cycle_services);
                     self.cycle_active = false;
                     idle_cycle = self.cycle_services == 0;
-                    if let Some((tr, sp)) = self.cycle_span.take() {
-                        self.obs.span_end(self.t, tr, sp, SpanStatus::Ok);
-                    }
                     self.sample_series();
                 }
                 self.process_due_departures();
@@ -641,20 +605,14 @@ impl DiskEngine {
                                 self.obs.emit_with(EventKind::RequestRejected, || {
                                     Event::RequestRejected {
                                         at: self.t,
+                                        trace: p.trace,
                                         n,
                                         reason: RejectReason::QueueDropped,
                                     }
                                 });
-                                if self.obs.tracing() && !p.trace.is_none() {
+                                if self.obs.tracing() {
                                     let root = SpanId::derive(p.trace, span::SEQ_REQUEST);
                                     let adm = SpanId::derive(p.trace, span::SEQ_ADMISSION);
-                                    self.obs.span_annotate(
-                                        self.t,
-                                        p.trace,
-                                        adm,
-                                        "reject_reason",
-                                        AnnoValue::Str(RejectReason::QueueDropped.label()),
-                                    );
                                     self.obs.span_end(self.t, p.trace, adm, SpanStatus::Refused);
                                     self.obs
                                         .span_end(self.t, p.trace, root, SpanStatus::Refused);
@@ -736,21 +694,6 @@ impl DiskEngine {
                 self.cycle_start = start;
                 self.cursor = 0;
                 self.cycle_active = true;
-                let cseq = self.cycle_seq;
-                self.cycle_seq += 1;
-                if self.obs.tracing() && self.trace_per_cycle {
-                    let tr = self.engine_trace();
-                    let sp = SpanId::derive(tr, cseq);
-                    self.obs.span_start(start, tr, sp, None, SpanKind::Cycle);
-                    self.obs.span_annotate(
-                        start,
-                        tr,
-                        sp,
-                        "n",
-                        AnnoValue::U64(self.streams.len() as u64),
-                    );
-                    self.cycle_span = Some((tr, sp));
-                }
                 self.cycle_services = 0;
                 self.cycle_insertions_left = plan.insertion_budget;
                 if let Some(peak) = self.mem.observe(self.t, self.cfg.params.cr().as_f64()) {
@@ -759,7 +702,6 @@ impl DiskEngine {
                         .emit_with(EventKind::PoolOccupancy, || Event::PoolOccupancy {
                             at: self.t,
                             used: Bits::new(peak),
-                            peak: Bits::new(peak),
                             streams,
                         });
                 }
@@ -971,9 +913,6 @@ impl DiskEngine {
     pub fn evict_all(&mut self) -> Vec<EvictedStream> {
         let at = self.t;
         // The in-flight cycle dies with the node.
-        if let Some((tr, sp)) = self.cycle_span.take() {
-            self.obs.span_end(at, tr, sp, SpanStatus::Ok);
-        }
         self.cycle_active = false;
         self.cycle_services = 0;
         self.cycle_insertions_left = usize::MAX;
@@ -1015,7 +954,7 @@ impl DiskEngine {
             });
         }
         while let Some(p) = self.pending.pop_front() {
-            if self.obs.tracing() && !p.trace.is_none() {
+            if self.obs.tracing() {
                 let root = SpanId::derive(p.trace, span::SEQ_REQUEST);
                 let adm = SpanId::derive(p.trace, span::SEQ_ADMISSION);
                 self.obs.span_end(at, p.trace, adm, SpanStatus::Refused);
@@ -1048,7 +987,7 @@ impl DiskEngine {
 
     /// Records a consumption deficit larger than [`UNDERFLOW_SLACK_BITS`]
     /// as an underflow.
-    fn note_deficit(&mut self, id: RequestId, at: Instant, deficit: Bits) {
+    fn note_deficit(&mut self, trace: TraceId, at: Instant, deficit: Bits) {
         if deficit.as_f64() > UNDERFLOW_SLACK_BITS {
             self.stats.underflows += 1;
             self.stats.underflow_deficit += deficit;
@@ -1056,7 +995,7 @@ impl DiskEngine {
             self.obs
                 .emit_with(EventKind::Underflow, || Event::Underflow {
                     at,
-                    id,
+                    trace,
                     n,
                     deficit,
                 });
@@ -1103,10 +1042,11 @@ impl DiskEngine {
             self.obs
                 .emit_with(EventKind::RequestRejected, || Event::RequestRejected {
                     at: a.at,
+                    trace,
                     n,
                     reason: RejectReason::DiskFull,
                 });
-            self.end_refused(a.at, trace, root, RejectReason::DiskFull);
+            self.end_refused(a.at, trace, root);
             return;
         }
         if !self.memory_admits(n + 1, a.at) {
@@ -1114,10 +1054,11 @@ impl DiskEngine {
             self.obs
                 .emit_with(EventKind::RequestRejected, || Event::RequestRejected {
                     at: a.at,
+                    trace,
                     n,
                     reason: RejectReason::MemoryFull,
                 });
-            self.end_refused(a.at, trace, root, RejectReason::MemoryFull);
+            self.end_refused(a.at, trace, root);
             return;
         }
         if self.obs.tracing() {
@@ -1139,18 +1080,11 @@ impl DiskEngine {
         });
     }
 
-    /// Closes a request's root span as refused with the reason that
-    /// rejected it (immediate disk/memory rejection — no admission span
-    /// was ever opened).
-    fn end_refused(&self, at: Instant, trace: TraceId, root: SpanId, reason: RejectReason) {
+    /// Closes a request's root span as refused (immediate disk/memory
+    /// rejection — no admission span was ever opened); the
+    /// `RequestRejected` event carries the reason.
+    fn end_refused(&self, at: Instant, trace: TraceId, root: SpanId) {
         if self.obs.tracing() {
-            self.obs.span_annotate(
-                at,
-                trace,
-                root,
-                "reject_reason",
-                AnnoValue::Str(reason.label()),
-            );
             self.obs.span_end(at, trace, root, SpanStatus::Refused);
         }
     }
@@ -1254,10 +1188,10 @@ impl DiskEngine {
                     self.obs
                         .emit_with(EventKind::RequestDeferred, || Event::RequestDeferred {
                             at: self.t,
-                            id: head.id,
+                            trace: head.trace,
                             n,
                         });
-                    if self.obs.tracing() && !head.trace.is_none() {
+                    if self.obs.tracing() {
                         // Name the BS_k(n) constraint that deferred it.
                         self.annotate_constraint(head.trace);
                     }
@@ -1332,11 +1266,11 @@ impl DiskEngine {
         self.obs
             .emit_with(EventKind::RequestAdmitted, || Event::RequestAdmitted {
                 at: self.t,
-                id: p.id,
+                trace: p.trace,
                 n: n_now,
                 waited: self.t - p.arrived,
             });
-        if self.obs.tracing() && !p.trace.is_none() {
+        if self.obs.tracing() {
             // The bound that *allowed* the admission (mirrors the
             // deferral annotation so traces always name the decider).
             let adm = self.annotate_constraint(p.trace);
@@ -1475,12 +1409,13 @@ impl DiskEngine {
 
         let stream = self.streams.get_mut(slot).expect("caller checked presence");
         let started = stream.viewing_started();
+        let trace = stream.trace;
         let old_time = stream.level_at_time();
         let upd = stream.advance_to(t_data, cr);
         if started {
             self.mem.on_materialize(old_time, t_data, upd.consumed);
         }
-        self.note_deficit(id, t_data, upd.deficit);
+        self.note_deficit(trace, t_data, upd.deficit);
 
         let stream = &mut self.streams[slot];
         let mut read = (size - stream.level()).clamp_non_negative();
@@ -1509,19 +1444,15 @@ impl DiskEngine {
 
         // Track the allocation size for buffer-lifecycle events. The
         // update is unconditional (sink or no sink) so instrumented runs
-        // stay bit-identical — as is the span-sequence advance, so span
-        // ids never depend on when (or whether) a sink was attached.
+        // stay bit-identical.
         let prev_alloc = stream.last_alloc;
         stream.last_alloc = size;
-        let trace = stream.trace;
-        let svc_seq = stream.span_seq;
-        stream.span_seq += 1;
         stream.fill(t_data, read);
         if !started {
             self.obs
                 .emit_with(EventKind::BufferAllocated, || Event::BufferAllocated {
                     at: t_data,
-                    id,
+                    trace,
                     size,
                 });
             self.departures
@@ -1539,7 +1470,7 @@ impl DiskEngine {
             self.obs
                 .emit_with(EventKind::BufferResized, || Event::BufferResized {
                     at: t_data,
-                    id,
+                    trace,
                     old_size: prev_alloc,
                     new_size: size,
                 });
@@ -1554,7 +1485,6 @@ impl DiskEngine {
                 .emit_with(EventKind::PoolOccupancy, || Event::PoolOccupancy {
                     at: t_done,
                     used: Bits::new(peak),
-                    peak: Bits::new(peak),
                     streams: n_active,
                 });
         }
@@ -1567,7 +1497,7 @@ impl DiskEngine {
         self.obs
             .emit_with(EventKind::StreamServiced, || Event::StreamServiced {
                 at: t_done,
-                id,
+                trace,
                 n: n_c,
                 k: k_c,
                 read,
@@ -1577,33 +1507,13 @@ impl DiskEngine {
             });
         self.stats.services += 1;
         self.cycle_services += 1;
-        if self.obs.tracing() && !trace.is_none() && (self.trace_per_cycle || !started) {
+        // The first fill closes the time-to-first-service window, so it
+        // alone gets a span; its numbers are the event's.
+        if !started && self.obs.tracing() {
             let root = SpanId::derive(trace, span::SEQ_REQUEST);
-            let sp = SpanId::derive(trace, svc_seq);
+            let sp = SpanId::derive(trace, span::SEQ_FIRST_SERVICE);
             self.obs
                 .span_start(now, trace, sp, Some(root), SpanKind::Service);
-            self.obs
-                .span_annotate(t_done, trace, sp, "n", AnnoValue::U64(n_c as u64));
-            self.obs
-                .span_annotate(t_done, trace, sp, "k", AnnoValue::U64(k_c as u64));
-            self.obs.span_annotate(
-                t_done,
-                trace,
-                sp,
-                "read_bits",
-                AnnoValue::F64(read.as_f64()),
-            );
-            self.obs.span_annotate(
-                t_done,
-                trace,
-                sp,
-                "size_bits",
-                AnnoValue::F64(size.as_f64()),
-            );
-            if !started {
-                self.obs
-                    .span_annotate(t_done, trace, sp, "first_fill", AnnoValue::U64(1));
-            }
             self.obs.span_end(t_done, trace, sp, SpanStatus::Ok);
         }
         self.t = t_done;
@@ -1961,17 +1871,17 @@ impl DiskEngine {
             self.mem
                 .on_materialize(old_time, s.level_at_time(), upd.consumed);
         }
-        self.note_deficit(id, at, upd.deficit);
+        self.note_deficit(s.trace, at, upd.deficit);
         if started {
             self.mem.on_depart(s.level(), s.level_at_time());
         }
         self.obs
             .emit_with(EventKind::BufferFreed, || Event::BufferFreed {
                 at,
-                id,
+                trace: s.trace,
                 released: s.level(),
             });
-        if self.obs.tracing() && !s.trace.is_none() {
+        if self.obs.tracing() {
             let root = SpanId::derive(s.trace, span::SEQ_REQUEST);
             if evicted {
                 self.obs
@@ -1996,11 +1906,6 @@ impl DiskEngine {
     /// engines that share a registry, such as the multi-seed runner's,
     /// sum.
     fn finalize(mut self) -> DiskRunStats {
-        // A run that ends mid-cycle (drained while a cycle was open)
-        // still closes its cycle span.
-        if let Some((tr, sp)) = self.cycle_span.take() {
-            self.obs.span_end(self.t, tr, sp, SpanStatus::Ok);
-        }
         let m = self.obs.metrics();
         for (name, total) in [
             (CTR_CYCLES, self.stats.cycles),

@@ -1,6 +1,6 @@
 //! Per-stream state inside the simulator.
 
-use vod_obs::span::{TraceId, SEQ_FIRST_SERVICE};
+use vod_obs::span::TraceId;
 use vod_types::{BitRate, Bits, Instant, RequestId, Seconds, VideoId};
 
 /// The simulator's view of one active stream.
@@ -40,10 +40,6 @@ pub struct Stream {
     /// handed in by a cluster front end). Observability only — pure
     /// data-flow, never read by any scheduling decision.
     pub trace: TraceId,
-    /// Sequence salt of the stream's *next* service span (starts at
-    /// [`SEQ_FIRST_SERVICE`], advances once per disk read).
-    /// Observability only.
-    pub span_seq: u64,
 }
 
 /// What a lazy level update observed.
@@ -72,7 +68,6 @@ impl Stream {
             eligible_at: arrived,
             last_alloc: Bits::ZERO,
             trace: TraceId::NONE,
-            span_seq: SEQ_FIRST_SERVICE,
         }
     }
 

@@ -8,16 +8,21 @@
 //! opened, and admission spans ending `admitted` agree with the run's
 //! admitted count; (2) observation is non-perturbing — the
 //! `DiskRunStats` of a fully traced run equal those of a detached run
-//! bit for bit.
+//! bit for bit. (3) Events and spans join on the trace id: every
+//! per-request event names a request whose root span is in the run, and
+//! a request's one service span is its first fill, ending when its first
+//! `StreamServiced` does. No annotation repeats a number an event
+//! carries.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use vod_core::SchemeKind;
-use vod_obs::{Event, Obs, RecorderSink, SpanStatus};
+use vod_obs::span::SEQ_FIRST_SERVICE;
+use vod_obs::{Event, Obs, RecorderSink, SpanId, SpanKind, SpanStatus, TraceId};
 use vod_sched::SchedulingMethod;
-use vod_sim::{DiskEngine, EngineConfig};
+use vod_sim::{DiskEngine, DiskRunStats, EngineConfig};
 use vod_types::{DiskId, Instant, Seconds, VideoId};
 use vod_workload::Arrival;
 
@@ -40,6 +45,186 @@ fn trace_strategy() -> impl Strategy<Value = Vec<Arrival>> {
         arrivals.sort_by(|a, b| a.at.partial_cmp(&b.at).expect("finite times"));
         arrivals
     })
+}
+
+/// The request a per-request event names, `None` for the other kinds.
+fn request_trace(e: &Event<'_>) -> Option<TraceId> {
+    match *e {
+        Event::StreamServiced { trace, .. }
+        | Event::RequestAdmitted { trace, .. }
+        | Event::RequestDeferred { trace, .. }
+        | Event::RequestRejected { trace, .. }
+        | Event::BufferAllocated { trace, .. }
+        | Event::BufferResized { trace, .. }
+        | Event::BufferFreed { trace, .. }
+        | Event::Underflow { trace, .. } => Some(trace),
+        _ => None,
+    }
+}
+
+/// Annotation keys that would copy a number an event already carries.
+const EVENT_FIELD_KEYS: &[&str] = &[
+    "n",
+    "k",
+    "read_bits",
+    "size_bits",
+    "first_fill",
+    "reject_reason",
+];
+
+const METHODS: [SchedulingMethod; 3] = [
+    SchedulingMethod::RoundRobin,
+    SchedulingMethod::Sweep,
+    SchedulingMethod::Gss { group_size: 4 },
+];
+
+const SCHEMES: [SchemeKind; 4] = [
+    SchemeKind::Static,
+    SchemeKind::StaticMaxUse,
+    SchemeKind::NaiveDynamic,
+    SchemeKind::Dynamic,
+];
+
+/// The join property for one method × scheme run over `arrivals`;
+/// returns the run's stats.
+fn check_join(arrivals: &[Arrival], method: SchedulingMethod, scheme: SchemeKind) -> DiskRunStats {
+    let recorder = Arc::new(RecorderSink::new());
+    let cfg = EngineConfig::paper(method, scheme);
+    let stats = DiskEngine::with_observer(
+        cfg,
+        Obs::new(Arc::clone(&recorder) as Arc<dyn vod_obs::Sink>),
+    )
+    .expect("paper config is valid")
+    .run(arrivals);
+    let snap = recorder.snapshot();
+    assert_eq!(
+        snap.dropped() + snap.spans_dropped(),
+        0,
+        "ring must hold the whole run"
+    );
+
+    let roots: HashSet<TraceId> = snap
+        .events()
+        .iter()
+        .filter_map(|e| match *e {
+            Event::SpanStart {
+                trace,
+                span_kind: SpanKind::Request,
+                ..
+            } => Some(trace),
+            _ => None,
+        })
+        .collect();
+    let mut services = 0u64;
+    let mut first_service: HashMap<TraceId, f64> = HashMap::new();
+    let mut admitted: Vec<TraceId> = Vec::new();
+    let mut open_services: HashSet<(TraceId, SpanId)> = HashSet::new();
+    // Each trace's service spans, with their end times.
+    let mut service_spans: HashMap<TraceId, Vec<(SpanId, f64)>> = HashMap::new();
+    for e in snap.events() {
+        if let Some(t) = request_trace(e) {
+            assert!(t != TraceId::NONE, "{:?} names no trace", e.kind());
+            assert!(
+                roots.contains(&t),
+                "{:?} names trace {} with no root span",
+                e.kind(),
+                t
+            );
+        }
+        match *e {
+            Event::StreamServiced { at, trace, .. } => {
+                services += 1;
+                first_service.entry(trace).or_insert(at.as_secs_f64());
+            }
+            Event::RequestAdmitted { trace, .. } => admitted.push(trace),
+            Event::SpanStart {
+                trace,
+                span,
+                span_kind,
+                ..
+            } => {
+                assert!(
+                    matches!(
+                        span_kind,
+                        SpanKind::Request | SpanKind::Admission | SpanKind::Service
+                    ),
+                    "an engine run opens only lifecycle spans, not {}",
+                    span_kind
+                );
+                assert!(
+                    roots.contains(&trace),
+                    "span of trace {} with no root",
+                    trace
+                );
+                if span_kind == SpanKind::Service {
+                    open_services.insert((trace, span));
+                }
+            }
+            Event::SpanEnd {
+                at, trace, span, ..
+            } if open_services.remove(&(trace, span)) => {
+                service_spans
+                    .entry(trace)
+                    .or_default()
+                    .push((span, at.as_secs_f64()));
+            }
+            Event::SpanAnnotate { key, .. } => {
+                assert!(
+                    !EVENT_FIELD_KEYS.contains(&key),
+                    "annotation `{}` copies an event field",
+                    key
+                );
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(services, stats.services, "one StreamServiced per service");
+    assert_eq!(admitted.len() as u64, stats.admitted);
+    assert_eq!(
+        service_spans.len(),
+        admitted.len(),
+        "service spans only for admitted requests"
+    );
+    for t in &admitted {
+        let spans = service_spans.get(t).map_or(&[][..], Vec::as_slice);
+        assert_eq!(
+            spans.len(),
+            1,
+            "trace {} has {} service spans",
+            t,
+            spans.len()
+        );
+        let (span, end) = spans[0];
+        assert_eq!(span, SpanId::derive(*t, SEQ_FIRST_SERVICE));
+        assert_eq!(
+            Some(&end),
+            first_service.get(t),
+            "trace {}: first fill ends at its first service",
+            t
+        );
+    }
+    stats
+}
+
+/// The join holds when the disk refuses requests too: a burst past the
+/// stream bound `N` makes `request_rejected` events, which name their
+/// trace like every other per-request event.
+#[test]
+fn events_join_spans_when_the_disk_rejects() {
+    let burst: Vec<Arrival> = (0u32..120)
+        .map(|i| Arrival {
+            at: Instant::from_secs(f64::from(i) * 0.05),
+            disk: DiskId::new(0),
+            video: VideoId::new(u64::from(i % 12)),
+            viewing: Seconds::from_secs(600.0),
+        })
+        .collect();
+    for method in METHODS {
+        for scheme in SCHEMES {
+            let stats = check_join(&burst, method, scheme);
+            assert!(stats.rejected > 0, "{method:?}/{scheme:?} rejected nothing");
+        }
+    }
 }
 
 fn method_strategy() -> impl Strategy<Value = SchedulingMethod> {
@@ -117,6 +302,20 @@ proptest! {
             admitted_spans, stats.admitted,
             "exactly one admission span per admitted stream"
         );
+    }
+
+    /// Events join spans by trace, for every method × scheme: each
+    /// per-request event names a traced request, each admitted request
+    /// has exactly one service span — its first fill, ending at its first
+    /// `StreamServiced` — and spans hold only the request lifecycle, with
+    /// no annotation copying an event field.
+    #[test]
+    fn events_join_spans_by_trace_across_methods_and_schemes(trace in trace_strategy()) {
+        for method in METHODS {
+            for scheme in SCHEMES {
+                check_join(&trace, method, scheme);
+            }
+        }
     }
 
     /// Tracing is non-perturbing: a fully recorded run and a detached run
