@@ -37,12 +37,11 @@
 //!   experiment, the host wall-clock time, the events and span records
 //!   the recorder dropped (`events_dropped` / `spans_dropped`), per-kind
 //!   event counters (admitted / deferred / rejected / underflow, …), and
-//!   the recorder's histograms. The same drop totals feed the shared
-//!   metrics registry as `vod_events_dropped_total` /
-//!   `vod_spans_dropped_total` when `--metrics` is active.
+//!   the recorder's histograms.
 //! * `--metrics <file.prom>` — attaches one shared metrics registry to
-//!   every simulated experiment and writes its final state in Prometheus
-//!   text exposition format.
+//!   every simulated experiment and writes its wall-clock phase
+//!   histograms in Prometheus text exposition format. It holds no run
+//!   count: those are in the tables and in `--summary-json`.
 //!
 //! `repro bench` skips the tables entirely and runs the pinned
 //! performance matrix instead, writing `BENCH_perf.json` (see
@@ -80,7 +79,6 @@ use vod_bench::{
     compare, fig10, fig11, fig12, fig13, fig14, fig6, fig7, fig8, fig9, gss_g, report, run_matrix,
     tab3, tab4, tab5, traceview, vcr, BenchMode, ChaosBenchMode, ClusterBenchMode, Matrix, Scale,
 };
-use vod_obs::metrics::{CTR_EVENTS_DROPPED, CTR_SPANS_DROPPED};
 use vod_obs::{
     json, prom, trace, FlightRecorder, Metrics, MetricsRegistry, Obs, RecorderSink, Sink, TeeSink,
     TraceLine,
@@ -511,8 +509,8 @@ fn bench_main(args: &[String]) -> Run {
 /// [--metrics <file.prom>] [--trace <file.jsonl>] [--flight <file.jsonl>]`:
 /// the `cluster_scaling` matrix (node count × placement × dispatch).
 ///
-/// `--metrics` dumps the accumulated registry (per-node counters across
-/// every cell) in Prometheus text. The committed runs are
+/// `--metrics` dumps the engines' phase histograms, accumulated over
+/// every cell, in Prometheus text. The committed runs are
 /// `BENCH_cluster_full.json` and `BENCH_cluster_smoke.json`; CI diffs a
 /// fresh run of each against it with `repro compare`.
 fn cluster_main(args: &[String]) -> Run {
@@ -535,13 +533,21 @@ fn cluster_main(args: &[String]) -> Run {
         }
     }
 
-    let registry = Arc::new(MetricsRegistry::new());
+    // The engines read the wall clock only when a registry is attached.
+    let registry = metrics_path
+        .is_some()
+        .then(|| Arc::new(MetricsRegistry::new()));
     let flight = flight_path.as_deref().map(arm_flight);
     let obs = match &flight {
         Some(f) => Obs::new(Arc::clone(f) as Arc<dyn Sink>),
         None => Obs::null(),
     }
-    .with_metrics(Metrics::new(Arc::clone(&registry)));
+    .with_metrics(
+        registry
+            .as_ref()
+            .map(|r| Metrics::new(Arc::clone(r)))
+            .unwrap_or_default(),
+    );
     run_matrix_main(mode, jobs, &obs, trace_path.as_deref(), out, |c| {
         format!(
             "{:>2} nodes  {:<14} {:<13} {:>6} arrivals  {:>5} deferred  {:>5} redirected  \
@@ -556,8 +562,8 @@ fn cluster_main(args: &[String]) -> Run {
             c.report.peak_memory_bits() / (8.0 * 1024.0 * 1024.0),
         )
     })?;
-    if let Some(path) = &metrics_path {
-        write_file("metrics ", path, prom::render(&registry.snapshot()))?;
+    if let (Some(path), Some(reg)) = (&metrics_path, &registry) {
+        write_file("metrics ", path, prom::render(&reg.snapshot()))?;
     }
     if let Some(f) = &flight {
         flight_report(f);
@@ -849,12 +855,6 @@ fn experiments_main(args: &[String]) -> Run {
                 trace_out.push('\n');
                 trace_out.push_str(&snap.export_jsonl());
             }
-            // The drop totals are first-class series in the attached
-            // registry's file dump.
-            metrics
-                .counter(CTR_EVENTS_DROPPED)
-                .add(snap.events_dropped());
-            metrics.counter(CTR_SPANS_DROPPED).add(snap.spans_dropped());
             let mut entry = json::Object::new();
             entry.str("name", &name);
             entry.num("wall_clock_s", elapsed.as_secs_f64());

@@ -507,10 +507,14 @@ mod tests {
         // The committed smoke document is this run's, byte for byte.
         let committed = include_str!("../../../BENCH_cluster_smoke.json");
         assert_eq!(json + "\n", committed);
-        // The shared registry surfaces per-node counters for scraping.
+        // The shared registry holds only wall-clock histograms: the
+        // document above is the run's one record of every count.
         let text = prom::render(&registry.snapshot());
-        assert!(text.contains("vod_cluster_node0_deferred_total"));
-        assert!(text.contains("vod_cluster_dispatched_total"));
+        assert!(text.contains("vod_phase_service_seconds_count"));
+        assert!(text
+            .lines()
+            .filter(|l| l.starts_with("# TYPE "))
+            .all(|l| l.ends_with(" histogram")));
     }
 
     /// Acceptance: the traced cluster matrix writes the same document as

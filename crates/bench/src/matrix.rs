@@ -168,9 +168,9 @@ impl<M: Matrix> Report<M> {
 
 /// Runs the matrix for `mode` on up to `jobs` worker threads.
 ///
-/// `obs` is shared by every cell: counter updates commute, so a shared
-/// metrics registry ends in the same state whatever the job count.
-/// `progress` is called with a one-line description before each cell
+/// `obs` is shared by every cell. A shared metrics registry holds only
+/// wall-clock histograms, whose sample counts do not depend on the job
+/// count. `progress` is called with a one-line description before each cell
 /// runs; with `jobs > 1` the lines interleave in claim order.
 ///
 /// With `trace` set, the cells run in order on the calling thread and

@@ -526,6 +526,8 @@ pub fn render(report: &TraceReport) -> String {
             s.traces,
             if s.audited { "" } else { " (schema only)" },
         ));
+        // An unaudited section gets no verdict, but its breakdowns and
+        // trees were computed all the same.
         if s.audited {
             if s.violations.is_empty() {
                 out.push_str("  invariant audit: OK\n");
@@ -534,28 +536,28 @@ pub fn render(report: &TraceReport) -> String {
                     out.push_str(&format!("  VIOLATION: {v}\n"));
                 }
             }
-            let waited: Vec<f64> = s
-                .breakdowns
-                .iter()
-                .filter_map(|b| b.deferral_wait_s)
-                .collect();
-            let ttfs: Vec<f64> = s
-                .breakdowns
-                .iter()
-                .filter_map(|b| b.time_to_first_service_s)
-                .collect();
-            let hops: usize = s.breakdowns.iter().map(|b| b.hops).sum();
-            out.push_str(&format!(
-                "  {} admitted traces: mean deferral {}, mean ttfs {}, {} total hop(s)\n",
-                s.breakdowns.len(),
-                mean_label(&waited),
-                mean_label(&ttfs),
-                hops,
-            ));
-            for tree in &s.slowest {
-                for line in tree.lines() {
-                    out.push_str(&format!("  {line}\n"));
-                }
+        }
+        let waited: Vec<f64> = s
+            .breakdowns
+            .iter()
+            .filter_map(|b| b.deferral_wait_s)
+            .collect();
+        let ttfs: Vec<f64> = s
+            .breakdowns
+            .iter()
+            .filter_map(|b| b.time_to_first_service_s)
+            .collect();
+        let hops: usize = s.breakdowns.iter().map(|b| b.hops).sum();
+        out.push_str(&format!(
+            "  {} admitted traces: mean deferral {}, mean ttfs {}, {} total hop(s)\n",
+            s.breakdowns.len(),
+            mean_label(&waited),
+            mean_label(&ttfs),
+            hops,
+        ));
+        for tree in &s.slowest {
+            for line in tree.lines() {
+                out.push_str(&format!("  {line}\n"));
             }
         }
     }
@@ -749,6 +751,32 @@ mod tests {
         assert!(report.audit_passed());
         assert!(!report.sections[0].audited);
         assert_eq!(report.sections[0].name, "flight dump (underflow)");
+    }
+
+    #[test]
+    fn truncated_experiment_renders_its_breakdowns_without_a_verdict() {
+        let header = TraceLine::Experiment {
+            name: "t",
+            events: 7,
+            events_dropped: 0,
+            spans_dropped: 4,
+        };
+        let src = format!("{}\n{}", header.to_json(), lifecycle_jsonl());
+        let report = analyze(&parsed(&src), 1);
+        assert!(!report.sections[0].audited);
+        let text = render(&report);
+        assert!(
+            text.starts_with("== t [truncated: 4 span records dropped] — 7 events, 3 spans, 1 traces (schema only) ==\n"),
+            "{text}"
+        );
+        assert!(!text.contains("invariant audit:"), "{text}");
+        assert!(
+            text.contains(
+                "  1 admitted traces: mean deferral 1.500s, mean ttfs 2.000s, 0 total hop(s)\n"
+            ),
+            "{text}"
+        );
+        assert!(text.contains("  request [ok]"), "{text}");
     }
 
     #[test]

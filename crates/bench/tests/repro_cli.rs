@@ -1,8 +1,9 @@
 //! The `repro` command line: which flags each subcommand accepts, and how
-//! it refuses the rest. Every case but two stops while the arguments (or
+//! it refuses the rest. Every case but three stops while the arguments (or
 //! the fault script or trace file they name) are read, so no experiment or
-//! matrix runs; one runs a single two-node chaos episode, and one the
-//! two-cell engine smoke matrix.
+//! matrix runs; one runs a single two-node chaos episode, one the
+//! two-cell engine smoke matrix, and one the two-cell cluster smoke matrix
+//! at two job counts.
 
 use std::process::Command;
 
@@ -315,6 +316,40 @@ fn a_smoke_run_writes_its_committed_pin_by_default() {
         std::fs::read_to_string(dir.join("BENCH_baseline.json")).expect("the run's document"),
         include_str!("../../../BENCH_baseline.json")
     );
+}
+
+/// `--metrics` writes only the wall-clock phase histograms, and the
+/// number of samples in each does not depend on the job count.
+#[test]
+fn cluster_metrics_are_histograms_whose_counts_ignore_the_job_count() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cluster_metrics");
+    _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("a fresh directory");
+    let counts = |jobs: &str| {
+        let prom = dir.join(format!("jobs{jobs}.prom"));
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["cluster", "--smoke", "--jobs", jobs, "--out"])
+            .arg(dir.join(format!("jobs{jobs}.json")))
+            .arg("--metrics")
+            .arg(&prom)
+            .output()
+            .expect("repro starts");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "stderr:\n{stderr}");
+        let text = std::fs::read_to_string(&prom).expect("the metrics file");
+        let families: Vec<&str> = text.lines().filter(|l| l.starts_with("# TYPE ")).collect();
+        assert!(!families.is_empty(), "{text}");
+        for family in families {
+            assert!(family.ends_with(" histogram"), "{family}");
+        }
+        text.lines()
+            .filter(|l| l.contains("_count "))
+            .map(str::to_owned)
+            .collect::<Vec<_>>()
+    };
+    let one = counts("1");
+    assert!(!one.is_empty());
+    assert_eq!(one, counts("2"));
 }
 
 #[test]

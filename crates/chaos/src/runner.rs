@@ -17,10 +17,6 @@
 use vod_cluster::{Cluster, ClusterConfig, ClusterReport};
 use vod_core::SizeTable;
 use vod_obs::event::{Event, EventKind};
-use vod_obs::metrics::{
-    CTR_DISK_DEGRADATIONS, CTR_DOMAIN_FAULTS, CTR_FAILOVERS, CTR_FAULTS_INJECTED, CTR_RECOVERIES,
-    CTR_REREPLICATIONS, CTR_STREAMS_DROPPED,
-};
 use vod_obs::span::{AnnoValue, SpanId, SpanKind, SpanStatus, TraceId, SEQ_FAILOVER};
 use vod_obs::Obs;
 use vod_sim::EvictedStream;
@@ -279,18 +275,13 @@ impl NodeFactors {
 
 impl<'a> ChaosState<'a> {
     fn new(cluster: &mut Cluster, cfg: &'a ChaosConfig) -> Self {
-        let obs = cluster.observer();
-        let domain_faults = cfg.schedule.domain_event_count();
-        if domain_faults > 0 {
-            obs.metrics().counter(CTR_DOMAIN_FAULTS).add(domain_faults);
-        }
         Self {
             cfg,
-            obs,
+            obs: cluster.observer(),
             seed: cluster.seed(),
             summary: ChaosSummary {
                 availability: 1.0,
-                domain_faults,
+                domain_faults: cfg.schedule.domain_event_count(),
                 ..ChaosSummary::default()
             },
             down_since: vec![None; cluster.node_count()],
@@ -317,7 +308,6 @@ impl<'a> ChaosState<'a> {
                 node: f.node,
                 fault: f.fault.label(),
             });
-        self.obs.metrics().counter(CTR_FAULTS_INJECTED).add(1);
         match f.fault {
             Fault::NodeCrash => {
                 self.summary.crashes += 1;
@@ -353,13 +343,11 @@ impl<'a> ChaosState<'a> {
                 // disk.
                 disks[disk] = 1.0 / factor.max(1.0);
                 self.limit(cluster, f.node);
-                self.obs.metrics().counter(CTR_DISK_DEGRADATIONS).add(1);
             }
             Fault::DiskError { rate } => {
                 self.summary.disk_errors += 1;
                 self.factors[f.node].error = rate.clamp(0.0, 1.0);
                 self.limit(cluster, f.node);
-                self.obs.metrics().counter(CTR_DISK_DEGRADATIONS).add(1);
             }
         }
     }
@@ -433,10 +421,6 @@ impl<'a> ChaosState<'a> {
                 node,
                 movies: moved,
             });
-        self.obs
-            .metrics()
-            .counter(CTR_REREPLICATIONS)
-            .add(moved as u64);
         // Re-admission pass: parked streams whose candidate lists just
         // grew a rebuilt replica get their strict-FIFO retry now.
         cluster.retry_parked(at);
@@ -493,7 +477,6 @@ impl<'a> ChaosState<'a> {
             match outcome {
                 Outcome::Migrated(to) => {
                     self.summary.migrated += 1;
-                    self.obs.metrics().counter(CTR_FAILOVERS).add(1);
                     cluster.offer_migrant(to, &arrival, trace);
                 }
                 Outcome::Parked => {
@@ -502,7 +485,6 @@ impl<'a> ChaosState<'a> {
                 }
                 Outcome::Dropped(_) => {
                     self.summary.dropped += 1;
-                    self.obs.metrics().counter(CTR_STREAMS_DROPPED).add(1);
                 }
             }
         }
@@ -594,14 +576,12 @@ impl<'a> ChaosState<'a> {
                 node,
                 warm: mode == RejoinMode::Warm,
             });
-        self.obs.metrics().counter(CTR_RECOVERIES).add(1);
     }
 
     fn dropped_sweep(&mut self, cluster: &mut Cluster) {
         let swept = cluster.drop_unplaceable_parked();
         if swept > 0 {
             self.summary.unplaceable += swept;
-            self.obs.metrics().counter(CTR_STREAMS_DROPPED).add(swept);
         }
     }
 

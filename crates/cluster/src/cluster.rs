@@ -22,10 +22,6 @@ use std::sync::{Arc, Mutex};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use vod_obs::metrics::{
-    per_node, CTR_AUDIT_VIOLATIONS, CTR_CLUSTER_DISPATCHED, CTR_CLUSTER_QUEUED,
-    CTR_CLUSTER_REDIRECTED, GAUGE_CLUSTER_IMBALANCE, GAUGE_CLUSTER_MEM_PEAK, GAUGE_CLUSTER_NODES,
-};
 use vod_obs::span::{
     mix64, AnnoValue, SpanId, SpanKind, SpanStatus, TraceId, SEQ_DISPATCH, SEQ_HOP_DISPATCH,
     SEQ_HOP_RETRY, SEQ_RETRY,
@@ -136,8 +132,7 @@ impl Cluster {
     }
 
     /// Builds a cluster whose nodes all emit into `obs` (shared event
-    /// sink and metrics registry; per-node counters are written under
-    /// `vod_cluster_node<i>_*` names at the end of the run).
+    /// sink and metrics registry).
     ///
     /// # Errors
     ///
@@ -685,13 +680,10 @@ impl Cluster {
         (before - self.queue.len()) as u64
     }
 
-    /// Drains every node engine and assembles the report, then writes
-    /// the cluster-wide and per-node metrics into the shared registry.
+    /// Drains every node engine and assembles the report.
     fn finish(self, jobs: usize) -> ClusterReport {
         let Cluster {
-            cfg,
             nodes,
-            obs,
             dispatched,
             redirected,
             overflow_queued,
@@ -720,41 +712,12 @@ impl Cluster {
                 },
             )
             .collect();
-        let report = ClusterReport {
+        ClusterReport {
             nodes: node_reports,
             dispatched,
             redirected,
             overflow_queued,
-        };
-
-        let m = obs.metrics();
-        m.counter(CTR_CLUSTER_DISPATCHED).add(report.dispatched);
-        m.counter(CTR_CLUSTER_REDIRECTED).add(report.redirected);
-        m.counter(CTR_CLUSTER_QUEUED).add(report.overflow_queued);
-        m.gauge(GAUGE_CLUSTER_NODES).set(cfg.nodes as f64);
-        m.gauge(GAUGE_CLUSTER_IMBALANCE)
-            .set(report.imbalance_ratio());
-        m.gauge(GAUGE_CLUSTER_MEM_PEAK)
-            .set(report.peak_memory_bits());
-        for n in &report.nodes {
-            m.counter(&per_node(n.node, "dispatched_total"))
-                .add(n.dispatched);
-            m.counter(&per_node(n.node, "admitted_total"))
-                .add(n.stats.admitted);
-            m.counter(&per_node(n.node, "deferred_total"))
-                .add(n.stats.deferrals);
-            m.counter(&per_node(n.node, "rejected_total"))
-                .add(n.stats.rejected);
-            m.counter(&per_node(n.node, "redirected_in_total"))
-                .add(n.redirected_in);
-            m.counter(&per_node(n.node, "redirected_out_total"))
-                .add(n.redirected_out);
-            m.gauge(&per_node(n.node, "mem_peak_bits"))
-                .set(n.stats.peak_memory.as_f64());
         }
-        m.counter(CTR_AUDIT_VIOLATIONS)
-            .add(report.audit_violations());
-        report
     }
 }
 

@@ -94,16 +94,6 @@ impl ClusterReport {
         self.sum(|s| s.services)
     }
 
-    /// Estimator audit violations across the cluster (allocation windows
-    /// whose `k` estimate fell short of the actual arrivals).
-    #[must_use]
-    pub fn audit_violations(&self) -> u64 {
-        self.nodes
-            .iter()
-            .map(|n| n.stats.audit.violations as u64)
-            .sum()
-    }
-
     /// Service cycles across the cluster.
     #[must_use]
     pub fn cycles(&self) -> u64 {

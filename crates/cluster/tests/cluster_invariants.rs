@@ -83,10 +83,11 @@ fn job_count_does_not_change_the_report() {
     assert_eq!(sequential, parallel);
 }
 
-/// A 16-node scaling smoke: completes, replays deterministically, and
-/// renders per-node deferral/redirection counters into Prometheus text.
+/// A 16-node scaling smoke: completes, replays deterministically with a
+/// metrics registry attached, and the registry holds only the engines'
+/// phase histograms (the counts live once, in the report).
 #[test]
-fn sixteen_node_smoke_is_deterministic_with_per_node_metrics() {
+fn sixteen_node_smoke_is_deterministic_with_a_registry_attached() {
     let wl = workload(64, 600.0, 3);
     let placement = PlacementPolicy::ReplicatedHot {
         replicas: 3,
@@ -111,20 +112,17 @@ fn sixteen_node_smoke_is_deterministic_with_per_node_metrics() {
     );
 
     let text = prom::render(&registry.snapshot());
-    for node in [0usize, 15] {
-        for suffix in [
-            "deferred_total",
-            "redirected_in_total",
-            "redirected_out_total",
-        ] {
-            let name = format!("vod_cluster_node{node}_{suffix}");
-            assert!(
-                text.contains(&name),
-                "Prometheus rendering missing {name}:\n{text}"
-            );
-        }
-    }
-    assert!(text.contains("vod_cluster_imbalance_ratio"));
+    let families: Vec<&str> = text.lines().filter(|l| l.starts_with("# TYPE ")).collect();
+    assert_eq!(
+        families,
+        [
+            "# TYPE vod_phase_admission_seconds histogram",
+            "# TYPE vod_phase_cycle_plan_seconds histogram",
+            "# TYPE vod_phase_service_seconds histogram",
+            "# TYPE vod_phase_table_build_seconds histogram",
+        ],
+        "{text}"
+    );
 }
 
 /// Every placement × dispatch pair conserves arrivals: dispatched =

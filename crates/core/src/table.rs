@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use vod_obs::metrics::{Metrics, GAUGE_TABLE_ENTRIES, PHASE_TABLE_BUILD};
+use vod_obs::metrics::{Metrics, PHASE_TABLE_BUILD};
 use vod_types::{Bits, ConfigError};
 
 use crate::closed_form::buffer_size_closed_form;
@@ -111,18 +111,13 @@ impl SizeTable {
     }
 
     /// Builds like [`SizeTable::build`], timing the precompute into
-    /// the [`PHASE_TABLE_BUILD`] histogram and publishing the entry
-    /// count on the [`GAUGE_TABLE_ENTRIES`] gauge. With a detached
-    /// [`Metrics`] this is exactly `build` (no clock read).
+    /// the [`PHASE_TABLE_BUILD`] histogram. With a detached [`Metrics`]
+    /// this is exactly `build` (no clock read).
     #[must_use]
     pub fn build_instrumented(params: &SystemParams, metrics: &Metrics) -> Self {
-        let table = metrics
-            .histogram(PHASE_TABLE_BUILD)
-            .time(|| Self::build(params));
         metrics
-            .gauge(GAUGE_TABLE_ENTRIES)
-            .set(table.sizes.len() as f64);
-        table
+            .histogram(PHASE_TABLE_BUILD)
+            .time(|| Self::build(params))
     }
 
     /// Validates the parameters, then builds.
@@ -160,20 +155,15 @@ impl SizeTable {
     }
 
     /// Like [`SizeTable::shared`], but times the call into the
-    /// [`PHASE_TABLE_BUILD`] histogram and publishes the entry count on
-    /// [`GAUGE_TABLE_ENTRIES`] — exactly one histogram sample per call,
+    /// [`PHASE_TABLE_BUILD`] histogram: exactly one sample per call,
     /// hit or miss, preserving the phase-count contract of
     /// [`SizeTable::build_instrumented`] (a hit simply records the
     /// cache-lookup latency instead of a rebuild).
     #[must_use]
     pub fn shared_instrumented(params: &SystemParams, metrics: &Metrics) -> Arc<Self> {
-        let table = metrics
-            .histogram(PHASE_TABLE_BUILD)
-            .time(|| Self::shared(params));
         metrics
-            .gauge(GAUGE_TABLE_ENTRIES)
-            .set(table.sizes.len() as f64);
-        table
+            .histogram(PHASE_TABLE_BUILD)
+            .time(|| Self::shared(params))
     }
 
     /// `BS_k(n)`, clamping `n` and `k` to `N` (the paper caps both: more
@@ -310,7 +300,6 @@ mod tests {
         // One sample per call — hit or miss — so harness tests pinning
         // PHASE_TABLE_BUILD counts are unaffected by cache state.
         assert_eq!(snap.histogram(PHASE_TABLE_BUILD).unwrap().count, 2);
-        assert_eq!(snap.gauge(GAUGE_TABLE_ENTRIES), Some(6400.0));
     }
 
     #[test]
@@ -331,6 +320,5 @@ mod tests {
         let snap = reg.snapshot();
         let hist = snap.histogram(PHASE_TABLE_BUILD).unwrap();
         assert_eq!(hist.count, 1);
-        assert_eq!(snap.gauge(GAUGE_TABLE_ENTRIES), Some(6400.0));
     }
 }

@@ -41,12 +41,12 @@
 //! # Aggregate metrics and profiling
 //!
 //! Orthogonal to the event stream, [`metrics`] provides a lock-free
-//! [`MetricsRegistry`] of atomic counters, gauges, and log-bucketed
-//! histograms that never drops and never allocates on the hot path.
-//! Phase timings read the clock only when a registry is attached:
-//! coarse phases through [`Histo::time`], the engine once or twice per
-//! cycle. Run totals are added once, when a run ends. [`prom`] renders
-//! a registry snapshot in the Prometheus text format. An [`Obs`] handle
+//! [`MetricsRegistry`] of log-bucketed wall-clock phase histograms that
+//! never drops and never allocates on the hot path. It holds no run
+//! count: those live once, in each run's report. Phase timings read the
+//! clock only when a registry is attached: coarse phases through
+//! [`Histo::time`], the engine once or twice per cycle. [`prom`]
+//! renders a registry snapshot in the Prometheus text format. An [`Obs`] handle
 //! can carry a [`Metrics`] handle alongside its sink
 //! ([`Obs::with_metrics`]), so one handle threads both through the
 //! engine.
@@ -78,9 +78,7 @@ pub mod trace;
 
 pub use event::{Event, EventKind, RejectReason};
 pub use flight::FlightRecorder;
-pub use metrics::{
-    Counter, Gauge, Histo, HistoSnapshot, LogHistogram, Metrics, MetricsRegistry, MetricsSnapshot,
-};
+pub use metrics::{Histo, HistoSnapshot, LogHistogram, Metrics, MetricsRegistry, MetricsSnapshot};
 pub use recorder::{
     RecorderSink, RecorderSnapshot, HIST_CYCLE_SLACK, HIST_POOL_OCCUPANCY, HIST_SERVICE_LATENCY,
 };

@@ -1,10 +1,10 @@
 //! Prometheus text-format (version 0.0.4) exposition for
 //! [`crate::metrics::MetricsSnapshot`].
 //!
-//! Hand-rolled like [`crate::json`] — the renderer emits `# TYPE`
-//! comment lines, plain samples for counters and gauges, and
-//! cumulative `_bucket{le="..."}` series plus `_sum`/`_count` for
-//! histograms, which is everything a scraper needs. Metric names are
+//! Hand-rolled like [`crate::json`]: the registry holds only
+//! histograms, so the renderer emits, per histogram, a `# TYPE` comment
+//! line, cumulative `_bucket{le="..."}` series and `_sum`/`_count`,
+//! which is everything a scraper needs. Metric names are
 //! sanitized to the `[a-zA-Z_:][a-zA-Z0-9_:]*` charset Prometheus
 //! requires.
 
@@ -60,20 +60,9 @@ fn render_histogram(out: &mut String, h: &HistoSnapshot) {
 }
 
 /// Renders a snapshot in the Prometheus text exposition format.
-///
-/// Counters are assumed to already carry a `_total`-style name;
-/// gauges are emitted as-is.
 #[must_use]
 pub fn render(snapshot: &MetricsSnapshot) -> String {
     let mut out = String::new();
-    for (name, v) in &snapshot.counters {
-        let name = sanitize_name(name);
-        out.push_str(&format!("# TYPE {name} counter\n{name} {v}\n"));
-    }
-    for (name, v) in &snapshot.gauges {
-        let name = sanitize_name(name);
-        out.push_str(&format!("# TYPE {name} gauge\n{name} {}\n", value(*v)));
-    }
     for h in &snapshot.histograms {
         render_histogram(&mut out, h);
     }
@@ -89,8 +78,6 @@ mod tests {
     fn snapshot_with_data() -> MetricsSnapshot {
         let reg = Arc::new(MetricsRegistry::new());
         let m = Metrics::new(Arc::clone(&reg));
-        m.counter("vod_cycles_total").add(7);
-        m.gauge("vod_pool_used_bits").set(1.5e6);
         let h = m.histogram("vod_phase_service_seconds");
         h.record(0.001);
         h.record(0.002);
@@ -106,35 +93,12 @@ mod tests {
     }
 
     #[test]
-    fn renders_all_metric_kinds() {
+    fn renders_histograms() {
         let text = render(&snapshot_with_data());
-        assert!(text.contains("# TYPE vod_cycles_total counter\nvod_cycles_total 7\n"));
-        assert!(text.contains("# TYPE vod_pool_used_bits gauge\nvod_pool_used_bits 1500000.0\n"));
-        assert!(text.contains("# TYPE vod_phase_service_seconds histogram\n"));
+        assert!(text.starts_with("# TYPE vod_phase_service_seconds histogram\n"));
         assert!(text.contains("vod_phase_service_seconds_bucket{le=\"+Inf\"} 2\n"));
         assert!(text.contains("vod_phase_service_seconds_count 2\n"));
         assert!(text.contains("vod_phase_service_seconds_sum 0.003"));
-    }
-
-    /// The recorder drop counters must surface as first-class counter
-    /// series (not just summary-JSON fields), so dashboards can alert
-    /// on capture loss directly.
-    #[test]
-    fn renders_drop_counters_as_first_class_series() {
-        use crate::metrics::{CTR_EVENTS_DROPPED, CTR_SPANS_DROPPED};
-        let reg = Arc::new(MetricsRegistry::new());
-        let m = Metrics::new(Arc::clone(&reg));
-        m.counter(CTR_EVENTS_DROPPED).add(3);
-        m.counter(CTR_SPANS_DROPPED).add(5);
-        let text = render(&reg.snapshot());
-        assert!(
-            text.contains("# TYPE vod_events_dropped_total counter\nvod_events_dropped_total 3\n"),
-            "{text}"
-        );
-        assert!(
-            text.contains("# TYPE vod_spans_dropped_total counter\nvod_spans_dropped_total 5\n"),
-            "{text}"
-        );
     }
 
     /// Every scrape line must be `# ...`, blank, or

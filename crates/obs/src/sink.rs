@@ -204,9 +204,9 @@ mod tests {
         let obs = Obs::null().with_metrics(Metrics::new(Arc::clone(&reg)));
         assert!(!obs.is_attached(), "metrics do not imply a sink");
         assert!(obs.metrics().is_attached());
-        obs.metrics().counter("x_total").inc();
-        obs.clone().metrics().counter("x_total").inc();
-        assert_eq!(reg.snapshot().counter("x_total"), Some(2));
+        obs.metrics().histogram("x_seconds").record(1.0);
+        obs.clone().metrics().histogram("x_seconds").record(2.0);
+        assert_eq!(reg.snapshot().histogram("x_seconds").unwrap().count, 2);
         assert!(!Obs::null().metrics().is_attached());
     }
 

@@ -155,7 +155,7 @@ impl TimeSeries {
 }
 
 /// A shared handle to one series. Cloning the `Arc` is how emitters keep
-/// a resolved handle (mirroring [`crate::metrics::Counter`]); pushes
+/// a resolved handle (mirroring [`crate::metrics::Histo`]); pushes
 /// lock only this series.
 #[derive(Debug)]
 pub struct Series(Mutex<TimeSeries>);

@@ -40,7 +40,7 @@ pub struct AuditOutcome {
     pub success_probability: f64,
     /// Allocations whose estimate fell short (`samples` minus the
     /// successes) — the absolute count behind `1 - success_probability`,
-    /// surfaced as the `vod_audit_violations_total` counter.
+    /// written per node into the cluster bench documents.
     pub violations: usize,
 }
 

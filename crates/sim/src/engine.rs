@@ -29,10 +29,7 @@ use vod_core::scheme::Sizer;
 use vod_core::AdmissionConstraint;
 use vod_core::{memory, AdmissionController, ArrivalLog, SchemeKind, SystemParams};
 use vod_disk::{Disk, LatencyModel};
-use vod_obs::metrics::{
-    Metrics, CTR_ADMITTED, CTR_CYCLES, CTR_DEFERRED, CTR_REJECTED, CTR_SERVICES, CTR_UNDERFLOWS,
-    PHASE_ADMISSION, PHASE_CYCLE_PLAN, PHASE_SERVICE,
-};
+use vod_obs::metrics::{Metrics, PHASE_ADMISSION, PHASE_CYCLE_PLAN, PHASE_SERVICE};
 use vod_obs::span::{self, AnnoValue, SpanId, SpanKind, SpanStatus, TraceId};
 use vod_obs::timeseries::{engine_series, Series, SeriesRecorder};
 use vod_obs::{Event, EventKind, Histo, Obs, RejectReason};
@@ -179,10 +176,9 @@ impl MemTracker {
 /// Phase histograms, resolved once at construction (registration takes
 /// a lock). The wall clock is read only when a registry is attached, and
 /// then only at cycle boundaries (twice each) and around admission
-/// passes that have an eligible request: never per service. The run
-/// totals reach the registry once, from [`DiskRunStats`], when the run
-/// ends (see [`DiskEngine::finalize`]). Nothing here is read back, so an
-/// attached registry cannot perturb a run.
+/// passes that have an eligible request: never per service. The run's
+/// counts live only in [`DiskRunStats`]. Nothing here is read back, so
+/// an attached registry cannot perturb a run.
 struct EngineMetrics {
     cycle_plan: Histo,
     service: Histo,
@@ -507,7 +503,10 @@ impl DiskEngine {
 
     /// Runs the engine over a time-sorted arrival trace (all targeting
     /// this disk) and returns the measurements. The run continues until
-    /// every admitted stream has departed.
+    /// every admitted stream has departed. This is the steppable API
+    /// driven over the whole trace: [`Self::advance_to`] each arrival,
+    /// [`Self::offer`] it, declare the next arrival as the floor, then
+    /// [`Self::finish`].
     ///
     /// # Panics
     ///
@@ -519,46 +518,27 @@ impl DiskEngine {
             arrivals.windows(2).all(|w| w[0].at <= w[1].at),
             "arrival trace must be time-sorted"
         );
-        let mut ai = 0usize;
-        // The trace is sorted, so the next unread arrival is the floor of
-        // every instant still to come; past the last one nothing comes.
-        let floor = |ai: usize| {
-            arrivals
-                .get(ai)
-                .map_or(Instant::from_secs(f64::INFINITY), |a| a.at)
-        };
-        self.settle_arrivals_before(floor(0));
-
-        loop {
-            // Retire departures and ingest arrivals up to the current
-            // time. Departures first: a request arriving "now" must see
-            // the true number of streams in service, not corpses holding
-            // slots until the cycle boundary.
-            self.process_due_departures();
-            while ai < arrivals.len() && arrivals[ai].at <= self.t {
-                self.ingest(&arrivals[ai], TraceId::NONE);
-                ai += 1;
-                self.settle_arrivals_before(floor(ai));
-            }
-            match self.step_body(arrivals.get(ai).map(|a| a.at)) {
-                Step::Progressed => {}
-                Step::Drained => break,
+        for (i, a) in arrivals.iter().enumerate() {
+            self.advance_to(a.at);
+            self.offer(a);
+            // The trace is sorted, so the next arrival is the floor of
+            // every instant still to come.
+            if let Some(next) = arrivals.get(i + 1) {
+                self.settle_arrivals_before(next.at);
             }
         }
-
-        self.finalize()
+        self.finish()
     }
 
     /// One progress step of the service loop: plan/start a cycle, service
     /// the stream at the cursor, or jump the clock to the next event.
     /// `next_arrival` is the earliest *external* arrival the caller still
-    /// holds — `run` passes the trace head, the steppable API passes its
-    /// advance horizon — so idle jumps never skip over an ingestion point.
+    /// holds (the advance horizon, or `None` while draining), so idle
+    /// jumps never skip over an ingestion point.
     ///
-    /// The caller owns departure processing and arrival ingestion; this is
-    /// the exact loop body `run` has always executed, factored out so a
-    /// cluster front end can drive a node arrival-by-arrival with
-    /// bit-identical results.
+    /// The caller owns departure processing and arrival ingestion: a
+    /// request arriving "now" must see the true number of streams in
+    /// service, not corpses holding slots until the cycle boundary.
     fn step_body(&mut self, next_arrival: Option<Instant>) -> Step {
         // Generous progress bound: every step either services a buffer
         // or advances to the next event.
@@ -847,10 +827,8 @@ impl DiskEngine {
     }
 
     /// Runs all internal work — services, departures, node-local
-    /// admissions — until the clock reaches `horizon`. `horizon` plays
-    /// the role of the next trace arrival in [`Self::run`]'s loop, so a
-    /// subsequent [`Self::offer`] at `horizon` lands exactly where `run`
-    /// would have ingested it.
+    /// admissions — until the clock reaches `horizon`, the instant of the
+    /// caller's next [`Self::offer`].
     pub fn advance_to(&mut self, horizon: Instant) {
         self.m.planned_at = None;
         while self.t < horizon {
@@ -882,8 +860,7 @@ impl DiskEngine {
     }
 
     /// Drains the engine — no further arrivals will be offered — and
-    /// returns the run measurements, exactly as [`Self::run`] does after
-    /// its trace is exhausted.
+    /// returns the run measurements.
     #[must_use]
     pub fn finish(mut self) -> DiskRunStats {
         // The drain's allocations score as they open.
@@ -896,7 +873,18 @@ impl DiskEngine {
                 Step::Drained => break,
             }
         }
-        self.finalize()
+        self.conc_events.sort_by_key(|a| a.0);
+        let mut n = 0i64;
+        let mut series = Vec::with_capacity(self.conc_events.len());
+        for (t, delta) in self.conc_events.drain(..) {
+            n += i64::from(delta);
+            series.push((t, n.max(0) as usize));
+        }
+        self.stats.concurrency = series;
+        self.stats.audit = self.audit.finish();
+        self.stats.peak_memory = Bits::new(self.mem.peak);
+        self.stats.finished_at = self.t;
+        self.stats
     }
 
     /// Empties the engine, as when its node goes down. Evicts every
@@ -1897,39 +1885,6 @@ impl DiskEngine {
         }
         Some(s)
     }
-
-    // ---------- finish ----------
-
-    /// Ends the run, whether [`Self::run`] or [`Self::finish`] drove it,
-    /// and adds its totals to the attached registry. These are the
-    /// engine's only counter writes. Adding rather than setting lets
-    /// engines that share a registry, such as the multi-seed runner's,
-    /// sum.
-    fn finalize(mut self) -> DiskRunStats {
-        let m = self.obs.metrics();
-        for (name, total) in [
-            (CTR_CYCLES, self.stats.cycles),
-            (CTR_SERVICES, self.stats.services),
-            (CTR_ADMITTED, self.stats.admitted),
-            (CTR_DEFERRED, self.stats.deferrals),
-            (CTR_REJECTED, self.stats.rejected),
-            (CTR_UNDERFLOWS, self.stats.underflows),
-        ] {
-            m.counter(name).add(total);
-        }
-        self.conc_events.sort_by_key(|a| a.0);
-        let mut n = 0i64;
-        let mut series = Vec::with_capacity(self.conc_events.len());
-        for (t, delta) in self.conc_events.drain(..) {
-            n += i64::from(delta);
-            series.push((t, n.max(0) as usize));
-        }
-        self.stats.concurrency = series;
-        self.stats.audit = self.audit.finish();
-        self.stats.peak_memory = Bits::new(self.mem.peak);
-        self.stats.finished_at = self.t;
-        self.stats
-    }
 }
 
 #[cfg(test)]
@@ -2360,8 +2315,7 @@ mod tests {
     fn metrics_registry_does_not_perturb_the_run() {
         use std::sync::Arc;
         use vod_obs::metrics::{
-            Metrics, MetricsRegistry, CTR_ADMITTED, CTR_CYCLES, CTR_DEFERRED, CTR_REJECTED,
-            CTR_SERVICES, CTR_UNDERFLOWS, PHASE_ADMISSION, PHASE_CYCLE_PLAN, PHASE_SERVICE,
+            Metrics, MetricsRegistry, PHASE_ADMISSION, PHASE_CYCLE_PLAN, PHASE_SERVICE,
             PHASE_TABLE_BUILD,
         };
         use vod_obs::Obs;
@@ -2397,15 +2351,19 @@ mod tests {
         assert_eq!(plain.peak_memory, observed.peak_memory);
         assert_eq!(plain.finished_at, observed.finished_at);
 
-        // The registry's counters equal the stats exactly, and every
-        // engine phase histogram recorded samples.
+        // Every engine phase histogram recorded samples, and the
+        // registry holds nothing else.
         let snap = reg.snapshot();
-        assert_eq!(snap.counter(CTR_ADMITTED), Some(observed.admitted));
-        assert_eq!(snap.counter(CTR_REJECTED), Some(observed.rejected));
-        assert_eq!(snap.counter(CTR_DEFERRED), Some(observed.deferrals));
-        assert_eq!(snap.counter(CTR_SERVICES), Some(observed.services));
-        assert_eq!(snap.counter(CTR_CYCLES), Some(observed.cycles));
-        assert_eq!(snap.counter(CTR_UNDERFLOWS), Some(observed.underflows));
+        let names: Vec<&str> = snap.histograms.iter().map(|h| h.name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                PHASE_ADMISSION,
+                PHASE_CYCLE_PLAN,
+                PHASE_SERVICE,
+                PHASE_TABLE_BUILD
+            ]
+        );
         // One service sample per cycle that read something: never more
         // than the cycles, and at least one.
         let service = snap.histogram(PHASE_SERVICE).expect("registered").count;
