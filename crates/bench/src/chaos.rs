@@ -752,10 +752,11 @@ mod tests {
     }
 
     /// Golden per-node estimator audits of the zone-crash cell (rack0
-    /// down, Migrate, re-replication, cold rejoin), recorded before the
-    /// audit was scored as a stream. Parked migrants and overflowed
-    /// arrivals are retried with their original, older instants, so the
-    /// streaming scorer's floor must hold back for them to match.
+    /// down, Migrate, re-replication, cold rejoin). Parked migrants and
+    /// overflowed arrivals are retried with their original, older
+    /// instants; each node's audit counts a retry where it reaches the
+    /// node, so node 0, down while requests parked, still scores the
+    /// retries it serves after it rejoins.
     #[test]
     fn zone_crash_cell_audits_match_the_golden_counts() {
         let mode = ChaosBenchMode::Smoke;
@@ -778,7 +779,12 @@ mod tests {
             .collect();
         assert_eq!(
             audits,
-            [(218_131, 0), (267_644, 282), (243_621, 0), (289_940, 256)]
+            [
+                (218_131, 1_394),
+                (267_644, 1_472),
+                (243_621, 0),
+                (289_940, 109)
+            ]
         );
     }
 }

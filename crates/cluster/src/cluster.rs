@@ -283,16 +283,14 @@ impl Cluster {
     /// (their empty engines just move the clock), keeping the round
     /// order identical with and without faults.
     ///
-    /// Also settles each node's arrival floor: later offers carry `at` or
-    /// a parked arrival's instant, and the overflow FIFO is in arrival
-    /// order, so its head is the oldest instant a retry or flush can
-    /// still offer. Every node gets the same floor, because
-    /// re-replication can add any node to an old entry's candidates.
+    /// Also declares `at` as each node's arrival floor: every later offer
+    /// reaches its node at `at` or after, so its estimator audit counts a
+    /// retried request from the overflow queue there, not at its older
+    /// arrival instant (see [`DiskEngine::settle_arrivals_before`]).
     pub fn advance_nodes_to(&mut self, at: Instant) {
-        let floor = self.queue.front().map_or(at, |p| p.arrival.at.min(at));
         for node in &mut self.nodes {
             node.engine.advance_to(at);
-            node.engine.settle_arrivals_before(floor);
+            node.engine.settle_arrivals_before(at);
         }
     }
 

@@ -6,21 +6,28 @@
 //! (admitted or not) inside the window — the paper's definition in §3.1.
 //!
 //! [`AuditScorer`] scores windows as a stream rather than keeping a log.
-//! It holds the arrival instants it was told about, sorted, and the open
+//! It holds the instants at which arrivals count, sorted, and the open
 //! windows in allocation order. The caller declares an arrival *floor*
-//! ([`AuditScorer::settle_before`]): no later arrival carries an instant
-//! below it. Once the floor passes a window's end, no arrival still to
-//! come can land inside it, so the window is scored and dropped. Memory
-//! is O(open windows + arrivals since the oldest open window), not
+//! ([`AuditScorer::settle_before`]): an arrival offered later counts at
+//! no instant below it. Once the floor passes a window's end, no arrival
+//! still to come can land inside it, so the window is scored and dropped.
+//! Memory is O(open windows + arrivals since the oldest open window), not
 //! O(allocations).
 //!
-//! Windows can stay open long after they end: a cluster holds every
-//! node's floor at its oldest parked request, so while a request waits
-//! for capacity each node keeps every window it opens. An open window
-//! therefore costs 8 bytes, its start. Its length and `k` are kept
-//! run-length encoded, since consecutive allocations mostly share one
-//! shape, and its end is recomputed as `at + window`, the same `f64`
-//! sum an unencoded window would store.
+//! An arrival counts where it reaches the node: at its instant, clamped
+//! up to the floor and to the newest arrival noted. A request a cluster
+//! retries from its overflow queue carries an older instant; it counts
+//! in the windows open when it is offered, which is when the node's
+//! estimator records it too. A cluster declares each dispatch instant as
+//! the floor, so a window waits at most one dispatch interval past its
+//! end.
+//!
+//! Drivers that declare no floor hold every window until
+//! [`AuditScorer::finish`]. An open window therefore costs 8 bytes, its
+//! start. Its length and `k` are kept run-length encoded, since
+//! consecutive allocations mostly share one shape, and its end is
+//! recomputed as `at + window`, the same `f64` sum an unencoded window
+//! would store.
 
 use std::collections::VecDeque;
 
@@ -89,20 +96,21 @@ impl Shape {
 /// Streaming scorer of audit windows against arrival instants.
 ///
 /// Windows must open in non-decreasing `at` order (allocation order on a
-/// monotone clock). Arrivals may come in any order at or above the
-/// declared floor; an out-of-order one is inserted in place.
+/// monotone clock). Arrivals may come in any order; each counts at
+/// `max(at, floor, newest arrival noted)`.
 #[derive(Clone, Debug, Default)]
 pub struct AuditScorer {
-    /// Arrival instants, ascending. Instants at or below the oldest open
-    /// window's start are dropped once no window can count them.
+    /// Arrival instants as counted, ascending. Instants at or below the
+    /// oldest open window's start are dropped once no window can count
+    /// them.
     arrivals: VecDeque<Instant>,
     /// Open windows' starts, in allocation order.
     starts: VecDeque<Instant>,
     /// Open windows' lengths and `k`, run-length encoded in the same
     /// order: the counts sum to `starts.len()`.
     shapes: VecDeque<Shape>,
-    /// No arrival still to come carries an instant below this (the
-    /// clock starts at zero).
+    /// Arrivals still to come count at no instant below this (the clock
+    /// starts at zero).
     floor: Instant,
     samples: usize,
     /// Integer totals: exact, and equal to the float sums of the same
@@ -113,25 +121,14 @@ pub struct AuditScorer {
 }
 
 impl AuditScorer {
-    /// Records one arrival instant.
-    ///
-    /// # Panics
-    ///
-    /// In debug builds, panics if `at` lies below the declared floor: the
-    /// windows that should have counted it may already be scored.
+    /// Records one arrival where it reaches the node: at `at`, clamped
+    /// up to the declared floor and to the newest arrival noted. An old
+    /// instant (a retry from a cluster's overflow queue) therefore counts
+    /// in the windows open when the request is offered, never in windows
+    /// already scored, and the arrivals stay sorted.
     pub fn note_arrival(&mut self, at: Instant) {
-        debug_assert!(
-            at >= self.floor,
-            "arrival at {at} offered below the declared floor {}",
-            self.floor
-        );
-        match self.arrivals.back() {
-            Some(&last) if at < last => {
-                let i = self.arrivals.partition_point(|&x| x <= at);
-                self.arrivals.insert(i, at);
-            }
-            _ => self.arrivals.push_back(at),
-        }
+        let newest = self.arrivals.back().copied().unwrap_or(self.floor);
+        self.arrivals.push_back(at.max(newest).max(self.floor));
     }
 
     /// Opens the window `(at, at + window]` for an allocation that
@@ -170,9 +167,9 @@ impl AuditScorer {
         }
     }
 
-    /// Declares that no later arrival carries an instant below `floor`,
-    /// and scores every window at the head of the queue that ends below
-    /// it. A floor below the current one is ignored.
+    /// Declares that no later arrival counts below `floor`, and scores
+    /// every window at the head of the queue that ends below it. A floor
+    /// below the current one is ignored.
     pub fn settle_before(&mut self, floor: Instant) {
         if floor <= self.floor {
             return;
@@ -331,10 +328,10 @@ mod tests {
         s.open(Instant::from_secs(2.0), Seconds::from_secs(1.0), 1); // (2, 3]
         s.settle_before(Instant::from_secs(3.0));
         assert_eq!(s.open_windows(), 2, "the floor has not passed (1, 5]");
-        // A retry offers an old instant, at the floor but below the
-        // newest arrival: it lands inside both windows.
-        s.note_arrival(Instant::from_secs(6.0));
-        s.note_arrival(Instant::from_secs(3.0));
+        // A retry offers an old instant, below the newest arrival: it
+        // counts where it lands, at 4, so inside (1, 5] but not (2, 3].
+        s.note_arrival(Instant::from_secs(4.0));
+        s.note_arrival(Instant::from_secs(2.5));
         s.settle_before(Instant::from_secs(7.0));
         assert_eq!(s.open_windows(), 0);
         // A window wholly below the floor scores without queueing.
@@ -342,7 +339,7 @@ mod tests {
         assert_eq!(s.open_windows(), 0);
         let out = s.finish();
         assert_eq!(out.samples, 3);
-        assert_eq!(out.violations, 1, "(1, 5] saw one arrival against k = 0");
+        assert_eq!(out.violations, 1, "(1, 5] saw two arrivals against k = 0");
         assert_eq!(out.mean_actual, 2.0 / 3.0);
     }
 
@@ -378,14 +375,18 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "below the declared floor")]
-    fn an_arrival_below_the_floor_is_caught() {
+    fn an_arrival_below_the_floor_counts_at_the_floor() {
         let mut s = AuditScorer::default();
-        s.open(Instant::from_secs(1.0), Seconds::from_secs(1.0), 0);
+        s.open(Instant::from_secs(1.0), Seconds::from_secs(1.0), 0); // (1, 2]
+        s.open(Instant::from_secs(1.0), Seconds::from_secs(3.0), 0); // (1, 4]
         s.settle_before(Instant::from_secs(3.0));
-        // (1, 2] is already scored; this arrival would have counted.
+        assert_eq!(s.open_windows(), 1, "(1, 2] is already scored");
+        // Offered at 3, the floor: inside (1, 4] only.
         s.note_arrival(Instant::from_secs(1.5));
+        let out = s.finish();
+        assert_eq!(out.samples, 2);
+        assert_eq!(out.violations, 1);
+        assert_eq!(out.mean_actual, 0.5);
     }
 
     #[test]

@@ -843,18 +843,19 @@ impl DiskEngine {
         }
     }
 
-    /// Declares that no later offer carries an arrival instant below `t`
+    /// Declares that every later offer reaches the engine at `t` or after
     /// (pass `Instant::from_secs(f64::INFINITY)` when no offers follow).
     /// Audit windows ending before `t` can then be scored and dropped;
-    /// without a floor they stay open until [`Self::finish`]. Any
-    /// arrival order at or above the floor scores exactly — a cluster's
-    /// overflow retries offer old instants, so a cluster declares the
-    /// oldest instant it may still retry. A floor below an earlier one is
-    /// ignored.
+    /// without a floor they stay open until [`Self::finish`]. A floor
+    /// below an earlier one is ignored.
     ///
-    /// Offering an instant below the floor afterwards is a caller bug
-    /// that would mis-score the audit; under an estimating scheme, debug
-    /// builds panic on it.
+    /// The audit counts each later offer at its arrival instant clamped
+    /// up to the floor and to the newest arrival it has counted, the
+    /// instant the request reaches the engine. A cluster's overflow
+    /// retries carry old instants, so an offer below the floor counts at
+    /// the floor. Nothing else moves: the estimator still records the
+    /// offer's instant clamped up to its newest arrival only, and
+    /// admission sees the offer unchanged.
     pub fn settle_arrivals_before(&mut self, t: Instant) {
         self.audit.settle_before(t);
     }
@@ -2149,14 +2150,26 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "below the declared floor")]
-    fn an_offer_below_the_declared_floor_is_caught() {
-        let cfg = EngineConfig::paper(SchedulingMethod::RoundRobin, SchemeKind::Dynamic);
-        let mut eng = DiskEngine::new(cfg).expect("paper config is valid");
-        eng.advance_to(Instant::from_secs(10.0));
-        eng.settle_arrivals_before(Instant::from_secs(10.0));
-        eng.offer(&arrival(9.0, 60.0));
+    fn an_offer_below_the_declared_floor_counts_at_the_floor() {
+        // A retried request offers an old instant: its audit counts it
+        // where it reaches the engine, the floor, as if offered there.
+        let audit_with_retry_at = |retry: f64| {
+            let cfg = EngineConfig::paper(SchedulingMethod::RoundRobin, SchemeKind::Dynamic);
+            let mut eng = DiskEngine::new(cfg).expect("paper config is valid");
+            for i in 0..4 {
+                let a = arrival(f64::from(i), 60.0);
+                eng.advance_to(a.at);
+                eng.offer(&a);
+            }
+            eng.advance_to(Instant::from_secs(10.0));
+            eng.settle_arrivals_before(Instant::from_secs(10.0));
+            eng.offer(&arrival(10.0, 60.0));
+            eng.offer(&arrival(retry, 60.0));
+            eng.finish().audit
+        };
+        let at_floor = audit_with_retry_at(10.0);
+        assert_eq!(audit_with_retry_at(9.0), at_floor);
+        assert_eq!(audit_with_retry_at(0.5), at_floor);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Property test of the streaming estimator audit: for any interleaving
-//! of allocation windows, arrivals (out of order, but at or above the
-//! declared floor) and floor advances, [`AuditScorer`] scores exactly
-//! what a naive count over the complete arrival list scores.
+//! of allocation windows, arrivals (in any order, below the declared
+//! floor too) and floor advances, [`AuditScorer`] scores exactly what a
+//! naive count over the complete arrival list scores, each arrival
+//! counted where it lands: at `max(t, floor, newest arrival)`.
 
 use proptest::prelude::*;
 use vod_sim::{AuditOutcome, AuditScorer};
@@ -18,8 +19,11 @@ enum Op {
     /// Open a window of this many ticks at the clock, estimating `k`.
     Window(u32, usize),
     /// An arrival this many ticks above the floor (often below the
-    /// newest arrival, so it is inserted in place).
+    /// newest arrival, so it counts at the newest).
     Arrival(u32),
+    /// An arrival this many ticks below the floor (a retry's old
+    /// instant, which counts at the floor or the newest arrival).
+    Late(u32),
     /// Raise the floor by this many ticks.
     Settle(u32),
     /// Open this many windows of `len` ticks at the clock, one tick
@@ -36,6 +40,7 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
             (0u32..6).prop_map(Op::Advance),
             ((0u32..12), (0usize..4)).prop_map(|(len, k)| Op::Window(len, k)),
             (0u32..16).prop_map(Op::Arrival),
+            (1u32..16).prop_map(Op::Late),
             (0u32..8).prop_map(Op::Settle),
             ((1u32..40), (0u32..3), (0usize..3)).prop_map(|(n, len, k)| Op::Burst(n, len, k)),
         ],
@@ -47,8 +52,8 @@ fn ticks(n: u32) -> f64 {
     f64::from(n) * TICK
 }
 
-/// The definition: every window against every arrival, float sums in
-/// window order.
+/// The definition: every window against every arrival, as counted,
+/// float sums in window order.
 fn naive(windows: &[(f64, f64, usize)], arrivals: &[f64]) -> AuditOutcome {
     if windows.is_empty() {
         return AuditOutcome::default();
@@ -79,7 +84,11 @@ proptest! {
         let mut scorer = AuditScorer::default();
         let (mut now, mut floor) = (0.0f64, 0.0f64);
         let mut windows = Vec::new();
-        let mut arrivals = Vec::new();
+        let mut arrivals: Vec<f64> = Vec::new();
+        // Where an arrival offered at `t` lands.
+        let lands = |t: f64, floor: f64, arrivals: &[f64]| {
+            arrivals.last().map_or(t, |&newest| t.max(newest)).max(floor)
+        };
         for op in ops {
             match op {
                 Op::Advance(n) => now += ticks(n),
@@ -90,7 +99,12 @@ proptest! {
                 Op::Arrival(n) => {
                     let t = floor + ticks(n);
                     scorer.note_arrival(Instant::from_secs(t));
-                    arrivals.push(t);
+                    arrivals.push(lands(t, floor, &arrivals));
+                }
+                Op::Late(n) => {
+                    let t = floor - ticks(n);
+                    scorer.note_arrival(Instant::from_secs(t));
+                    arrivals.push(lands(t, floor, &arrivals));
                 }
                 Op::Settle(n) => {
                     floor += ticks(n);
