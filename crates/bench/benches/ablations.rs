@@ -19,9 +19,9 @@ use vod_types::{DiskId, Instant, Seconds, VideoId};
 use vod_workload::Arrival;
 
 fn rising_load() -> Vec<Arrival> {
-    (0..50u64)
+    (0..50u32)
         .map(|i| Arrival {
-            at: Instant::from_secs(1.0 + f64::from(i as u32) * 30.0),
+            at: Instant::from_secs(1.0 + f64::from(i) * 30.0),
             disk: DiskId::new(0),
             video: VideoId::new(i % 6),
             viewing: Seconds::from_minutes(45.0),

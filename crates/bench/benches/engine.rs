@@ -190,7 +190,7 @@ fn bench_sweep_cycles(group: &mut criterion::BenchmarkGroup<'_>) {
     cfg.video_length = viewing;
     let big_n = cfg.params.max_requests();
     let mut engine = DiskEngine::new(cfg).expect("valid engine config");
-    for i in 0..u64::try_from(big_n).expect("small N") {
+    for i in 0..u32::try_from(big_n).expect("small N") {
         engine.offer(&Arrival {
             at: Instant::ZERO,
             disk: DiskId::new(0),

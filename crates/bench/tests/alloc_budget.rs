@@ -73,7 +73,7 @@ fn allocations() -> u64 {
 fn measure(
     method: SchedulingMethod,
     scheme: SchemeKind,
-    streams: u64,
+    streams: u32,
     warm_s: f64,
     window_s: f64,
 ) -> (u64, u64) {

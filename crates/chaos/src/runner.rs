@@ -158,9 +158,10 @@ pub fn run_chaos(
 /// # Panics
 ///
 /// Panics if the arrival trace is not time-sorted (same contract as
-/// [`Cluster::run`]), or if the schedule targets a node outside the
-/// cluster or a disk outside `cfg.cluster.engine.disks` ([`run_chaos`]
-/// refuses both with an error instead).
+/// [`Cluster::run`]), if the schedule targets a node outside the
+/// cluster or a disk outside `cfg.cluster.engine.disks`, or if a
+/// re-replication pass meets more `cfg.cluster.movies` than a `VideoId`
+/// can name ([`run_chaos`] refuses all three with an error instead).
 #[must_use]
 pub fn run_chaos_on(
     mut cluster: Cluster,
@@ -393,7 +394,8 @@ impl<'a> ChaosState<'a> {
         let mut assigned = vec![0usize; nodes];
         let mut moved = 0usize;
         for m in 0..self.cfg.cluster.movies {
-            let video = VideoId::new(m as u64);
+            let video = VideoId::try_from_index(m, "cluster_movies")
+                .expect("Cluster::with_observer refuses movies a VideoId cannot name");
             if !cluster.replicas_of(video).contains(&node) {
                 continue;
             }

@@ -153,6 +153,17 @@ fn out_of_range_schedule_is_rejected() {
     assert!(err.to_string().contains("node 7"));
 }
 
+/// A catalog with more movies than a 32-bit `VideoId` can name is a
+/// config error, refused before the cluster allocates its popularity
+/// table, so the re-replication pass never meets an id it cannot form.
+#[test]
+fn a_catalog_past_32_bit_video_ids_is_rejected() {
+    let movies = usize::try_from(u64::from(u32::MAX) + 2).expect("64-bit usize");
+    let cfg = chaos_cfg(2, movies, FaultSchedule::empty());
+    let err = run_chaos(&cfg, &[], 1, Obs::null()).unwrap_err();
+    assert_eq!(err.parameter, "cluster_movies");
+}
+
 fn arb_fault() -> impl Strategy<Value = Fault> {
     prop_oneof![
         Just(Fault::NodeCrash),

@@ -29,7 +29,7 @@ use vod_obs::span::{
 use vod_obs::timeseries::{cluster_series, Series, SeriesRecorder};
 use vod_obs::Obs;
 use vod_sim::{DiskEngine, EngineConfig, EvictedStream};
-use vod_types::{ConfigError, Instant};
+use vod_types::{ConfigError, Instant, VideoId};
 use vod_workload::{Arrival, Zipf};
 
 use crate::dispatch::DispatchPolicy;
@@ -140,6 +140,11 @@ impl Cluster {
     pub fn with_observer(cfg: ClusterConfig, obs: Obs) -> Result<Self, ConfigError> {
         if cfg.nodes == 0 {
             return Err(ConfigError::new("cluster_nodes", "must be at least 1"));
+        }
+        // The last movie's id must fit its 32 bits; checked before the
+        // popularity table is allocated.
+        if let Some(last) = cfg.movies.checked_sub(1) {
+            VideoId::try_from_index(last, "cluster_movies")?;
         }
         let popularity = Zipf::new(cfg.movies, cfg.movie_theta)?;
         let placement = Placement::build(cfg.placement, popularity.probabilities(), cfg.nodes)?;

@@ -131,9 +131,7 @@ impl Placement {
     /// the empty slice (the dispatcher rejects them).
     #[must_use]
     pub fn replicas_of(&self, video: VideoId) -> &[usize] {
-        self.replicas
-            .get(video.raw() as usize)
-            .map_or(&[], Vec::as_slice)
+        self.replicas.get(video.index()).map_or(&[], Vec::as_slice)
     }
 
     /// Number of movies placed.
@@ -148,7 +146,7 @@ impl Placement {
     /// holds a replica. This is the re-replication hook: fault recovery
     /// re-places a downed node's movies onto survivors.
     pub fn add_replica(&mut self, video: VideoId, node: usize) -> bool {
-        let Some(set) = self.replicas.get_mut(video.raw() as usize) else {
+        let Some(set) = self.replicas.get_mut(video.index()) else {
             return false;
         };
         if set.contains(&node) {

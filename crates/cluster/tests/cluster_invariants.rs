@@ -208,3 +208,18 @@ proptest! {
         }
     }
 }
+
+/// A catalog with more movies than a 32-bit `VideoId` can name is a
+/// config error, refused before the popularity table is allocated.
+#[test]
+fn a_catalog_past_32_bit_video_ids_is_rejected() {
+    let movies = usize::try_from(u64::from(u32::MAX) + 2).expect("64-bit usize");
+    let cfg = cluster_cfg(
+        2,
+        movies,
+        PlacementPolicy::RoundRobin,
+        DispatchPolicy::LeastLoaded,
+    );
+    let err = Cluster::new(cfg).err().expect("too many movies");
+    assert_eq!(err.parameter, "cluster_movies");
+}

@@ -35,7 +35,10 @@
 //!   other `D_m` still stands.
 //! * `k_log` walks from the previous answer to the new one, O(1) per
 //!   step. A `D_m` the walk needs but has not cached costs one O(len)
-//!   pass. Repeated queries between arrivals are O(1).
+//!   pass. A query whose period is bit-equal to the previous query's,
+//!   with nothing recorded and nothing popped since, returns the previous
+//!   answer without walking: the engine asks once per service, almost
+//!   always of an unchanged log.
 
 use vod_types::{Instant, Seconds};
 
@@ -61,6 +64,10 @@ pub struct ArrivalLog {
     cached: Vec<Span>,
     /// The previous answer, where the next query's walk starts.
     last_k: usize,
+    /// The previous query's period (as bits) and answer, while the
+    /// retained arrivals are unchanged; `record` and a prune that pops
+    /// clear it.
+    answered: Option<(u64, usize)>,
 }
 
 /// The narrowest span of `m` consecutive retained arrivals.
@@ -86,6 +93,7 @@ impl ArrivalLog {
             slots: Vec::new(),
             cached: Vec::new(),
             last_k: 0,
+            answered: None,
         }
     }
 
@@ -104,6 +112,7 @@ impl ArrivalLog {
             _ => at,
         };
         self.times.push(at);
+        self.answered = None;
         let retained = &self.times[self.start..];
         let len = retained.len();
         for span in &mut self.cached {
@@ -133,11 +142,22 @@ impl ArrivalLog {
     /// non-positive or NaN.
     pub fn k_log(&mut self, now: Instant, period: Seconds) -> usize {
         self.prune(now);
+        let bits = period.as_secs_f64().to_bits();
+        if let Some((_, k)) = self.answered.filter(|&(asked, _)| asked == bits) {
+            return k;
+        }
+        let k = self.walk(period);
+        self.answered = Some((bits, k));
+        k
+    }
+
+    /// `max{m : D_m < period}` over the retained arrivals, walked to from
+    /// the last answer.
+    fn walk(&mut self, period: Seconds) -> usize {
         let len = self.len();
         if len == 0 || period <= Seconds::ZERO {
             return 0;
         }
-        // `k_log = max{m : D_m < period}`, walked to from the last answer.
         let mut k = self.last_k.clamp(1, len);
         if self.fits(k, period) {
             while k < len && self.fits(k + 1, period) {
@@ -212,6 +232,7 @@ impl ArrivalLog {
             self.start += 1;
         }
         if self.start != popped_from {
+            self.answered = None;
             self.head += (self.start - popped_from) as u64;
             if 2 * self.start >= self.times.len() {
                 self.times.drain(..self.start);

@@ -7,7 +7,9 @@
 //! out-of-order records. Queries advance `now` past a short `T_log`, so
 //! prunes pop the anchors of cached minima. Periods come from a small set
 //! that includes exact window widths, `0`, a negative value, NaN and very
-//! large values.
+//! large values. Successive queries often repeat a period, so an answer
+//! the log reuses must be dropped by every record and every prune that
+//! pops an arrival.
 
 use proptest::prelude::*;
 use vod_core::ArrivalLog;

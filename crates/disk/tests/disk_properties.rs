@@ -60,8 +60,8 @@ proptest! {
         let profile = DiskProfile::barracuda_9lp();
         let mut layout = VideoLayout::new(&profile).expect("valid profile");
         let mut placed = Vec::new();
-        for (i, &size) in sizes.iter().enumerate() {
-            match layout.place(VideoId::new(i as u64), Bits::new(size)) {
+        for (i, &size) in (0..).zip(&sizes) {
+            match layout.place(VideoId::new(i), Bits::new(size)) {
                 Ok(ext) => placed.push(ext),
                 Err(_) => break, // disk full: acceptable, stop placing
             }

@@ -28,7 +28,7 @@ use std::collections::BinaryHeap;
 use vod_core::scheme::Sizer;
 use vod_core::{memory, ArrivalLog, SchemeKind, SystemParams};
 use vod_obs::{Event, EventKind, Obs, RejectReason, TraceId};
-use vod_types::{Bits, ConfigError, Instant, Seconds};
+use vod_types::{Bits, ConfigError, DiskId, Instant, Seconds};
 use vod_workload::Workload;
 
 /// Configuration of one capacity run.
@@ -70,7 +70,7 @@ pub struct CapacityResult {
 #[derive(Clone, Copy, Debug)]
 struct Departure {
     key: u64,
-    disk: u32,
+    disk: DiskId,
 }
 
 impl PartialEq for Departure {
@@ -169,15 +169,14 @@ impl CapacitySim {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] for infeasible parameters.
+    /// Returns [`ConfigError`] for infeasible parameters, or for more
+    /// disks than a [`DiskId`] can name.
     pub fn with_observer(cfg: CapacityConfig, obs: Obs) -> Result<Self, ConfigError> {
         cfg.params.validate()?;
         if cfg.disks == 0 {
             return Err(ConfigError::new("disks", "must be at least 1"));
         }
-        if u32::try_from(cfg.disks).is_err() {
-            return Err(ConfigError::new("disks", "must fit in 32 bits"));
-        }
+        DiskId::try_from_index(cfg.disks - 1, "disks")?;
         if !cfg.total_memory.is_valid_size() || cfg.total_memory.is_zero() {
             return Err(ConfigError::new("total_memory", "must be positive"));
         }
@@ -224,7 +223,7 @@ impl CapacitySim {
                     break;
                 }
                 departures.pop();
-                let disk = dep.disk as usize;
+                let disk = dep.disk.index();
                 n[disk] -= 1;
                 concurrent -= 1;
                 let at = key_instant(dep.key);
@@ -311,7 +310,7 @@ impl CapacitySim {
             }
             departures.push(Departure {
                 key: order_key(a.at + a.viewing),
-                disk: disk as u32,
+                disk: a.disk,
             });
         }
         result
@@ -496,7 +495,7 @@ mod tests {
     fn departure_equality_is_its_order() {
         let dep = |secs: f64, disk: u32| Departure {
             key: order_key(Instant::from_secs(secs)),
-            disk,
+            disk: DiskId::new(disk),
         };
         let all = [
             dep(5.0, 0),

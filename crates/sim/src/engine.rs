@@ -1008,8 +1008,13 @@ impl DiskEngine {
         if self.obs.tracing() {
             self.obs
                 .span_start(a.at, trace, root, None, SpanKind::Request);
-            self.obs
-                .span_annotate(a.at, trace, root, "video", AnnoValue::U64(a.video.raw()));
+            self.obs.span_annotate(
+                a.at,
+                trace,
+                root,
+                "video",
+                AnnoValue::U64(u64::from(a.video.raw())),
+            );
         }
         // Every arrival feeds the estimator and its audit, admitted or
         // not.
@@ -1632,7 +1637,7 @@ impl DiskEngine {
 /// advances with consumption. `video_size` is `CR × video_length`.
 fn position_key(s: &Stream, video_size: Bits) -> f64 {
     let frac = (s.consumed / video_size).clamp(0.0, 1.0);
-    s.video.raw() as f64 + frac
+    f64::from(s.video.raw()) + frac
 }
 
 /// The planner's verdict for the next service cycle.
@@ -2399,7 +2404,7 @@ mod tests {
                 (0..7).map(move |_| Arrival {
                     at: Instant::from_secs(f64::from(burst) * 12.5),
                     disk: DiskId::new(0),
-                    video: VideoId::new(u64::from(burst % 2)),
+                    video: VideoId::new(burst % 2),
                     viewing: Seconds::from_secs(70.0),
                 })
             })

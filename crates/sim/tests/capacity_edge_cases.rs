@@ -16,7 +16,7 @@ fn config(scheme: SchemeKind, disks: usize, memory_gb: f64) -> CapacityConfig {
     }
 }
 
-fn arrival(at: f64, disk: u64, viewing: f64) -> Arrival {
+fn arrival(at: f64, disk: u32, viewing: f64) -> Arrival {
     Arrival {
         at: Instant::from_secs(at),
         disk: DiskId::new(disk),
@@ -33,6 +33,18 @@ fn empty_workload_is_a_noop() {
     assert_eq!(result.rejected, 0);
     assert_eq!(result.max_concurrent, 0);
     assert_eq!(result.peak_reserved, Bits::ZERO);
+}
+
+#[test]
+fn more_disks_than_32_bit_ids_can_name_is_a_config_error() {
+    let widest = usize::try_from(u64::from(u32::MAX) + 1).expect("64-bit usize");
+    let err = CapacitySim::new(config(SchemeKind::Dynamic, widest + 1, 2.0))
+        .err()
+        .expect("2³² + 1 disks");
+    assert_eq!(err.parameter, "disks");
+    // Disk ids 0..=u32::MAX all fit; the constructor allocates nothing
+    // per disk.
+    assert!(CapacitySim::new(config(SchemeKind::Dynamic, widest, 2.0)).is_ok());
 }
 
 #[test]
@@ -81,7 +93,7 @@ fn departures_release_capacity() {
 fn tighter_memory_admits_fewer() {
     let workload = Workload {
         arrivals: (0..200u32)
-            .map(|i| arrival(1.0 + f64::from(i) * 0.5, u64::from(i % 4), 7200.0))
+            .map(|i| arrival(1.0 + f64::from(i) * 0.5, i % 4, 7200.0))
             .collect(),
     };
     let mut prev = 0;
@@ -101,7 +113,7 @@ fn naive_scheme_reserves_less_than_dynamic() {
     // promises is not actually safe (see the underflow ablation).
     let workload = Workload {
         arrivals: (0..300u32)
-            .map(|i| arrival(1.0 + f64::from(i) * 0.2, u64::from(i % 2), 7200.0))
+            .map(|i| arrival(1.0 + f64::from(i) * 0.2, i % 2, 7200.0))
             .collect(),
     };
     let naive = CapacitySim::new(config(SchemeKind::NaiveDynamic, 2, 0.4))

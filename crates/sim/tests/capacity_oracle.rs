@@ -175,7 +175,7 @@ struct Burst {
     /// Index into `GAPS`: time to the next burst.
     gap: usize,
     /// The disk, where `disks` itself is one the server does not have.
-    disk: u64,
+    disk: u32,
     /// Arrivals in the burst.
     size: usize,
     /// Index into `VIEWINGS`.
@@ -183,7 +183,7 @@ struct Burst {
 }
 
 fn burst() -> impl Strategy<Value = Burst> {
-    (0..GAPS.len(), 0u64..5, 1usize..40, 0..VIEWINGS.len()).prop_map(
+    (0..GAPS.len(), 0u32..5, 1usize..40, 0..VIEWINGS.len()).prop_map(
         |(gap, disk, size, viewing)| Burst {
             gap,
             disk,
@@ -196,7 +196,7 @@ fn burst() -> impl Strategy<Value = Burst> {
 /// The trace: bursts in time order from `start`, each burst's arrivals
 /// on one disk (folded into `0..=disks`) at one instant, with one
 /// viewing time.
-fn workload(disks: u64, start: f64, bursts: &[Burst]) -> Workload {
+fn workload(disks: u32, start: f64, bursts: &[Burst]) -> Workload {
     let mut clock = start;
     let mut arrivals = Vec::new();
     for b in bursts {
@@ -239,7 +239,7 @@ proptest! {
 
     #[test]
     fn capacity_sim_matches_the_plain_loop(
-        disks in 1u64..5,
+        disks in 1u32..5,
         negative_zero_start in 0u8..2,
         t_log in 0..T_LOG_S.len(),
         bursts in prop::collection::vec(burst(), 1..40),

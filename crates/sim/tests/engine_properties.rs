@@ -30,7 +30,7 @@ fn trace_strategy() -> impl Strategy<Value = Vec<Arrival>> {
             .map(|(at_ms, video, viewing_s)| Arrival {
                 at: Instant::from_secs(f64::from(at_ms) / 1000.0),
                 disk: DiskId::new(0),
-                video: VideoId::new(u64::from(video)),
+                video: VideoId::new(u32::from(video)),
                 viewing: Seconds::from_secs(f64::from(viewing_s)),
             })
             .collect();

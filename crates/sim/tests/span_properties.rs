@@ -38,7 +38,7 @@ fn trace_strategy() -> impl Strategy<Value = Vec<Arrival>> {
             .map(|(at_ms, video, viewing_s)| Arrival {
                 at: Instant::from_secs(f64::from(at_ms) / 1000.0),
                 disk: DiskId::new(0),
-                video: VideoId::new(u64::from(video)),
+                video: VideoId::new(u32::from(video)),
                 viewing: Seconds::from_secs(f64::from(viewing_s)),
             })
             .collect();
@@ -215,7 +215,7 @@ fn events_join_spans_when_the_disk_rejects() {
         .map(|i| Arrival {
             at: Instant::from_secs(f64::from(i) * 0.05),
             disk: DiskId::new(0),
-            video: VideoId::new(u64::from(i % 12)),
+            video: VideoId::new(i % 12),
             viewing: Seconds::from_secs(600.0),
         })
         .collect();

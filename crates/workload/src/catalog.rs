@@ -35,7 +35,8 @@ impl Catalog {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] for zero disks/videos, invalid rates or
+    /// Returns [`ConfigError`] for zero disks/videos, more disks or
+    /// videos than a [`DiskId`] or [`VideoId`] can name, invalid rates or
     /// lengths, or θ outside `[0, 1]`.
     pub fn build(
         disks: usize,
@@ -56,18 +57,24 @@ impl Catalog {
         if !length.is_valid_duration() || length <= Seconds::ZERO {
             return Err(ConfigError::new("video_length", "must be positive"));
         }
+        // Every id must fit its 32 bits; check the last of each before
+        // allocating anything.
+        DiskId::try_from_index(disks - 1, "disks")?;
+        let total = disks.checked_mul(videos_per_disk).ok_or_else(|| {
+            ConfigError::new("videos_per_disk", "disks × videos_per_disk overflows")
+        })?;
+        VideoId::try_from_index(total - 1, "videos_per_disk")?;
         let disk_load = Zipf::new(disks, disk_theta)?;
         let size = cr * length;
-        let mut videos = Vec::with_capacity(disks * videos_per_disk);
+        let mut videos = Vec::with_capacity(total);
         let mut per_disk = vec![Vec::with_capacity(videos_per_disk); disks];
-        let mut next = 0u64;
         for (d, disk_videos) in per_disk.iter_mut().enumerate() {
+            let disk = DiskId::try_from_index(d, "disks")?;
             for _ in 0..videos_per_disk {
-                let id = VideoId::new(next);
-                next += 1;
+                let id = VideoId::try_from_index(videos.len(), "videos_per_disk")?;
                 videos.push(VideoInfo {
                     id,
-                    disk: DiskId::new(d as u64),
+                    disk,
                     size,
                     length,
                 });
@@ -154,8 +161,8 @@ mod tests {
     #[test]
     fn video_ids_are_dense_and_disk_tagged() {
         let c = Catalog::paper_catalog(3, 0.5).expect("valid");
-        for (i, v) in c.videos().iter().enumerate() {
-            assert_eq!(v.id, VideoId::new(i as u64));
+        for (i, v) in (0..).zip(c.videos()) {
+            assert_eq!(v.id, VideoId::new(i));
             assert_eq!(c.video(v.id), Some(v));
             assert!(v.disk.index() < 3);
         }
@@ -185,9 +192,9 @@ mod tests {
             let v = c.sample(&mut rng);
             counts[v.disk.index()] += 1;
         }
-        for (d, &count) in counts.iter().enumerate() {
+        for (d, &count) in (0..).zip(&counts) {
             let emp = count as f64 / draws as f64;
-            let exp = c.disk_probability(DiskId::new(d as u64));
+            let exp = c.disk_probability(DiskId::new(d));
             assert!((emp - exp).abs() < 0.01, "disk {d}: {emp} vs {exp}");
         }
     }

@@ -67,8 +67,14 @@ impl MultiMovieConfig {
     /// # Errors
     ///
     /// Returns [`ConfigError`] when any constituent model rejects its
-    /// parameters.
+    /// parameters, or when the catalog has more movies than a
+    /// [`VideoId`] can name.
     pub fn validate(&self) -> Result<(), ConfigError> {
+        // The last movie's id must fit its 32 bits; checked before the
+        // popularity table is allocated.
+        if let Some(last) = self.movies.checked_sub(1) {
+            VideoId::try_from_index(last, "movies")?;
+        }
         Zipf::new(self.movies, self.movie_theta)?;
         RateProfile::zipf_peaked(
             self.duration,
@@ -139,7 +145,7 @@ pub fn multi_movie(config: &MultiMovieConfig, seed: u64) -> Result<Workload, Con
             profile.slot_len(),
             vod_types::Instant::ZERO,
         );
-        let video = VideoId::new(rank as u64 - 1);
+        let video = VideoId::try_from_index(rank - 1, "movies")?;
         for at in times {
             let viewing = Seconds::from_secs(rng.gen::<f64>() * config.max_viewing.as_secs_f64());
             arrivals.push(Arrival {
@@ -204,7 +210,7 @@ mod tests {
     #[test]
     fn popular_movies_draw_more_arrivals() {
         let w = multi_movie(&cfg(), 11).expect("valid multi-movie config");
-        let count = |v: u64| w.arrivals.iter().filter(|a| a.video.raw() == v).count();
+        let count = |v: u32| w.arrivals.iter().filter(|a| a.video.raw() == v).count();
         // Rank 1 vs the tail: with θ = 0.271 the head dominates.
         assert!(count(0) > count(19), "zipf head should outdraw the tail");
     }

@@ -23,14 +23,24 @@ pub fn homogeneous<R: Rng + ?Sized>(
     end: Instant,
 ) -> Vec<Instant> {
     let mut out = Vec::new();
+    push_homogeneous(rng, lambda, start, end, &mut out);
+    out
+}
+
+/// Appends the arrival times of [`homogeneous`] to `out`, drawing the
+/// same gaps in the same order.
+fn push_homogeneous<R: Rng + ?Sized>(
+    rng: &mut R,
+    lambda: f64,
+    start: Instant,
+    end: Instant,
+    out: &mut Vec<Instant>,
+) {
     let mut t = start;
-    loop {
-        let Some(gap) = exponential_gap(rng, lambda) else {
-            return out;
-        };
+    while let Some(gap) = exponential_gap(rng, lambda) {
         t += gap;
         if t >= end {
-            return out;
+            return;
         }
         out.push(t);
     }
@@ -39,17 +49,27 @@ pub fn homogeneous<R: Rng + ?Sized>(
 /// Generates a piecewise-homogeneous Poisson process: `slots[i]` gives the
 /// rate (arrivals/second) over `[start + i·slot_len, start + (i+1)·slot_len)`.
 /// This is exactly the paper's "λ changes every 30 minutes" model.
+///
+/// Every slot appends to one vector, reserved once for the expected count
+/// `μ` plus `5√μ`, so it grows again only when a trace runs more than five
+/// standard deviations long.
 pub fn piecewise<R: Rng + ?Sized>(
     rng: &mut R,
     slot_rates: &[f64],
     slot_len: Seconds,
     start: Instant,
 ) -> Vec<Instant> {
-    let mut out = Vec::new();
+    let expected: f64 = slot_rates
+        .iter()
+        .filter(|&&lambda| lambda > 0.0 && lambda.is_finite())
+        .map(|&lambda| lambda * slot_len.as_secs_f64())
+        .sum();
+    // `as` saturates, and a NaN expectation reserves nothing.
+    let mut out = Vec::with_capacity((expected + 5.0 * expected.sqrt()).ceil() as usize);
     for (i, &lambda) in slot_rates.iter().enumerate() {
         let s = start + slot_len * i as f64;
         let e = start + slot_len * (i + 1) as f64;
-        out.extend(homogeneous(rng, lambda, s, e));
+        push_homogeneous(rng, lambda, s, e, &mut out);
     }
     out
 }

@@ -15,6 +15,10 @@ use crate::poisson;
 use crate::profile::RateProfile;
 
 /// One user request in a trace.
+///
+/// 24 bytes: two `f64` times and two 32-bit ids. A trace is the largest
+/// live object of a replay (five 20 k-arrival days in the Fig. 14 grid),
+/// so the record's size is pinned below.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Arrival {
     /// Arrival time.
@@ -28,6 +32,8 @@ pub struct Arrival {
     /// departure + new request).
     pub viewing: Seconds,
 }
+
+const _: () = assert!(core::mem::size_of::<Arrival>() == 24);
 
 /// A complete, time-sorted workload.
 #[derive(Clone, Debug, Default)]

@@ -49,9 +49,9 @@ fn main() {
         // 20 long-running background streams, then one viewer re-arriving
         // every 3 minutes (each press = depart + rejoin).
         let mut arrivals = Vec::new();
-        for i in 0..20u64 {
+        for i in 0..20u32 {
             arrivals.push(vod::workload::Arrival {
-                at: Instant::from_secs(f64::from(i as u32)),
+                at: Instant::from_secs(f64::from(i)),
                 disk: vod::types::DiskId::new(0),
                 video: VideoId::new(i % 6),
                 viewing: Seconds::from_hours(1.5),

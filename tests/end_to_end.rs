@@ -133,9 +133,9 @@ fn saturated_disk_rejects_and_recovers() {
     // Saturate then let the wave pass: late arrivals must be admitted
     // again after departures.
     let mut arrivals = Vec::new();
-    for i in 0..100u64 {
+    for i in 0..100u32 {
         arrivals.push(vod::workload::Arrival {
-            at: Instant::from_secs(1.0 + f64::from(i as u32) * 0.05),
+            at: Instant::from_secs(1.0 + f64::from(i) * 0.05),
             disk: vod::types::DiskId::new(0),
             video: VideoId::new(i % 6),
             viewing: S::from_secs(120.0),

@@ -12,9 +12,9 @@ use vod::types::Seconds as S;
 /// Fig. 3 scenario — every buffer allocated now will be outlived by
 /// bigger future buffers.
 fn rising_load() -> Vec<vod::workload::Arrival> {
-    (0..70u64)
+    (0..70u32)
         .map(|i| vod::workload::Arrival {
-            at: Instant::from_secs(1.0 + f64::from(i as u32) * 40.0),
+            at: Instant::from_secs(1.0 + f64::from(i) * 40.0),
             disk: vod::types::DiskId::new(0),
             video: VideoId::new(i % 6),
             viewing: S::from_hours(1.5),
