@@ -8,8 +8,9 @@
 //! dynamic scheme with Round-Robin, and under the dynamic scheme with
 //! Sweep\* (whose roster is sorted in place across cycles) and GSS\*
 //! (whose groups are re-sorted every cycle). The dynamic scheme's
-//! estimator audit scores each allocation as it opens, because the test
-//! declares that no offers follow.
+//! estimator audit queues only the windows that outlast the measured
+//! `advance_to` horizon, its arrival floor, in capacity grown during
+//! warm-up.
 //!
 //! Allocations are counted per thread, so the tests can run on parallel
 //! harness threads without counting each other's set-up.
@@ -95,8 +96,6 @@ fn measure(
             viewing: Seconds::from_secs(warm_s + window_s + 600.0),
         });
     }
-    // No offers follow, so the audit scores every window at once.
-    engine.settle_arrivals_before(Instant::from_secs(f64::INFINITY));
     engine.advance_to(Instant::from_secs(warm_s));
     let before = allocations();
     engine.advance_to(Instant::from_secs(warm_s + window_s));

@@ -288,14 +288,12 @@ impl Cluster {
     /// (their empty engines just move the clock), keeping the round
     /// order identical with and without faults.
     ///
-    /// Also declares `at` as each node's arrival floor: every later offer
-    /// reaches its node at `at` or after, so its estimator audit counts a
-    /// retried request from the overflow queue there, not at its older
-    /// arrival instant (see [`DiskEngine::settle_arrivals_before`]).
+    /// `at` is also each node's audit floor, so its estimator audit
+    /// counts a request retried from the overflow queue at `at`, not at
+    /// its older arrival instant (see [`DiskEngine::advance_to`]).
     pub fn advance_nodes_to(&mut self, at: Instant) {
         for node in &mut self.nodes {
             node.engine.advance_to(at);
-            node.engine.settle_arrivals_before(at);
         }
     }
 

@@ -18,16 +18,15 @@
 //! up to the floor and to the newest arrival noted. A request a cluster
 //! retries from its overflow queue carries an older instant; it counts
 //! in the windows open when it is offered, which is when the node's
-//! estimator records it too. A cluster declares each dispatch instant as
-//! the floor, so a window waits at most one dispatch interval past its
-//! end.
+//! estimator records it too.
 //!
-//! Drivers that declare no floor hold every window until
-//! [`AuditScorer::finish`]. An open window therefore costs 8 bytes, its
-//! start. Its length and `k` are kept run-length encoded, since
-//! consecutive allocations mostly share one shape, and its end is
-//! recomputed as `at + window`, the same `f64` sum an unencoded window
-//! would store.
+//! The engine declares each `advance_to` horizon, the instant of its
+//! driver's next offer, as the floor, so every driver scores the audit
+//! the same way and a window waits at most one offer interval past its
+//! end. An open window costs 8 bytes, its start. Its length and `k` are
+//! kept run-length encoded, since consecutive allocations mostly share
+//! one shape, and its end is recomputed as `at + window`, the same `f64`
+//! sum an unencoded window would store.
 
 use std::collections::VecDeque;
 

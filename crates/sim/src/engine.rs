@@ -505,8 +505,7 @@ impl DiskEngine {
     /// this disk) and returns the measurements. The run continues until
     /// every admitted stream has departed. This is the steppable API
     /// driven over the whole trace: [`Self::advance_to`] each arrival,
-    /// [`Self::offer`] it, declare the next arrival as the floor, then
-    /// [`Self::finish`].
+    /// [`Self::offer`] it, then [`Self::finish`].
     ///
     /// # Panics
     ///
@@ -518,14 +517,9 @@ impl DiskEngine {
             arrivals.windows(2).all(|w| w[0].at <= w[1].at),
             "arrival trace must be time-sorted"
         );
-        for (i, a) in arrivals.iter().enumerate() {
+        for a in arrivals {
             self.advance_to(a.at);
             self.offer(a);
-            // The trace is sorted, so the next arrival is the floor of
-            // every instant still to come.
-            if let Some(next) = arrivals.get(i + 1) {
-                self.settle_arrivals_before(next.at);
-            }
         }
         self.finish()
     }
@@ -829,7 +823,16 @@ impl DiskEngine {
     /// Runs all internal work — services, departures, node-local
     /// admissions — until the clock reaches `horizon`, the instant of the
     /// caller's next [`Self::offer`].
+    ///
+    /// `horizon` is also the estimator audit's arrival floor: every later
+    /// offer counts at `horizon` or after, so audit windows ending before
+    /// it are scored and dropped. An offer whose instant is older (a
+    /// cluster's overflow retry) counts at the floor, the instant it
+    /// reaches the engine. Nothing else moves: the estimator still
+    /// records the offer's instant clamped up to its newest arrival only,
+    /// and admission sees the offer unchanged.
     pub fn advance_to(&mut self, horizon: Instant) {
+        self.audit.settle_before(horizon);
         self.m.planned_at = None;
         while self.t < horizon {
             self.process_due_departures();
@@ -843,29 +846,12 @@ impl DiskEngine {
         }
     }
 
-    /// Declares that every later offer reaches the engine at `t` or after
-    /// (pass `Instant::from_secs(f64::INFINITY)` when no offers follow).
-    /// Audit windows ending before `t` can then be scored and dropped;
-    /// without a floor they stay open until [`Self::finish`]. A floor
-    /// below an earlier one is ignored.
-    ///
-    /// The audit counts each later offer at its arrival instant clamped
-    /// up to the floor and to the newest arrival it has counted, the
-    /// instant the request reaches the engine. A cluster's overflow
-    /// retries carry old instants, so an offer below the floor counts at
-    /// the floor. Nothing else moves: the estimator still records the
-    /// offer's instant clamped up to its newest arrival only, and
-    /// admission sees the offer unchanged.
-    pub fn settle_arrivals_before(&mut self, t: Instant) {
-        self.audit.settle_before(t);
-    }
-
     /// Drains the engine — no further arrivals will be offered — and
     /// returns the run measurements.
     #[must_use]
     pub fn finish(mut self) -> DiskRunStats {
-        // The drain's allocations score as they open.
-        self.settle_arrivals_before(Instant::from_secs(f64::INFINITY));
+        // No offers follow: the drain's allocations score as they open.
+        self.audit.settle_before(Instant::from_secs(f64::INFINITY));
         self.m.planned_at = None;
         loop {
             self.process_due_departures();
@@ -2123,29 +2109,17 @@ mod tests {
                 let by_run = DiskEngine::new(cfg.clone())
                     .expect("paper config is valid")
                     .run(&trace);
-                let mut eng = DiskEngine::new(cfg.clone()).expect("paper config is valid");
+                // Each horizon is the audit floor, so the audit scores
+                // windows as the drive goes and keeps few open.
+                let mut eng = DiskEngine::new(cfg).expect("paper config is valid");
+                let mut most_open = 0;
                 for a in &trace {
                     eng.advance_to(a.at);
+                    most_open = most_open.max(eng.audit.open_windows());
                     eng.offer(a);
                 }
                 let by_step = eng.finish();
                 assert_eq!(by_run, by_step, "{method}/{scheme:?}");
-                // Declaring floors as it goes scores the audit early but
-                // identically, and keeps few windows open.
-                let mut eng = DiskEngine::new(cfg).expect("paper config is valid");
-                let mut most_open = 0;
-                for (i, a) in trace.iter().enumerate() {
-                    eng.advance_to(a.at);
-                    most_open = most_open.max(eng.audit.open_windows());
-                    eng.offer(a);
-                    let next = trace
-                        .get(i + 1)
-                        .map_or(Instant::from_secs(f64::INFINITY), |b| b.at);
-                    eng.settle_arrivals_before(next);
-                }
-                assert_eq!(eng.audit.open_windows(), 0);
-                let with_floors = eng.finish();
-                assert_eq!(by_run, with_floors, "{method}/{scheme:?} with floors");
                 assert!(
                     most_open < 100,
                     "{method}/{scheme:?}: {most_open} windows open"
@@ -2167,7 +2141,6 @@ mod tests {
                 eng.offer(&a);
             }
             eng.advance_to(Instant::from_secs(10.0));
-            eng.settle_arrivals_before(Instant::from_secs(10.0));
             eng.offer(&arrival(10.0, 60.0));
             eng.offer(&arrival(retry, 60.0));
             eng.finish().audit

@@ -516,12 +516,6 @@ impl Instant {
         self.0
     }
 
-    /// Duration since simulation start.
-    #[must_use]
-    pub const fn elapsed_from_start(self) -> Seconds {
-        Seconds(self.0)
-    }
-
     /// The later of two instants.
     #[must_use]
     pub fn max(self, other: Self) -> Self {
